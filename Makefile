@@ -1,7 +1,7 @@
 GO ?= go
 SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo nosha)
 
-.PHONY: all build fmt vet lint lint-det lint-hot vulncheck test race bench bench-json bench-baseline bench-check check golden loadtest
+.PHONY: all build fmt vet lint lint-det lint-hot vulncheck test race bench bench-test bench-json bench-baseline bench-check check golden loadtest
 
 all: check
 
@@ -76,6 +76,14 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# bench-test runs the bench module's own tests (bench/ is a separate
+# module, so ./... above does not reach it). They compare the evolve,
+# stream, grid and serve outputs with the committed per-op digests in
+# bench/testdata/digests.json — a byte-identity check on the paths the
+# benchmark drives.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # BENCH_RUN is the one shared measurement methodology: every benchmark
 # 5 times at -benchtime=1x with -benchmem (the artifacts record
 # allocs/op medians alongside ns/op). bench-json and bench-baseline
@@ -144,5 +152,5 @@ golden:
 
 # check is the tier-1 gate, mirrored by .github/workflows/ci.yml:
 # build + format + vet + determinism lint + race-enabled tests + bench
-# smoke.
-check: build fmt vet lint-det race bench
+# smoke + the bench module's digest tests.
+check: build fmt vet lint-det race bench bench-test

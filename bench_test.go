@@ -17,6 +17,7 @@ import (
 	"mcmnpu/internal/experiments"
 	"mcmnpu/internal/pareto"
 	"mcmnpu/internal/pipeline"
+	"mcmnpu/internal/report"
 	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sched"
 	"mcmnpu/internal/sim"
@@ -100,10 +101,15 @@ func BenchmarkFig5to8StageMappings(b *testing.B) {
 
 func BenchmarkTable1HeterogeneousTrunks(b *testing.B) {
 	cfg := workloads.DefaultConfig()
+	ctx := context.Background()
 	var r experiments.TableIResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r = experiments.TableI(cfg)
+		var err error
+		r, err = experiments.TableI(ctx, sweep.New(1), cfg, 85)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	printTable("table1", func() {
@@ -275,28 +281,36 @@ func BenchmarkAblationDataflow(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationNoPSensitivity sweeps the interconnect parameters.
+// gridScenario runs one named ShardedGrid scenario on eng and returns
+// its table.
+func gridScenario(b *testing.B, eng *sweep.Engine, name string) *report.Table {
+	r := eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), experiments.SelectGrid(eng, name))
+	if len(r) != 1 || r[0].Err != nil {
+		b.Fatalf("grid scenario %s: %+v", name, r)
+	}
+	return r[0].Table
+}
+
+// BenchmarkAblationNoPSensitivity sweeps the interconnect parameters:
+// the nop-bandwidth grid scenario at one worker, warm cache.
 func BenchmarkAblationNoPSensitivity(b *testing.B) {
-	cfg := workloads.DefaultConfig()
-	var rows []experiments.NoPSensitivityRow
+	eng := sweep.New(1)
+	var t *report.Table
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.NoPSensitivity(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t = gridScenario(b, eng, "nop-bandwidth")
 	}
 	b.StopTimer()
 	printTable("abl-nop", func() {
-		experiments.NoPSensitivityTable(rows).Render(os.Stdout)
+		t.Render(os.Stdout)
 		fmt.Println()
 	})
 }
 
 // BenchmarkDSEExploreSerial is the serial §IV-C exhaustive search over
 // the Het(2) pin (2^8 candidate masks) — the baseline the parallel
-// engine is measured against.
+// engine is measured against. Each iteration builds its own uncached
+// space, then scans it.
 func BenchmarkDSEExploreSerial(b *testing.B) {
 	cfg := workloads.DefaultConfig()
 	cfg.LaneContext = 0.6
@@ -304,7 +318,7 @@ func BenchmarkDSEExploreSerial(b *testing.B) {
 	var r dse.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r = dse.Explore(trunks, 9, 2, 85)
+		r = dse.NewCachedSpace(trunks, 9, 85, nil).Best(2)
 	}
 	b.StopTimer()
 	printTable("dse-serial", func() {
@@ -321,7 +335,7 @@ func BenchmarkDSEExploreParallel(b *testing.B) {
 	cfg := workloads.DefaultConfig()
 	cfg.LaneContext = 0.6
 	trunks := workloads.Trunks(cfg)
-	want := dse.Explore(trunks, 9, 2, 85)
+	want := dse.NewCachedSpace(trunks, 9, 85, nil).Best(2)
 	eng := sweep.New(0)
 	ctx := context.Background()
 	var r dse.Result
@@ -382,43 +396,34 @@ func benchmarkSweepGrid(b *testing.B, eng *sweep.Engine) {
 
 // BenchmarkFrontierSweep measures the analytic mesh x dataflow Pareto
 // frontier summary (the experiments-layer view of the multi-objective
-// explorer).
+// explorer): the frontier grid scenario at one worker, warm cache.
 func BenchmarkFrontierSweep(b *testing.B) {
-	cfg := workloads.DefaultConfig()
-	var rows []experiments.FrontierSweepRow
+	eng := sweep.New(1)
+	var t *report.Table
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.FrontierSweep(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t = gridScenario(b, eng, "frontier")
 	}
 	b.StopTimer()
 	printTable("frontier-sweep", func() {
-		experiments.FrontierSweepTable(rows).Render(os.Stdout)
+		t.Render(os.Stdout)
 		fmt.Println()
 	})
 }
 
-// Frontier sweep scaling ladder: both rungs run the sharded
-// FrontierSweepParallel path with a fresh (cold-cache) engine per
-// iteration, so the Serial/Parallel8 ns/op ratio isolates worker
-// scaling rather than cache warmth or code-path differences. The
-// bench-check scaling gate asserts the ratio on multi-core runners.
+// Frontier sweep scaling ladder: both rungs run the frontier grid
+// scenario with a fresh (cold-cache) engine per iteration, so the
+// Serial/Parallel8 ns/op ratio isolates worker scaling rather than
+// cache warmth. The bench-check scaling gate asserts the ratio on
+// multi-core runners.
 func BenchmarkFrontierSweepSerial(b *testing.B)    { benchmarkFrontierSweep(b, 1) }
 func BenchmarkFrontierSweepParallel8(b *testing.B) { benchmarkFrontierSweep(b, 8) }
 
 func benchmarkFrontierSweep(b *testing.B, workers int) {
-	cfg := workloads.DefaultConfig()
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := sweep.New(workers) // fresh engine: cold cache each iteration
-		if _, err := experiments.FrontierSweepParallel(ctx, eng, cfg, nil); err != nil {
-			b.Fatal(err)
-		}
+		gridScenario(b, sweep.New(workers), "frontier") // fresh engine: cold cache each iteration
 	}
 }
 

@@ -1,10 +1,10 @@
 // Command detlint is the determinism and concurrency linter: a
 // multichecker running the internal/analysis suite over module
 // packages. The determinism family (mapiterorder, pooldiscipline,
-// seedpurity, atomicmix, orderedreduce, plus the bundled copylocks
-// port — rules D1–D5) machine-checks the contract that keeps parallel
-// sweeps, Pareto explorations and streaming scenario runs bit-for-bit
-// identical to their serial counterparts. The perf/concurrency family
+// seedpurity, atomicmix, orderedreduce — rules D1–D5) machine-checks
+// the contract that keeps parallel sweeps, Pareto explorations and
+// streaming scenario runs bit-for-bit identical to their serial
+// counterparts. The perf/concurrency family
 // (hotpathalloc, goroleak, lockorder, ctxflow — rules P1 and C1–C3)
 // keeps //perf:hot-annotated hot paths allocation-free and goroutine,
 // lock, and context use cancellable and deadlock-free.

@@ -14,7 +14,7 @@ func TestListShowsSuite(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	for _, name := range []string{
-		"mapiterorder", "pooldiscipline", "seedpurity", "atomicmix", "orderedreduce", "copylocks",
+		"mapiterorder", "pooldiscipline", "seedpurity", "atomicmix", "orderedreduce",
 		"hotpathalloc", "goroleak", "lockorder", "ctxflow",
 	} {
 		if !strings.Contains(out.String(), name) {

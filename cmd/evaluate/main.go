@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 
 	"mcmnpu/internal/experiments"
 	"mcmnpu/internal/report"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -43,11 +45,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return err != nil
 	}
 
+	ctx := context.Background()
+	eng := sweep.New(0)
 	cfg := workloads.DefaultConfig()
 	ran := false
 
 	if *t1 || *all {
-		experiments.TableI(cfg).Table().Render(stdout)
+		r, err := experiments.TableI(ctx, eng, cfg, 85)
+		if fail(err) {
+			return 1
+		}
+		r.Table().Render(stdout)
 		fmt.Fprintln(stdout)
 		ran = true
 	}
@@ -102,24 +110,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		experiments.DataflowAblationTable(rows).Render(stdout)
-		fmt.Fprintln(stdout)
-		np, err := experiments.NoPSensitivity(cfg)
-		if fail(err) {
-			return 1
+		// The NoP, tolerance and queue-depth ablations are grid
+		// scenarios: one sharded run, printed in this order.
+		order := []string{"nop-bandwidth", "tolerance", "temporal-depth"}
+		tables := map[string]*report.Table{}
+		for _, r := range eng.RunGridSharded(ctx, cfg, experiments.SelectGrid(eng, order...)) {
+			if fail(r.Err) {
+				return 1
+			}
+			tables[r.Scenario] = r.Table
 		}
-		experiments.NoPSensitivityTable(np).Render(stdout)
-		fmt.Fprintln(stdout)
-		ts, err := experiments.ToleranceSweep(cfg)
-		if fail(err) {
-			return 1
+		for _, name := range order {
+			fmt.Fprintln(stdout)
+			tables[name].Render(stdout)
 		}
-		experiments.ToleranceSweepTable(ts).Render(stdout)
-		fmt.Fprintln(stdout)
-		td, err := experiments.TemporalDepthSweep(cfg)
-		if fail(err) {
-			return 1
-		}
-		experiments.TemporalDepthTable(td).Render(stdout)
 		ran = true
 	}
 	if !ran {

@@ -8,7 +8,7 @@
 //	schedule                 # full pipeline on the 6x6 Simba package
 //	schedule -npus 2         # dual-NPU, 72 chiplets (paper Fig 10)
 //	schedule -trace          # print every greedy step
-//	schedule -config f.json  # run a serialized experiment
+//	schedule -spec f.json    # schedule a scenario spec's workload
 package main
 
 import (
@@ -17,11 +17,13 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
-	"mcmnpu/internal/config"
 	"mcmnpu/internal/experiments"
+	"mcmnpu/internal/nop"
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
+	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sched"
 	"mcmnpu/internal/workloads"
 )
@@ -37,19 +39,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	npus := fs.Int("npus", 1, "active NPUs: 1 (6x6) or 2 (12x6, Fig 10)")
 	trace := fs.Bool("trace", false, "print the greedy algorithm steps")
-	cfgPath := fs.String("config", "", "experiment JSON (see internal/config)")
+	specPath := fs.String("spec", "", "scenario spec JSON whose workload to schedule (the cmd/scenarios -spec format)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	cfg := workloads.DefaultConfig()
-	if *cfgPath != "" {
-		exp, err := config.Load(*cfgPath)
+	if *specPath != "" {
+		w, err := specWorkload(*specPath)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		cfg = exp.Workload
+		cfg = w
 	}
 
 	if *npus == 2 {
@@ -99,6 +101,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		t.Render(stdout)
 	}
 	return 0
+}
+
+// specWorkload reads a scenario spec in scenario.ParseSpec's strict
+// format and returns its workload. schedule always runs the paper's
+// packages (6x6, or 12x6 with -npus 2) under OS dataflow and default
+// NoP and tolerance, so a spec that asks for a different package
+// configuration is refused rather than silently ignored.
+func specWorkload(path string) (workloads.Config, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return workloads.Config{}, err
+	}
+	sp, err := scenario.ParseSpec(data)
+	if err != nil {
+		return workloads.Config{}, err
+	}
+	def := scenario.Spec{}.WithDefaults()
+	if sp.Package != def.Package || !strings.EqualFold(sp.Dataflow, def.Dataflow) ||
+		len(sp.ChipletTypes) > 0 ||
+		(sp.NoP != nil && *sp.NoP != nop.DefaultParams()) ||
+		(sp.Tolerance != 0 && sp.Tolerance != sched.DefaultOptions().Tolerance) {
+		return workloads.Config{}, fmt.Errorf("schedule: spec %s sets package, dataflow, chiplet_types, nop or tolerance, "+
+			"which schedule does not apply; run it with cmd/scenarios -spec", sp.Name)
+	}
+	return sp.Workload, nil
 }
 
 // printPlacement draws the mesh with each chiplet's stage assignment.

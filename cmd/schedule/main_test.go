@@ -1,8 +1,14 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"mcmnpu/internal/scenario"
+	"mcmnpu/internal/workloads"
 )
 
 func TestDefaultPipeline(t *testing.T) {
@@ -47,8 +53,52 @@ func TestShardListingSorted(t *testing.T) {
 
 func TestBadConfigPath(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-config", "does-not-exist.json"}, &out, &errOut); code != 1 {
-		t.Errorf("missing config should exit 1, got %d", code)
+	if code := run([]string{"-spec", "does-not-exist.json"}, &out, &errOut); code != 1 {
+		t.Errorf("missing -spec file should exit 1, got %d", code)
+	}
+}
+
+// writeSpec writes a scenario spec file and returns its path.
+func writeSpec(t *testing.T, sp scenario.Spec) string {
+	t.Helper()
+	b, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSpecRefusesPackageOverride: schedule applies only the spec's
+// workload, so a spec asking for another package fails loudly and
+// points at the command that honors it.
+func TestSpecRefusesPackageOverride(t *testing.T) {
+	path := writeSpec(t, scenario.Spec{Name: "dual", Package: "dual72"})
+	var out, errOut strings.Builder
+	if code := run([]string{"-spec", path}, &out, &errOut); code != 1 {
+		t.Fatalf("package override should exit 1, got %d", code)
+	}
+	if !strings.Contains(errOut.String(), "cmd/scenarios -spec") {
+		t.Errorf("error should point at cmd/scenarios -spec: %s", errOut.String())
+	}
+}
+
+func TestSpecWorkloadChangesSchedule(t *testing.T) {
+	cfg := workloads.DefaultConfig()
+	cfg.Cameras = 6
+	path := writeSpec(t, scenario.Spec{Name: "six-cam", Workload: cfg})
+	var def, six, errOut strings.Builder
+	if code := run(nil, &def, &errOut); code != 0 {
+		t.Fatalf("default run: exit %d, stderr: %s", code, errOut.String())
+	}
+	if code := run([]string{"-spec", path}, &six, &errOut); code != 0 {
+		t.Fatalf("spec run: exit %d, stderr: %s", code, errOut.String())
+	}
+	if six.String() == def.String() {
+		t.Error("a 6-camera workload printed the default 8-camera schedule")
 	}
 }
 

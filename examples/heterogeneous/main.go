@@ -6,27 +6,35 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"os"
 
 	"mcmnpu/internal/dse"
 	"mcmnpu/internal/experiments"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
 func main() {
 	cfg := workloads.DefaultConfig()
 	cfg.LaneContext = 0.6 // the operating point Fig 11 selects
+	eng := sweep.New(0)
 
 	// Full Table I (OS / WS / Het(2) / Het(4)).
-	experiments.TableI(cfg).Table().Render(os.Stdout)
+	t1, err := experiments.TableI(context.Background(), eng, cfg, 85)
+	if err != nil {
+		log.Fatal(err)
+	}
+	t1.Table().Render(os.Stdout)
 
 	// Sweep every WS count to see where the EDP optimum sits.
 	fmt.Println("\nWS-chiplet sweep (9-chiplet quadrant, Lcstr 85 ms):")
-	trunks := workloads.Trunks(cfg)
+	space := dse.NewCachedSpace(workloads.Trunks(cfg), 9, 85, eng.Cache())
 	bestEDP, bestN := 0.0, 0
 	for n := 0; n <= 6; n++ {
-		r := dse.Explore(trunks, 9, n, 85)
+		r := space.Best(n)
 		marker := ""
 		if r.Feasible && (bestN == 0 && n == 0 || r.EDP < bestEDP) {
 			bestEDP, bestN = r.EDP, n
@@ -37,7 +45,7 @@ func main() {
 	}
 	fmt.Printf("\nEDP-optimal heterogeneous mix: %d WS chiplets (EDP %.2f ms*J)\n", bestN, bestEDP)
 
-	r := dse.Explore(trunks, 9, 2, 85)
+	r := space.Best(2)
 	fmt.Println("\nnetworks the search placed on WS chiplets:")
 	for _, n := range r.WSNets {
 		fmt.Println("  -", n)

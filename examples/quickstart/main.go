@@ -9,15 +9,23 @@ import (
 	"fmt"
 	"log"
 
-	"mcmnpu/internal/core"
+	"mcmnpu/internal/chiplet"
+	"mcmnpu/internal/dataflow"
 	"mcmnpu/internal/pipeline"
+	"mcmnpu/internal/sched"
+	"mcmnpu/internal/sim"
+	"mcmnpu/internal/trace"
+	"mcmnpu/internal/workloads"
 )
 
 func main() {
-	sys := core.Default()
+	p, err := workloads.Perception(workloads.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// 1. Run Algorithm 1 (quadrant allocation + recursive sharding).
-	s, err := sys.Schedule()
+	s, err := sched.Build(p, chiplet.Simba36(dataflow.OS), sched.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,24 +38,17 @@ func main() {
 	}
 
 	// 2. Analytical metrics under layerwise pipelining.
-	m, err := sys.Evaluate(pipeline.Layerwise)
-	if err != nil {
-		log.Fatal(err)
-	}
+	m := pipeline.Compute(s, pipeline.Layerwise)
 	fmt.Printf("\nanalytical: %.1f FPS, %.3f J/frame, EDP %.1f ms*J, util %.1f%%\n",
 		m.FPS, m.EnergyJ, m.EDP, m.UtilPct)
 
 	// 3. Discrete-event validation with synthetic 30 FPS camera streams.
-	r, err := sys.Simulate(16, 42)
+	r, err := sim.Run(s, 16, trace.NewGenerator(42))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulated:  %.1f FPS steady-state (interval %.1f ms), util %.1f%%\n",
 		r.ThroughputFPS, r.SteadyIntervalMs, r.UtilPct)
 
-	ok, _, err := sys.MeetsCameraRate(10)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nsustains 10 FPS perception? %v\n", ok)
+	fmt.Printf("\nsustains 10 FPS perception? %v\n", m.FPS >= 10)
 }

@@ -260,17 +260,7 @@ func (s *Service) gridSweep(ctx context.Context, req *GridSweepRequest, emit fun
 		return nil, err
 	}
 	eng := s.gridEngine()
-	all := experiments.ShardedGrid(eng)
-	want := make(map[string]bool, len(req.Scenarios))
-	for _, n := range req.selected() {
-		want[n] = true
-	}
-	var selected []sweep.ShardedScenario
-	for _, sc := range all {
-		if want[sc.Name] {
-			selected = append(selected, sc)
-		}
-	}
+	selected := experiments.SelectGrid(eng, req.selected()...)
 	start := time.Now()
 	cfg := workloads.DefaultConfig()
 	var results []GridScenarioResult
@@ -310,7 +300,7 @@ func (s *Service) DSE(ctx context.Context, req *DSERequest) (*DSEResponse, error
 	}
 	eng := s.gridEngine()
 	start := time.Now()
-	res, err := experiments.TableIParallel(ctx, eng, workloads.DefaultConfig(), req.lcstr())
+	res, err := experiments.TableI(ctx, eng, workloads.DefaultConfig(), req.lcstr())
 	if err != nil {
 		return nil, err
 	}

@@ -86,8 +86,8 @@ type Result struct {
 // plus the OS/WS accelerator models and the latency constraint, with
 // every net layer's cost on both styles precomputed into an
 // index-addressed table at construction. The configuration fields are
-// immutable after NewSpace, so one Space may be shared by concurrent
-// goroutines (the internal/sweep engine relies on this).
+// immutable after NewCachedSpace, so one Space may be shared by
+// concurrent goroutines (the internal/sweep engine relies on this).
 type Space struct {
 	Nets     []Net
 	Chiplets int
@@ -112,18 +112,12 @@ const (
 	wsCol = 1
 )
 
-// NewSpace prepares the exploration space for a pool of `chiplets`
-// accelerators under the latency constraint lcstrMs, with a private
-// layer-cost cache.
-func NewSpace(trunks []*dnn.Graph, chiplets int, lcstrMs float64) *Space {
-	return NewCachedSpace(trunks, chiplets, lcstrMs, costmodel.NewCache())
-}
-
-// NewCachedSpace is NewSpace with a caller-supplied layer-cost cache,
-// letting multiple spaces (e.g. the pins of a Table I run, or every
-// scenario of a sweep grid) share memoized evaluations. A nil cache
-// evaluates uncached. Either way every (layer, style) pair is
-// evaluated at most once here, at construction — the 2^n candidate
+// NewCachedSpace prepares the exploration space for a pool of
+// `chiplets` accelerators under the latency constraint lcstrMs. The
+// layer-cost cache lets multiple spaces (e.g. the pins of a Table I
+// run, or every scenario of a sweep grid) share memoized evaluations;
+// a nil cache evaluates uncached. Either way every (layer, style) pair
+// is evaluated at most once here, at construction — the 2^n candidate
 // masks of an exploration read the precomputed table.
 func NewCachedSpace(trunks []*dnn.Graph, chiplets int, lcstrMs float64, c *costmodel.Cache) *Space {
 	s := &Space{
@@ -199,14 +193,14 @@ func (s *Space) Evaluate(wsCount, mask int) *Result {
 	return &r
 }
 
-// Explore exhaustively searches the style assignment of nets for a pool
-// of `chiplets` accelerators of which wsCount are WS, under the latency
-// constraint lcstrMs (with the scheduler's 5% tolerance). It returns the
-// best-scoring configuration.
-func Explore(trunks []*dnn.Graph, chiplets, wsCount int, lcstrMs float64) Result {
-	s := NewSpace(trunks, chiplets, lcstrMs)
+// Best exhaustively searches the style assignment of nets for the
+// space's chiplets, wsCount of them WS, under the space's latency
+// constraint (with the scheduler's 5% tolerance), and returns the
+// best-scoring configuration. It is the serial scan: one scanner over
+// every candidate in order. sweep.Engine.ExploreSpace distributes the
+// same fold across workers and merges to the same result.
+func (s *Space) Best(wsCount int) Result {
 	candidates := s.Candidates(wsCount)
-
 	sc := s.NewScanner(wsCount)
 	for i, mask := range candidates {
 		sc.Scan(mask, i)
@@ -225,17 +219,13 @@ func Better(a, b Result) bool {
 	return a.EDP < b.EDP
 }
 
-func configName(wsCount int) string { return ConfigName(wsCount) }
-
-// ConfigName is the Table I row name for a wsCount pin (OS / Het(k);
-// the all-WS row is renamed "WS" by TableI).
-func ConfigName(wsCount int) string {
-	switch wsCount {
-	case 0:
+// configName is the Table I row name for a wsCount pin (OS / Het(k);
+// sweep.Engine.TableI renames the all-WS row "WS").
+func configName(wsCount int) string {
+	if wsCount == 0 {
 		return "OS"
-	default:
-		return fmt.Sprintf("Het(%d)", wsCount)
 	}
+	return fmt.Sprintf("Het(%d)", wsCount)
 }
 
 // evalScratch is the reusable working state of one evaluation loop:
@@ -433,14 +423,6 @@ func (sc *Scanner) Finish(combos int) Result {
 	return best
 }
 
-// WSOnly evaluates the all-WS reference row of Table I (it violates the
-// latency constraint; the paper reports it anyway as a bound).
-func WSOnly(trunks []*dnn.Graph, chiplets int, lcstrMs float64) Result {
-	r := Explore(trunks, chiplets, chiplets, lcstrMs)
-	r.Name = "WS"
-	return r
-}
-
 // TableIRow pairs a configuration result with its deltas vs the OS-only
 // reference.
 type TableIRow struct {
@@ -451,21 +433,8 @@ type TableIRow struct {
 	DeltaEDPPct    float64
 }
 
-// TableI runs the paper's Table I: OS-only, WS-only, Het(2) and Het(4)
-// on the 9-chiplet trunks quadrant with Lcstr = 85 ms.
-func TableI(trunks []*dnn.Graph, lcstrMs float64) []TableIRow {
-	return TableIRows([]Result{
-		Explore(trunks, 9, 0, lcstrMs),
-		WSOnly(trunks, 9, lcstrMs),
-		Explore(trunks, 9, 2, lcstrMs),
-		Explore(trunks, 9, 4, lcstrMs),
-	})
-}
-
 // TableIRows pairs each result with its deltas against results[0] (the
-// OS-only reference row, which carries no deltas). Shared by the serial
-// TableI above and the parallel sweep engine, so the two tables can
-// never drift apart in formatting.
+// OS-only reference row, which carries no deltas).
 func TableIRows(results []Result) []TableIRow {
 	osr := results[0]
 	rows := []TableIRow{{Result: osr}}

@@ -13,6 +13,12 @@ func trunkCfg() workloads.Config {
 	return cfg
 }
 
+// trunkSpace is the Table I space: the 9-chiplet trunks quadrant,
+// evaluated uncached.
+func trunkSpace(lcstrMs float64) *Space {
+	return NewCachedSpace(workloads.Trunks(trunkCfg()), 9, lcstrMs, nil)
+}
+
 func TestNetsOf(t *testing.T) {
 	nets := NetsOf(workloads.Trunks(trunkCfg()))
 	// occupancy + lane + 3 detectors x (cls + box) = 8 nets.
@@ -37,7 +43,7 @@ func TestNetsOf(t *testing.T) {
 }
 
 func TestOSOnlyFeasible(t *testing.T) {
-	r := Explore(workloads.Trunks(trunkCfg()), 9, 0, 85)
+	r := trunkSpace(85).Best(0)
 	if !r.Feasible {
 		t.Fatalf("OS-only trunks must satisfy Lcstr: %+v", r)
 	}
@@ -50,7 +56,7 @@ func TestOSOnlyFeasible(t *testing.T) {
 }
 
 func TestWSOnlyInfeasible(t *testing.T) {
-	r := WSOnly(workloads.Trunks(trunkCfg()), 9, 85)
+	r := trunkSpace(85).Best(9)
 	if r.Feasible {
 		t.Error("all-WS trunks violate the latency constraint (paper: 605.7 ms E2E)")
 	}
@@ -62,8 +68,9 @@ func TestWSOnlyInfeasible(t *testing.T) {
 func TestHetAssignsDetectorsToWS(t *testing.T) {
 	// The paper's key §IV-C observation: WS chiplets are predominantly
 	// assigned to the DET_TR layers.
+	s := trunkSpace(85)
 	for _, ws := range []int{2, 4} {
-		r := Explore(workloads.Trunks(trunkCfg()), 9, ws, 85)
+		r := s.Best(ws)
 		if !r.Feasible {
 			t.Fatalf("Het(%d) infeasible", ws)
 		}
@@ -79,7 +86,8 @@ func TestHetAssignsDetectorsToWS(t *testing.T) {
 }
 
 func TestHetImprovesEnergyAndEDP(t *testing.T) {
-	rows := TableI(workloads.Trunks(trunkCfg()), 85)
+	s := trunkSpace(85)
+	rows := TableIRows([]Result{s.Best(0), s.Best(9), s.Best(2), s.Best(4)})
 	if len(rows) != 4 {
 		t.Fatalf("Table I rows = %d", len(rows))
 	}
@@ -100,14 +108,14 @@ func TestHetImprovesEnergyAndEDP(t *testing.T) {
 }
 
 func TestExhaustiveSearchSize(t *testing.T) {
-	r := Explore(workloads.Trunks(trunkCfg()), 9, 2, 85)
+	r := trunkSpace(85).Best(2)
 	if r.Combos != 1<<8 {
 		t.Errorf("combos = %d, want 2^8 (exhaustive over 8 nets)", r.Combos)
 	}
 }
 
 func TestPinnedCandidatesCollapse(t *testing.T) {
-	s := NewSpace(workloads.Trunks(trunkCfg()), 9, 85)
+	s := trunkSpace(85)
 	n := len(s.Nets)
 	if got := s.Candidates(0); len(got) != 1 || got[0] != 0 {
 		t.Errorf("wsCount=0 candidates = %v, want [0]", got)
@@ -119,15 +127,14 @@ func TestPinnedCandidatesCollapse(t *testing.T) {
 		t.Errorf("wsCount=2 candidates = %d, want 2^%d", len(got), n)
 	}
 	// The pins count only the single genuinely evaluated configuration.
-	if r := WSOnly(workloads.Trunks(trunkCfg()), 9, 85); r.Combos != 1 {
+	if r := trunkSpace(85).Best(9); r.Combos != 1 {
 		t.Errorf("all-WS pin combos = %d, want 1", r.Combos)
 	}
 }
 
 func TestSpaceEvaluateMatchesExplore(t *testing.T) {
-	trunks := workloads.Trunks(trunkCfg())
-	s := NewSpace(trunks, 9, 85)
-	want := Explore(trunks, 9, 2, 85)
+	s := trunkSpace(85)
+	want := s.Best(2)
 	// Re-run the scan through the public Space API.
 	var best *Result
 	for _, mask := range s.Candidates(2) {
@@ -143,13 +150,14 @@ func TestSpaceEvaluateMatchesExplore(t *testing.T) {
 		t.Fatal("no feasible packing found")
 	}
 	if best.EDP != want.EDP || best.Feasible != want.Feasible || best.E2EMs != want.E2EMs {
-		t.Errorf("Space scan best %+v != Explore %+v", best, want)
+		t.Errorf("Space scan best %+v != Best %+v", best, want)
 	}
 }
 
 func TestTighterConstraintReducesFeasibility(t *testing.T) {
-	loose := Explore(workloads.Trunks(trunkCfg()), 9, 2, 85)
-	tight := Explore(workloads.Trunks(trunkCfg()), 9, 2, 5)
+	s := trunkSpace(85)
+	loose := s.Best(2)
+	tight := s.WithLcstr(5).Best(2)
 	if !loose.Feasible {
 		t.Fatal("85 ms should be feasible")
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcmnpu/internal/chiplet"
@@ -8,6 +9,7 @@ import (
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/sched"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -85,28 +87,36 @@ var nopPoints = []struct {
 	{"2x faster links", 200, 17.5},
 }
 
-// NoPSensitivity sweeps the NoP link bandwidth and hop latency around
-// the paper's operating point (100 GB/s, 35 ns) and shows the Fig 9
-// conclusion is robust: even a 4x-degraded interconnect keeps NoP far
-// from the computational critical path.
-func NoPSensitivity(cfg workloads.Config) ([]NoPSensitivityRow, error) {
+// simba36Template compiles the pipeline's schedule template on the 6x6
+// OS package: the shared half of every NoP and tolerance point, which
+// vary only the interconnect parameters or the solver's tolerance.
+func simba36Template(cfg workloads.Config) (*sched.Template, error) {
 	p, err := workloads.Perception(cfg)
 	if err != nil {
 		return nil, err
 	}
-	tmpl, err := sched.NewTemplate(p, chiplet.Simba36(dataflow.OS))
+	return sched.NewTemplate(p, chiplet.Simba36(dataflow.OS))
+}
+
+// nopPlan is the NoP-sensitivity grid scenario: the NoP link bandwidth
+// and hop latency swept around the paper's operating point (100 GB/s,
+// 35 ns). It shows the Fig 9 conclusion is robust: even a 4x-degraded
+// interconnect keeps NoP far from the computational critical path.
+func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensitivityRow, error) {
+	tmpl, err := simba36Template(cfg)
 	if err != nil {
-		return nil, err
+		return sweep.GridPlan{}, nil, err
 	}
-	var rows []NoPSensitivityRow
-	for i := range nopPoints {
-		r, err := nopPoint(tmpl, i, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	rows := make([]NoPSensitivityRow, len(nopPoints))
+	return sweep.GridPlan{
+		Points: len(nopPoints),
+		Weight: func(int) float64 { return 36 },
+		Run: func(_ context.Context, i int) (err error) {
+			rows[i], err = nopPoint(tmpl, i, engineSchedOptions(e))
+			return err
+		},
+		Finish: func() (*report.Table, error) { return NoPSensitivityTable(rows), nil },
+	}, rows, nil
 }
 
 // nopPoint evaluates one NoP parameter point from the shared schedule
@@ -156,27 +166,26 @@ type ToleranceSweepRow struct {
 // defaultTolerances are the tolerance-coefficient points of the sweep.
 var defaultTolerances = []float64{0.01, 0.05, 0.10, 0.25}
 
-// ToleranceSweep varies Algorithm 1's tolerance coefficient: tighter
-// tolerances buy a slightly flatter pipeline at the cost of more greedy
-// steps (sharding) and NoP traffic.
-func ToleranceSweep(cfg workloads.Config) ([]ToleranceSweepRow, error) {
-	p, err := workloads.Perception(cfg)
+// tolerancePlan is the tolerance grid scenario: Algorithm 1's tolerance
+// coefficient varied. Tighter tolerances buy a slightly flatter
+// pipeline at the cost of more greedy steps (sharding) and NoP traffic.
+func tolerancePlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []ToleranceSweepRow, error) {
+	tols := defaultTolerances
+	tmpl, err := simba36Template(cfg)
 	if err != nil {
-		return nil, err
+		return sweep.GridPlan{}, nil, err
 	}
-	tmpl, err := sched.NewTemplate(p, chiplet.Simba36(dataflow.OS))
-	if err != nil {
-		return nil, err
-	}
-	var rows []ToleranceSweepRow
-	for _, tol := range defaultTolerances {
-		r, err := tolerancePoint(tmpl, tol, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	rows := make([]ToleranceSweepRow, len(tols))
+	return sweep.GridPlan{
+		Points: len(tols),
+		// Tighter tolerance means more greedy iterations.
+		Weight: func(i int) float64 { return 36 * 0.05 / tols[i] },
+		Run: func(_ context.Context, i int) (err error) {
+			rows[i], err = tolerancePoint(tmpl, tols[i], engineSchedOptions(e))
+			return err
+		},
+		Finish: func() (*report.Table, error) { return ToleranceSweepTable(rows), nil },
+	}, rows, nil
 }
 
 // tolerancePoint evaluates one tolerance point from the shared schedule
@@ -218,19 +227,21 @@ type TemporalDepthRow struct {
 // defaultTemporalDepths are the queue-depth points of the sweep.
 var defaultTemporalDepths = []int64{4, 8, 12, 16}
 
-// TemporalDepthSweep varies the temporal fusion queue depth N (paper
-// uses 12): the throughput matcher absorbs deeper queues by sharding
-// until the quadrant saturates.
-func TemporalDepthSweep(cfg workloads.Config) ([]TemporalDepthRow, error) {
-	var rows []TemporalDepthRow
-	for _, n := range defaultTemporalDepths {
-		r, err := temporalPoint(cfg, n, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+// temporalPlan is the temporal-depth grid scenario: the temporal
+// fusion queue depth N varied (paper uses 12). The throughput matcher
+// absorbs deeper queues by sharding until the quadrant saturates.
+func temporalPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []TemporalDepthRow, error) {
+	depths := defaultTemporalDepths
+	rows := make([]TemporalDepthRow, len(depths))
+	return sweep.GridPlan{
+		Points: len(depths),
+		Weight: func(int) float64 { return 36 },
+		Run: func(_ context.Context, i int) (err error) {
+			rows[i], err = temporalPoint(cfg, depths[i], engineSchedOptions(e))
+			return err
+		},
+		Finish: func() (*report.Table, error) { return TemporalDepthTable(rows), nil },
+	}, rows, nil
 }
 
 // temporalPoint evaluates one queue-depth point: the depth changes the

@@ -29,10 +29,7 @@ func TestDataflowAblation(t *testing.T) {
 }
 
 func TestNoPSensitivityRobust(t *testing.T) {
-	rows, err := NoPSensitivity(workloads.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runPlan(t, nopPlan)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -56,10 +53,7 @@ func TestNoPSensitivityRobust(t *testing.T) {
 }
 
 func TestToleranceSweep(t *testing.T) {
-	rows, err := ToleranceSweep(workloads.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runPlan(t, tolerancePlan)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -77,10 +71,7 @@ func TestToleranceSweep(t *testing.T) {
 }
 
 func TestTemporalDepthSweep(t *testing.T) {
-	rows, err := TemporalDepthSweep(workloads.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runPlan(t, temporalPlan)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -104,7 +106,10 @@ func TestFig5to8Mappings(t *testing.T) {
 }
 
 func TestTableIShape(t *testing.T) {
-	r := TableI(workloads.DefaultConfig())
+	r, err := TableI(context.Background(), sweep.New(1), workloads.DefaultConfig(), 85)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
@@ -19,11 +18,12 @@ import (
 
 // Frontier summary in the camera-/mesh-sweep family: the analytic
 // latency/energy/area trade-off across package sizes and dataflows,
-// with the Pareto-dominated points called out. Where MeshSweep answers
-// "how does the package scale", the frontier column answers "which of
-// these points would a designer ever pick". (The realized-p99 frontier
-// over streamed scenarios lives in internal/pareto / cmd/pareto; this
-// sweep is the schedule-level view that fits the golden/bench harness.)
+// with the Pareto-dominated points called out. Where the mesh sweep
+// answers "how does the package scale", the frontier column answers
+// "which of these points would a designer ever pick". (The realized-p99
+// frontier over streamed scenarios lives in internal/pareto /
+// cmd/pareto; this sweep is the schedule-level view that fits the
+// golden/bench harness.)
 
 // FrontierSweepRow is one (mesh, dataflow) point of the analytic
 // frontier sweep.
@@ -42,29 +42,29 @@ type FrontierSweepRow struct {
 	OnFrontier bool
 }
 
-// FrontierSweep schedules the full pipeline on each k x k mesh (nil
-// sizes use DefaultMeshSizes) under both dataflows and computes the
+// frontierPlan is the frontier grid scenario: the full pipeline on
+// each DefaultMeshSizes k x k mesh under both dataflows, then the
 // non-dominated set over (pipeline latency, per-frame energy, total
 // PEs). Infeasible points are reported but excluded from the frontier.
-func FrontierSweep(cfg workloads.Config, sizes []int) ([]FrontierSweepRow, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultMeshSizes
-	}
+func frontierPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []FrontierSweepRow, error) {
 	p, err := workloads.Perception(cfg)
 	if err != nil {
-		return nil, err
+		return sweep.GridPlan{}, nil, err
 	}
-	pts := frontierPoints(sizes)
+	pts := frontierPoints()
 	rows := make([]FrontierSweepRow, len(pts))
-	for i, pt := range pts {
-		r, err := frontierPoint(p, pt.k, pt.style, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = r
-	}
-	markFrontier(rows)
-	return rows, nil
+	return sweep.GridPlan{
+		Points: len(pts),
+		Weight: func(i int) float64 { return float64(pts[i].k * pts[i].k) },
+		Run: func(_ context.Context, i int) (err error) {
+			rows[i], err = frontierPoint(p, pts[i].k, pts[i].style, engineSchedOptions(e))
+			return err
+		},
+		Finish: func() (*report.Table, error) {
+			markFrontier(rows)
+			return FrontierSweepTable(rows), nil
+		},
+	}, rows, nil
 }
 
 // frontierPointSpec identifies one (mesh size, dataflow) point.
@@ -75,9 +75,9 @@ type frontierPointSpec struct {
 
 // frontierPoints enumerates the sweep's points in the canonical
 // mesh-major, OS-before-WS order the frontier fold depends on.
-func frontierPoints(sizes []int) []frontierPointSpec {
-	pts := make([]frontierPointSpec, 0, 2*len(sizes))
-	for _, k := range sizes {
+func frontierPoints() []frontierPointSpec {
+	pts := make([]frontierPointSpec, 0, 2*len(DefaultMeshSizes))
+	for _, k := range DefaultMeshSizes {
 		for _, style := range []dataflow.Style{dataflow.OS, dataflow.WS} {
 			pts = append(pts, frontierPointSpec{k: k, style: style})
 		}
@@ -113,47 +113,10 @@ func frontierPoint(p *workloads.Pipeline, k int, style dataflow.Style, opts sche
 	return row, nil
 }
 
-// FrontierSweepParallel is FrontierSweep with the points fanned across
-// the engine's workers, heaviest mesh first, memoizing through the
-// engine's cache. Rows are written by point index and the frontier fold
-// runs serially afterwards in canonical point order, so the result is
-// bit-for-bit identical to the serial sweep at any worker count.
-func FrontierSweepParallel(ctx context.Context, e *sweep.Engine, cfg workloads.Config, sizes []int) ([]FrontierSweepRow, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultMeshSizes
-	}
-	p, err := workloads.Perception(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pts := frontierPoints(sizes)
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return pts[order[a]].k > pts[order[b]].k })
-	rows := make([]FrontierSweepRow, len(pts))
-	opts := engineSchedOptions(e)
-	err = e.Each(ctx, len(pts), func(j int) error {
-		i := order[j]
-		r, err := frontierPoint(p, pts[i].k, pts[i].style, opts)
-		if err != nil {
-			return err
-		}
-		rows[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	markFrontier(rows)
-	return rows, nil
-}
-
 // markFrontier folds the feasible rows into the Pareto frontier in row
 // order and flags the non-dominated set. The fold order is part of the
 // determinism contract: rows always arrive in canonical point order,
-// whether computed serially or assembled from a parallel run.
+// however the engine dispatched the points.
 func markFrontier(rows []FrontierSweepRow) {
 	var f pareto.Frontier
 	for _, r := range rows {

@@ -1,39 +1,13 @@
 package experiments
 
 import (
-	"context"
-	"reflect"
 	"testing"
 
 	"mcmnpu/internal/pareto"
-	"mcmnpu/internal/sweep"
-	"mcmnpu/internal/workloads"
 )
 
-// TestFrontierSweepParallelMatchesSerial: the fanned sweep must return
-// the serial sweep's rows exactly, at any worker count, despite the
-// heaviest-first dispatch permutation.
-func TestFrontierSweepParallelMatchesSerial(t *testing.T) {
-	want, err := FrontierSweep(workloads.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got, err := FrontierSweepParallel(context.Background(), sweep.New(workers), workloads.DefaultConfig(), nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d rows diverged from serial:\n got %+v\nwant %+v", workers, got, want)
-		}
-	}
-}
-
 func TestFrontierSweep(t *testing.T) {
-	rows, err := FrontierSweep(workloads.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runPlan(t, frontierPlan)
 	if len(rows) != len(DefaultMeshSizes)*2 {
 		t.Fatalf("rows = %d, want %d (mesh x dataflow)", len(rows), len(DefaultMeshSizes)*2)
 	}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -38,7 +40,11 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestGoldenTableI(t *testing.T) {
-	checkGolden(t, "table1.golden", TableI(workloads.DefaultConfig()).Table().String())
+	r, err := TableI(context.Background(), sweep.New(1), workloads.DefaultConfig(), 85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "table1.golden", r.Table().String())
 }
 
 func TestGoldenTable2(t *testing.T) {
@@ -49,26 +55,34 @@ func TestGoldenTable2(t *testing.T) {
 	checkGolden(t, "table2.golden", Table2Table(rows).String())
 }
 
-func TestGoldenCameraSweep(t *testing.T) {
-	rows, err := CameraSweep(workloads.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
+// TestGoldenGrid snapshots every ShardedGrid scenario's table from one
+// single-worker grid run; TestShardedGridSerialParallelIdentical
+// extends the snapshot to every worker count.
+func TestGoldenGrid(t *testing.T) {
+	goldens := map[string]string{
+		"cameras":        "camera_sweep.golden",
+		"temporal-depth": "temporal_depth.golden",
+		"nop-bandwidth":  "nop_bandwidth.golden",
+		"mesh-size":      "mesh_sweep.golden",
+		"frontier":       "frontier_sweep.golden",
+		"tolerance":      "tolerance.golden",
+		"dse-lcstr":      "dse_lcstr.golden",
 	}
-	checkGolden(t, "camera_sweep.golden", CameraSweepTable(rows).String())
-}
-
-func TestGoldenFrontierSweep(t *testing.T) {
-	rows, err := FrontierSweep(workloads.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
+	eng := sweep.New(1)
+	results := eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), ShardedGrid(eng))
+	if len(results) != len(goldens) {
+		t.Fatalf("grid has %d scenarios, goldens cover %d", len(results), len(goldens))
 	}
-	checkGolden(t, "frontier_sweep.golden", FrontierSweepTable(rows).String())
-}
-
-func TestGoldenMeshSweep(t *testing.T) {
-	rows, err := MeshSweep(workloads.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range results {
+		t.Run(r.Scenario, func(t *testing.T) {
+			golden, ok := goldens[r.Scenario]
+			if !ok {
+				t.Fatalf("no golden file for grid scenario %s", r.Scenario)
+			}
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			checkGolden(t, golden, r.Table.String())
+		})
 	}
-	checkGolden(t, "mesh_sweep.golden", MeshSweepTable(rows).String())
 }

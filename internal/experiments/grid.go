@@ -2,33 +2,26 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
-	"mcmnpu/internal/chiplet"
-	"mcmnpu/internal/dataflow"
-	"mcmnpu/internal/dse"
-	"mcmnpu/internal/report"
 	"mcmnpu/internal/sched"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
-// Grid wiring: the named experiment scenarios a sweep.Engine can run
-// concurrently. This lives here rather than in internal/sweep so the
-// engine stays a pure execution layer (workers, cancellation, reduce)
-// while the domain knowledge — which experiments exist and how they
-// render — stays with the experiments.
+// Grid wiring: the named experiment scenarios a sweep.Engine runs
+// through RunGridSharded. This lives here rather than in internal/sweep
+// so the engine stays a pure execution layer (workers, cancellation,
+// reduce) while the domain knowledge — which experiments exist and how
+// they render — stays with the experiments.
 //
-// Two granularities exist. DefaultGrid dispatches whole scenarios —
-// seven coarse units, so the pool idles behind the largest one (the
-// frontier sweep alone is ~40% of the grid's work) and adding workers
-// barely moves the wall clock. ShardedGrid is the scaling path: each
-// scenario declares its individual points (one schedule build each) and
-// the engine interleaves all of them, with every schedule memoizing
-// through the engine's own cache instead of this package's global one.
+// Each experiment is defined once, as a plan function that builds its
+// sweep.GridPlan and returns the typed rows the plan's points fill: the
+// grid, the CLIs and the tests all run that plan through the engine,
+// serially at one worker. Every point memoizes through the engine's own
+// cache instead of this package's global one.
 
 // engineSchedOptions is schedOptions with the engine's per-engine cache
-// instead of the package-global one: sharded grid points share memoized
+// instead of the package-global one: grid points share memoized
 // evaluations with the engine's DSE explorations and with each other,
 // without contending with harnesses running on other engines.
 func engineSchedOptions(e *sweep.Engine) sched.Options {
@@ -37,185 +30,50 @@ func engineSchedOptions(e *sweep.Engine) sched.Options {
 	return o
 }
 
-// scanSpace is the serial candidate scan of one (space, wsCount) pin —
-// the same fold ExploreSpace distributes, so the result is bit-for-bit
-// identical to the engine's parallel reduce. Grid points use it because
-// each point is already inside a pool worker; fanning the masks again
-// would only oversubscribe the pool.
-func scanSpace(sp *dse.Space, wsCount int) dse.Result {
-	cands := sp.Candidates(wsCount)
-	sc := sp.NewScanner(wsCount)
-	for i, c := range cands {
-		sc.Scan(c, i)
-	}
-	return sc.Finish(len(cands))
+// gridScenario names a plan function as a grid scenario. The typed rows
+// stay with the plan's Finish; the grid only needs the rendered table.
+func gridScenario[R any](e *sweep.Engine, name string,
+	plan func(*sweep.Engine, workloads.Config) (sweep.GridPlan, []R, error)) sweep.ShardedScenario {
+	return sweep.ShardedScenario{Name: name, Prepare: func(_ context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
+		p, _, err := plan(e, cfg)
+		return p, err
+	}}
 }
 
 // ShardedGrid returns the standard experiment grid decomposed into
-// point-level units for Engine.RunGridSharded. Scenario names, tables
-// and values are identical to DefaultGrid's — only the dispatch
-// granularity and the cache routing differ. Weights are rough Build
-// cost estimates (chiplet count of the point's mesh, scaled by replica
-// or iteration pressure where it matters) so the pool starts the
-// 12x12 builds before the 4x4 ones.
+// point-level units for Engine.RunGridSharded: the sweeps the paper
+// varies one at a time (camera count, temporal queue depth, NoP link
+// parameters, mesh size, scheduler tolerance), the mesh x dataflow
+// Pareto frontier summary, and a DSE Lcstr sweep. Weights are rough
+// Build cost estimates (chiplet count of the point's mesh, scaled by
+// replica or iteration pressure where it matters) so the pool starts
+// the 12x12 builds before the 4x4 ones.
 func ShardedGrid(e *sweep.Engine) []sweep.ShardedScenario {
 	return []sweep.ShardedScenario{
-		{Name: "cameras", Prepare: func(ctx context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-			counts := DefaultCameraCounts
-			rows := make([]CameraSweepRow, len(counts))
-			return sweep.GridPlan{
-				Points: len(counts),
-				Weight: func(i int) float64 { return 4.5 * float64(counts[i]) }, // 6x6 build, FE replicas scale with cameras
-				Run: func(ctx context.Context, i int) error {
-					r, err := cameraPoint(cfg, counts[i], engineSchedOptions(e))
-					if err != nil {
-						return err
-					}
-					rows[i] = r
-					return nil
-				},
-				Finish: func() (*report.Table, error) { return CameraSweepTable(rows), nil },
-			}, nil
-		}},
-		{Name: "temporal-depth", Prepare: func(ctx context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-			depths := defaultTemporalDepths
-			rows := make([]TemporalDepthRow, len(depths))
-			return sweep.GridPlan{
-				Points: len(depths),
-				Weight: func(i int) float64 { return 36 },
-				Run: func(ctx context.Context, i int) error {
-					r, err := temporalPoint(cfg, depths[i], engineSchedOptions(e))
-					if err != nil {
-						return err
-					}
-					rows[i] = r
-					return nil
-				},
-				Finish: func() (*report.Table, error) { return TemporalDepthTable(rows), nil },
-			}, nil
-		}},
-		{Name: "nop-bandwidth", Prepare: func(ctx context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-			p, err := workloads.Perception(cfg)
-			if err != nil {
-				return sweep.GridPlan{}, err
-			}
-			tmpl, err := sched.NewTemplate(p, chiplet.Simba36(dataflow.OS))
-			if err != nil {
-				return sweep.GridPlan{}, err
-			}
-			rows := make([]NoPSensitivityRow, len(nopPoints))
-			return sweep.GridPlan{
-				Points: len(nopPoints),
-				Weight: func(i int) float64 { return 36 },
-				Run: func(ctx context.Context, i int) error {
-					r, err := nopPoint(tmpl, i, engineSchedOptions(e))
-					if err != nil {
-						return err
-					}
-					rows[i] = r
-					return nil
-				},
-				Finish: func() (*report.Table, error) { return NoPSensitivityTable(rows), nil },
-			}, nil
-		}},
-		{Name: "mesh-size", Prepare: func(ctx context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-			sizes := DefaultMeshSizes
-			p, err := workloads.Perception(cfg)
-			if err != nil {
-				return sweep.GridPlan{}, err
-			}
-			rows := make([]MeshSweepRow, len(sizes))
-			return sweep.GridPlan{
-				Points: len(sizes),
-				Weight: func(i int) float64 { return float64(sizes[i] * sizes[i]) },
-				Run: func(ctx context.Context, i int) error {
-					r, err := meshPoint(p, sizes[i], engineSchedOptions(e))
-					if err != nil {
-						return err
-					}
-					rows[i] = r
-					return nil
-				},
-				Finish: func() (*report.Table, error) { return MeshSweepTable(rows), nil },
-			}, nil
-		}},
-		{Name: "frontier", Prepare: func(ctx context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-			p, err := workloads.Perception(cfg)
-			if err != nil {
-				return sweep.GridPlan{}, err
-			}
-			pts := frontierPoints(DefaultMeshSizes)
-			rows := make([]FrontierSweepRow, len(pts))
-			return sweep.GridPlan{
-				Points: len(pts),
-				Weight: func(i int) float64 { return float64(pts[i].k * pts[i].k) },
-				Run: func(ctx context.Context, i int) error {
-					r, err := frontierPoint(p, pts[i].k, pts[i].style, engineSchedOptions(e))
-					if err != nil {
-						return err
-					}
-					rows[i] = r
-					return nil
-				},
-				Finish: func() (*report.Table, error) {
-					markFrontier(rows)
-					return FrontierSweepTable(rows), nil
-				},
-			}, nil
-		}},
-		{Name: "tolerance", Prepare: func(ctx context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-			tols := defaultTolerances
-			p, err := workloads.Perception(cfg)
-			if err != nil {
-				return sweep.GridPlan{}, err
-			}
-			tmpl, err := sched.NewTemplate(p, chiplet.Simba36(dataflow.OS))
-			if err != nil {
-				return sweep.GridPlan{}, err
-			}
-			rows := make([]ToleranceSweepRow, len(tols))
-			return sweep.GridPlan{
-				Points: len(tols),
-				// Tighter tolerance means more greedy iterations.
-				Weight: func(i int) float64 { return 36 * 0.05 / tols[i] },
-				Run: func(ctx context.Context, i int) error {
-					r, err := tolerancePoint(tmpl, tols[i], engineSchedOptions(e))
-					if err != nil {
-						return err
-					}
-					rows[i] = r
-					return nil
-				},
-				Finish: func() (*report.Table, error) { return ToleranceSweepTable(rows), nil },
-			}, nil
-		}},
-		{Name: "dse-lcstr", Prepare: func(ctx context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-			lcstrs := DefaultLcstrPoints
-			cfg.LaneContext = 0.6 // Table I's operating point (Fig 11)
-			// One cost table for all Lcstr points: the constraint only
-			// gates feasibility, never costs.
-			base := dse.NewCachedSpace(workloads.Trunks(cfg), 9, lcstrs[0], e.Cache())
-			results := make([]dse.Result, len(lcstrs))
-			return sweep.GridPlan{
-				Points: len(lcstrs),
-				Weight: func(i int) float64 { return 4 },
-				Run: func(ctx context.Context, i int) error {
-					results[i] = scanSpace(base.WithLcstr(lcstrs[i]), 2)
-					return nil
-				},
-				Finish: func() (*report.Table, error) {
-					t := report.NewTable("DSE — Het(2) trunks integration vs latency constraint",
-						"Lcstr(ms)", "E2E Lat(ms)", "Pipe Lat(ms)", "Energy(J)", "EDP(ms*J)", "WS nets", "Feasible")
-					for i, l := range lcstrs {
-						r := results[i]
-						t.AddRow(l, r.E2EMs, r.PipeLatMs, r.EnergyJ, r.EDP,
-							fmt.Sprintf("%d", len(r.WSNets)), fmt.Sprintf("%v", r.Feasible))
-					}
-					return t, nil
-				},
-			}, nil
-		}},
+		gridScenario(e, "cameras", cameraPlan),
+		gridScenario(e, "temporal-depth", temporalPlan),
+		gridScenario(e, "nop-bandwidth", nopPlan),
+		gridScenario(e, "mesh-size", meshPlan),
+		gridScenario(e, "frontier", frontierPlan),
+		gridScenario(e, "tolerance", tolerancePlan),
+		gridScenario(e, "dse-lcstr", lcstrPlan),
 	}
+}
+
+// SelectGrid returns the ShardedGrid scenarios whose names are listed,
+// in grid order. Unknown names select nothing.
+func SelectGrid(e *sweep.Engine, names ...string) []sweep.ShardedScenario {
+	want := make(map[string]bool, len(names))
+	for _, n := range names {
+		want[n] = true
+	}
+	var out []sweep.ShardedScenario
+	for _, sc := range ShardedGrid(e) {
+		if want[sc.Name] {
+			out = append(out, sc)
+		}
+	}
+	return out
 }
 
 // GridScenarioNames returns the sharded grid's scenario names in run
@@ -229,110 +87,4 @@ func GridScenarioNames() []string {
 		names[i] = s.Name
 	}
 	return names
-}
-
-// DefaultGrid returns the standard multi-scenario experiment grid: the
-// sweeps the paper varies one at a time (camera count, temporal queue
-// depth, NoP link parameters, mesh size, scheduler tolerance), the
-// mesh x dataflow Pareto frontier summary, plus a DSE Lcstr sweep that
-// exercises the parallel explorer itself. While the dse-lcstr scenario
-// runs it fans masks across the engine's own worker set, so a saturated
-// grid briefly holds up to twice the engine's workers — bounded, but
-// worth knowing when reading per-scenario timings.
-func DefaultGrid(e *sweep.Engine) []sweep.Scenario {
-	harness := func(run func(cfg workloads.Config) (*report.Table, error)) func(context.Context, workloads.Config) (*report.Table, error) {
-		return func(ctx context.Context, cfg workloads.Config) (*report.Table, error) {
-			// The experiment harnesses are not ctx-aware internally;
-			// honor cancellation at scenario entry.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return run(cfg)
-		}
-	}
-	return []sweep.Scenario{
-		{Name: "cameras", Run: harness(func(cfg workloads.Config) (*report.Table, error) {
-			rows, err := CameraSweep(cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			return CameraSweepTable(rows), nil
-		})},
-		{Name: "temporal-depth", Run: harness(func(cfg workloads.Config) (*report.Table, error) {
-			rows, err := TemporalDepthSweep(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return TemporalDepthTable(rows), nil
-		})},
-		{Name: "nop-bandwidth", Run: harness(func(cfg workloads.Config) (*report.Table, error) {
-			rows, err := NoPSensitivity(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return NoPSensitivityTable(rows), nil
-		})},
-		{Name: "mesh-size", Run: harness(func(cfg workloads.Config) (*report.Table, error) {
-			rows, err := MeshSweep(cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			return MeshSweepTable(rows), nil
-		})},
-		{Name: "frontier", Run: harness(func(cfg workloads.Config) (*report.Table, error) {
-			rows, err := FrontierSweep(cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			return FrontierSweepTable(rows), nil
-		})},
-		{Name: "tolerance", Run: harness(func(cfg workloads.Config) (*report.Table, error) {
-			rows, err := ToleranceSweep(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return ToleranceSweepTable(rows), nil
-		})},
-		{Name: "dse-lcstr", Run: func(ctx context.Context, cfg workloads.Config) (*report.Table, error) {
-			return LcstrSweep(ctx, e, cfg, nil)
-		}},
-	}
-}
-
-// DefaultLcstrPoints are the latency-constraint points of the DSE Lcstr
-// scenario (ms), bracketing the paper's 85 ms operating point.
-var DefaultLcstrPoints = []float64{60, 70, 85, 100}
-
-// LcstrSweep re-runs the Het(2) exploration of Table I under a range of
-// latency constraints, showing how the feasible heterogeneous frontier
-// moves as Lcstr tightens. Each exploration fans its masks across the
-// engine.
-func LcstrSweep(ctx context.Context, e *sweep.Engine, cfg workloads.Config, lcstrs []float64) (*report.Table, error) {
-	if len(lcstrs) == 0 {
-		lcstrs = DefaultLcstrPoints
-	}
-	cfg.LaneContext = 0.6 // Table I's operating point (Fig 11)
-	trunks := workloads.Trunks(cfg)
-	t := report.NewTable("DSE — Het(2) trunks integration vs latency constraint",
-		"Lcstr(ms)", "E2E Lat(ms)", "Pipe Lat(ms)", "Energy(J)", "EDP(ms*J)", "WS nets", "Feasible")
-	for _, l := range lcstrs {
-		r, err := e.Explore(ctx, trunks, 9, 2, l)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(l, r.E2EMs, r.PipeLatMs, r.EnergyJ, r.EDP,
-			fmt.Sprintf("%d", len(r.WSNets)), fmt.Sprintf("%v", r.Feasible))
-	}
-	return t, nil
-}
-
-// TableIParallel runs Table I through the engine's parallel explorer
-// and wraps it in this package's formatting.
-func TableIParallel(ctx context.Context, e *sweep.Engine, cfg workloads.Config, lcstrMs float64) (TableIResult, error) {
-	cfg.LaneContext = 0.6
-	rows, err := e.TableI(ctx, workloads.Trunks(cfg), lcstrMs)
-	if err != nil {
-		return TableIResult{}, err
-	}
-	return TableIResult{Rows: rows, Lcstr: lcstrMs}, nil
 }

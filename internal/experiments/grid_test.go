@@ -11,34 +11,6 @@ import (
 	"mcmnpu/internal/workloads"
 )
 
-func TestDefaultGridRunsEveryScenario(t *testing.T) {
-	eng := sweep.New(4)
-	grid := DefaultGrid(eng)
-	names := make([]string, len(grid))
-	for i, s := range grid {
-		names[i] = s.Name
-	}
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"cameras", "mesh-size", "frontier", "dse-lcstr"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("grid missing scenario %s (have %s)", want, joined)
-		}
-	}
-	results := eng.RunGrid(context.Background(), workloads.DefaultConfig(), grid)
-	if len(results) != len(grid) {
-		t.Fatalf("results = %d, want %d", len(results), len(grid))
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("scenario %s failed: %v", r.Scenario, r.Err)
-			continue
-		}
-		if r.Table == nil || len(r.Table.Rows) == 0 {
-			t.Errorf("scenario %s produced no rows", r.Scenario)
-		}
-	}
-}
-
 // renderResults flattens a grid run into one string: scenario order,
 // errors and full table bytes all participate in the comparison.
 func renderResults(t *testing.T, results []sweep.GridResult) string {
@@ -59,21 +31,6 @@ func runSharded(t *testing.T, workers int) string {
 	t.Helper()
 	eng := sweep.New(workers)
 	return renderResults(t, eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), ShardedGrid(eng)))
-}
-
-// TestShardedGridMatchesDefaultGrid: the sharded grid is a pure
-// dispatch-granularity change — scenario names, tables and every
-// rendered byte must match the coarse scenario-per-worker grid. This
-// pins the equivalences the decomposition relies on: template Builds
-// equal direct Builds, the frontier fold in point order equals the
-// serial fold, and the serial DSE scan equals the engine's parallel
-// reduce.
-func TestShardedGridMatchesDefaultGrid(t *testing.T) {
-	coarseEng := sweep.New(1)
-	want := renderResults(t, coarseEng.RunGrid(context.Background(), workloads.DefaultConfig(), DefaultGrid(coarseEng)))
-	if got := runSharded(t, 1); got != want {
-		t.Errorf("sharded grid output diverged from the coarse grid:\n got:\n%s\nwant:\n%s", got, want)
-	}
 }
 
 // TestShardedGridSerialParallelIdentical: bit-for-bit identical output
@@ -121,13 +78,53 @@ func TestShardedGridParallelEfficiency(t *testing.T) {
 	}
 }
 
-func TestLcstrSweepTightensFeasibility(t *testing.T) {
-	eng := sweep.New(2)
-	tbl, err := LcstrSweep(context.Background(), eng, workloads.DefaultConfig(), nil)
-	if err != nil {
+// runPlan runs one plan alone through RunGridSharded at one worker — the
+// path every grid scenario takes — and returns the typed rows it
+// filled.
+func runPlan[R any](t *testing.T, plan func(*sweep.Engine, workloads.Config) (sweep.GridPlan, []R, error)) []R {
+	t.Helper()
+	eng := sweep.New(1)
+	var rows []R
+	res := eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), []sweep.ShardedScenario{{
+		Name: "plan",
+		Prepare: func(_ context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
+			p, r, err := plan(eng, cfg)
+			rows = r
+			return p, err
+		},
+	}})
+	if err := res[0].Err; err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != len(DefaultLcstrPoints) {
-		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(DefaultLcstrPoints))
+	return rows
+}
+
+func TestSelectGridKeepsGridOrder(t *testing.T) {
+	var got []string
+	for _, sc := range SelectGrid(nil, "tolerance", "nosuch", "cameras") {
+		got = append(got, sc.Name)
+	}
+	if strings.Join(got, ",") != "cameras,tolerance" {
+		t.Errorf("SelectGrid = %v, want [cameras tolerance]", got)
+	}
+}
+
+func TestLcstrSweepTightensFeasibility(t *testing.T) {
+	rows := runPlan(t, lcstrPlan)
+	if len(rows) != len(DefaultLcstrPoints) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(DefaultLcstrPoints))
+	}
+	// Loosening the constraint never loses feasibility, and the paper's
+	// 85 ms operating point is feasible.
+	for i := 1; i < len(rows); i++ {
+		if rows[i-1].Feasible && !rows[i].Feasible {
+			t.Errorf("Lcstr %.0f ms feasible but looser %.0f ms is not",
+				DefaultLcstrPoints[i-1], DefaultLcstrPoints[i])
+		}
+	}
+	for i, l := range DefaultLcstrPoints {
+		if l == 85 && !rows[i].Feasible {
+			t.Error("Het(2) must be feasible at the paper's 85 ms")
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcmnpu/internal/chiplet"
@@ -10,6 +11,7 @@ import (
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/sched"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -31,22 +33,22 @@ type CameraSweepRow struct {
 // DefaultCameraCounts brackets the paper's 8-camera suite.
 var DefaultCameraCounts = []int64{4, 6, 8, 12}
 
-// CameraSweep schedules the pipeline for each camera count (nil uses
-// DefaultCameraCounts). The FE stage carries one backbone replica per
-// camera, so the sweep stresses the throughput matcher's sharding.
-func CameraSweep(cfg workloads.Config, counts []int64) ([]CameraSweepRow, error) {
-	if len(counts) == 0 {
-		counts = DefaultCameraCounts
-	}
-	var rows []CameraSweepRow
-	for _, n := range counts {
-		r, err := cameraPoint(cfg, n, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+// cameraPlan is the camera-count grid scenario: the pipeline scheduled
+// for each DefaultCameraCounts entry. The FE stage carries one backbone
+// replica per camera, so the sweep stresses the throughput matcher's
+// sharding.
+func cameraPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []CameraSweepRow, error) {
+	counts := DefaultCameraCounts
+	rows := make([]CameraSweepRow, len(counts))
+	return sweep.GridPlan{
+		Points: len(counts),
+		Weight: func(i int) float64 { return 4.5 * float64(counts[i]) }, // 6x6 build, FE replicas scale with cameras
+		Run: func(_ context.Context, i int) (err error) {
+			rows[i], err = cameraPoint(cfg, counts[i], engineSchedOptions(e))
+			return err
+		},
+		Finish: func() (*report.Table, error) { return CameraSweepTable(rows), nil },
+	}, rows, nil
 }
 
 // cameraPoint evaluates one camera-count point: the camera count
@@ -100,25 +102,25 @@ type MeshSweepRow struct {
 // DefaultMeshSizes brackets the paper's 6x6 package.
 var DefaultMeshSizes = []int{4, 6, 8, 12}
 
-// MeshSweep schedules the pipeline on square k x k meshes (nil uses
-// DefaultMeshSizes; k=6 reproduces Simba36, k=12 is a four-NPU bound).
-func MeshSweep(cfg workloads.Config, sizes []int) ([]MeshSweepRow, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultMeshSizes
-	}
+// meshPlan is the mesh-size grid scenario: the pipeline scheduled on
+// each square DefaultMeshSizes k x k mesh (k=6 reproduces Simba36, k=12
+// is a four-NPU bound).
+func meshPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []MeshSweepRow, error) {
+	sizes := DefaultMeshSizes
 	p, err := workloads.Perception(cfg)
 	if err != nil {
-		return nil, err
+		return sweep.GridPlan{}, nil, err
 	}
-	var rows []MeshSweepRow
-	for _, k := range sizes {
-		r, err := meshPoint(p, k, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	rows := make([]MeshSweepRow, len(sizes))
+	return sweep.GridPlan{
+		Points: len(sizes),
+		Weight: func(i int) float64 { return float64(sizes[i] * sizes[i]) },
+		Run: func(_ context.Context, i int) (err error) {
+			rows[i], err = meshPoint(p, sizes[i], engineSchedOptions(e))
+			return err
+		},
+		Finish: func() (*report.Table, error) { return MeshSweepTable(rows), nil },
+	}, rows, nil
 }
 
 // meshPoint schedules the shared pipeline on one k x k mesh. A schedule

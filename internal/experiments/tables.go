@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcmnpu/internal/chiplet"
@@ -10,6 +11,7 @@ import (
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/sched"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -19,12 +21,17 @@ type TableIResult struct {
 	Lcstr float64
 }
 
-// TableI runs the paper's Table I on the 9-chiplet trunks quadrant with
-// Lcstr = 85 ms and the lane trunk at 60% context (the operating point
-// Fig 11 selects).
-func TableI(cfg workloads.Config) TableIResult {
+// TableI runs the paper's Table I (Lcstr = 85 ms in the paper) on the
+// 9-chiplet trunks quadrant with the lane trunk at 60% context (the
+// operating point Fig 11 selects), through the engine's parallel
+// explorer.
+func TableI(ctx context.Context, e *sweep.Engine, cfg workloads.Config, lcstrMs float64) (TableIResult, error) {
 	cfg.LaneContext = 0.6
-	return TableIResult{Rows: dse.TableI(workloads.Trunks(cfg), 85), Lcstr: 85}
+	rows, err := e.TableI(ctx, workloads.Trunks(cfg), lcstrMs)
+	if err != nil {
+		return TableIResult{}, err
+	}
+	return TableIResult{Rows: rows, Lcstr: lcstrMs}, nil
 }
 
 // Table renders Table I.
@@ -39,6 +46,43 @@ func (r TableIResult) Table() *report.Table {
 			fmt.Sprintf("%v", row.Feasible))
 	}
 	return t
+}
+
+// DefaultLcstrPoints are the latency-constraint points of the DSE Lcstr
+// scenario (ms), bracketing the paper's 85 ms operating point.
+var DefaultLcstrPoints = []float64{60, 70, 85, 100}
+
+// lcstrPlan is the dse-lcstr grid scenario: Table I's Het(2)
+// exploration re-run under each DefaultLcstrPoints constraint, showing
+// how the feasible heterogeneous frontier moves as Lcstr tightens.
+// Every point is one serial (*dse.Space).Best scan: each point already
+// holds a pool worker, and fanning its masks again would only
+// oversubscribe the pool.
+func lcstrPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []dse.Result, error) {
+	lcstrs := DefaultLcstrPoints
+	cfg.LaneContext = 0.6 // Table I's operating point (Fig 11)
+	// One cost table for all Lcstr points: the constraint only gates
+	// feasibility, never costs.
+	base := dse.NewCachedSpace(workloads.Trunks(cfg), 9, lcstrs[0], e.Cache())
+	results := make([]dse.Result, len(lcstrs))
+	return sweep.GridPlan{
+		Points: len(lcstrs),
+		Weight: func(int) float64 { return 4 },
+		Run: func(_ context.Context, i int) error {
+			results[i] = base.WithLcstr(lcstrs[i]).Best(2)
+			return nil
+		},
+		Finish: func() (*report.Table, error) {
+			t := report.NewTable("DSE — Het(2) trunks integration vs latency constraint",
+				"Lcstr(ms)", "E2E Lat(ms)", "Pipe Lat(ms)", "Energy(J)", "EDP(ms*J)", "WS nets", "Feasible")
+			for i, l := range lcstrs {
+				r := results[i]
+				t.AddRow(l, r.E2EMs, r.PipeLatMs, r.EnergyJ, r.EDP,
+					fmt.Sprintf("%d", len(r.WSNets)), fmt.Sprintf("%v", r.Feasible))
+			}
+			return t, nil
+		},
+	}, results, nil
 }
 
 // Table2Row is one arrangement/pipelining-mode row of Table II.

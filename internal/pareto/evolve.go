@@ -5,8 +5,9 @@
 // lower-bound frontier of the space's uniform-type corners; every
 // genome decodes to a content-keyed candidate name and a memo
 // guarantees no candidate is ever bounded or simulated twice; the
-// bound-dominance prune from the exhaustive explorer skips full
-// streaming runs for candidates that cannot reach the frontier.
+// evaluator the exhaustive explorer also runs bounds each generation and
+// skips full streaming runs for candidates that cannot reach the
+// frontier.
 //
 // Determinism contract (the exhaustive explorer's, extended): all
 // randomness flows from one splitmix64 stream consumed only inside the
@@ -23,7 +24,6 @@ import (
 	"strings"
 
 	"mcmnpu/internal/chiplet"
-	"mcmnpu/internal/scenario"
 )
 
 // Evolution defaults: a 30-generation, 24-individual run explores a
@@ -146,31 +146,17 @@ func (ax axes) random(r *rng) genome {
 	return g
 }
 
-// cbound is one candidate's aggregated analytic bound: the Eval
-// skeleton (lower bounds, PE counts, feasibility) plus the prepared
-// scenarios a surviving candidate streams on. Held only between the
-// bound fan-out and the serial decision for that candidate.
-type cbound struct {
-	e     Eval
-	preps []*scenario.Prepared
-}
-
-// evolver is one run's working state.
+// evolver is one run's working state: the genome axes, the breeding
+// RNG, and the content-keyed memo over the shared evaluator.
 type evolver struct {
-	ax         axes
-	opts       EvolveOptions
-	objectives []string
-	rng        rng
+	ax   axes
+	opts EvolveOptions
+	v    *evaluator
+	rng  rng
 
-	recs     map[string]*Eval  // genome name -> settled evaluation record
-	order    []string          // first-seen record order
-	bounds   map[string]cbound // names bounded but not yet decided
-	frontier Frontier
-
-	memoHits   int
-	simulated  int
-	pruned     int
-	infeasible int
+	recs     map[string]*Eval // genome name -> settled evaluation record
+	order    []string         // first-seen record order
+	memoHits int
 }
 
 // Evolve searches the space with seeded NSGA-II and returns a report
@@ -178,7 +164,7 @@ type evolver struct {
 //
 //perf:hot — the population loop multiplies candidate x scenario evaluations at scale
 func Evolve(ctx context.Context, space Space, opts EvolveOptions) (Report, error) {
-	objectives, err := resolveObjectives(opts.Options)
+	v, err := newEvaluator(opts.Options)
 	if err != nil {
 		return Report{}, err
 	}
@@ -204,14 +190,7 @@ func Evolve(ctx context.Context, space Space, opts EvolveOptions) (Report, error
 		}
 	}
 
-	ev := &evolver{
-		ax:         ax,
-		opts:       opts,
-		objectives: objectives,
-		rng:        rng{state: opts.Seed},
-		recs:       map[string]*Eval{},
-		bounds:     map[string]cbound{},
-	}
+	ev := &evolver{ax: ax, opts: opts, v: v, rng: rng{state: opts.Seed}, recs: map[string]*Eval{}}
 
 	pop, seeded, err := ev.seedPopulation(ctx)
 	if err != nil {
@@ -266,17 +245,17 @@ func (ev *evolver) seedPopulation(ctx context.Context) ([]genome, int, error) {
 	for i, c := range corners {
 		cands[i] = ev.ax.candidate(c.g)
 	}
-	if err := ev.ensureBounds(ctx, cands); err != nil {
+	if err := ev.v.bound(ctx, cands); err != nil {
 		return nil, 0, err
 	}
 
 	var lb Frontier
 	for _, c := range corners {
-		cb, ok := ev.bounds[c.name]
-		if !ok || cb.e.Infeasible {
+		e := ev.v.pending[c.name].e
+		if e.Infeasible {
 			continue
 		}
-		lb.Add(Point{Name: c.name, Vec: objVec(ev.objectives, cb.e.LBLatMs, cb.e.LBEnergyJ, cb.e.PEs)})
+		lb.Add(Point{Name: c.name, Vec: objVec(ev.v.objectives, e.LBLatMs, e.LBEnergyJ, e.PEs)})
 	}
 	byName := map[string]genome{}
 	for _, c := range corners {
@@ -296,76 +275,10 @@ func (ev *evolver) seedPopulation(ctx context.Context) ([]genome, int, error) {
 	return pop, seeded, nil
 }
 
-// ensureBounds computes analytic bounds for every listed candidate not
-// already bounded or settled, fanning the candidate x scenario product
-// across the engine (results land by index; aggregation is a serial
-// loop in candidate order).
-func (ev *evolver) ensureBounds(ctx context.Context, cands []Candidate) error {
-	todo := make([]Candidate, 0, len(cands))
-	names := make([]string, 0, len(cands))
-	seen := map[string]bool{}
-	for _, c := range cands {
-		n := c.Name()
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if _, ok := ev.recs[n]; ok {
-			continue
-		}
-		if _, ok := ev.bounds[n]; ok {
-			continue
-		}
-		todo = append(todo, c)
-		names = append(names, n)
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-	ns := len(ev.opts.Scenarios)
-	raw := make([]bound, len(todo)*ns)
-	eachPair := func(i int) error {
-		c, sp := todo[i/ns], ev.opts.Scenarios[i%ns]
-		raw[i] = lowerBound(c.Apply(sp), cacheOf(ev.opts.Engine))
-		return nil
-	}
-	if ev.opts.Engine != nil {
-		if err := ev.opts.Engine.Each(ctx, len(raw), eachPair); err != nil {
-			return err
-		}
-	} else {
-		for i := range raw {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			eachPair(i)
-		}
-	}
-	for ci, c := range todo {
-		cb := cbound{e: Eval{Candidate: c, Name: names[ci]}}
-		for si := 0; si < ns; si++ {
-			b := raw[ci*ns+si]
-			if b.err != nil {
-				cb.e.Infeasible = true
-				if cb.e.Reason == "" {
-					cb.e.Reason = b.err.Error()
-				}
-				continue
-			}
-			cb.e.Chiplets, cb.e.PEs = b.chips, b.pes
-			cb.e.LBLatMs = max(cb.e.LBLatMs, b.latMs)
-			cb.e.LBEnergyJ = max(cb.e.LBEnergyJ, b.energyJ)
-			cb.preps = append(cb.preps, b.prep)
-		}
-		ev.bounds[names[ci]] = cb
-	}
-	return nil
-}
-
 // evaluate settles every genome in gs: memo re-encounters are free,
-// fresh candidates are bounded (parallel), then decided and — when
-// their discounted bound is not already dominated — streamed (serial,
-// ascending bound order, exactly the exhaustive explorer's phase 2).
+// fresh candidates go through one evaluator batch (bound in parallel,
+// settled serially in ascending bound order) and are memoized in
+// decision order.
 func (ev *evolver) evaluate(ctx context.Context, gs []genome) error {
 	fresh := make([]Candidate, 0, len(gs))
 	batch := map[string]bool{}
@@ -379,68 +292,19 @@ func (ev *evolver) evaluate(ctx context.Context, gs []genome) error {
 		batch[n] = true
 		fresh = append(fresh, c)
 	}
-	if len(fresh) == 0 {
-		return nil
-	}
-	if err := ev.ensureBounds(ctx, fresh); err != nil {
+	if err := ev.v.bound(ctx, fresh); err != nil {
 		return err
 	}
-	sort.Slice(fresh, func(a, b int) bool {
-		ea, eb := ev.bounds[fresh[a].Name()].e, ev.bounds[fresh[b].Name()].e
-		if ea.LBLatMs != eb.LBLatMs {
-			return ea.LBLatMs < eb.LBLatMs
-		}
-		if ea.LBEnergyJ != eb.LBEnergyJ {
-			return ea.LBEnergyJ < eb.LBEnergyJ
-		}
-		if ea.PEs != eb.PEs {
-			return ea.PEs < eb.PEs
-		}
-		return ea.Name < eb.Name
-	})
-	ropts := scenario.RunOptions{
-		Frames:       ev.opts.Frames,
-		WindowFrames: ev.opts.WindowFrames,
-		Engine:       ev.opts.Engine,
+	evals, order, err := ev.v.settle(ctx, fresh)
+	if err != nil {
+		return err
 	}
-	for _, c := range fresh {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n := c.Name()
-		cb := ev.bounds[n]
-		delete(ev.bounds, n)
-		e := cb.e
-		if e.Infeasible {
-			ev.infeasible++
-			ev.record(n, e)
-			continue
-		}
-		lbVec := objVec(ev.objectives, e.LBLatMs*lbSafety, e.LBEnergyJ, e.PEs)
-		if !ev.opts.NoPrune && ev.frontier.DominatedBy(lbVec) {
-			e.Pruned = true
-			ev.pruned++
-			ev.record(n, e)
-			continue
-		}
-		for _, prep := range cb.preps {
-			r, err := prep.Run(ctx, ropts)
-			if err != nil {
-				return fmt.Errorf("pareto evolve %s: %w", n, err)
-			}
-			e.P99Ms = max(e.P99Ms, r.P99Ms)
-			e.EnergyJ = max(e.EnergyJ, r.EnergyPerFrameJ)
-		}
-		ev.simulated++
-		ev.frontier.Add(Point{Name: n, Vec: objVec(ev.objectives, e.P99Ms, e.EnergyJ, e.PEs)})
-		ev.record(n, e)
+	for _, i := range order {
+		e := evals[i]
+		ev.recs[e.Name] = &e
+		ev.order = append(ev.order, e.Name)
 	}
 	return nil
-}
-
-func (ev *evolver) record(name string, e Eval) {
-	ev.recs[name] = &e
-	ev.order = append(ev.order, name)
 }
 
 // fitness returns the ranking vector of a settled candidate: the
@@ -453,9 +317,9 @@ func (ev *evolver) fitness(name string) []float64 {
 	case e.Infeasible:
 		return nil
 	case e.Pruned:
-		return objVec(ev.objectives, e.LBLatMs*lbSafety, e.LBEnergyJ, e.PEs)
+		return objVec(ev.v.objectives, e.LBLatMs*lbSafety, e.LBEnergyJ, e.PEs)
 	default:
-		return objVec(ev.objectives, e.P99Ms, e.EnergyJ, e.PEs)
+		return objVec(ev.v.objectives, e.P99Ms, e.EnergyJ, e.PEs)
 	}
 }
 
@@ -611,42 +475,19 @@ func (ev *evolver) selectNext(combined []genome) []genome {
 // evolution header with the frontier's hypervolume (reference point:
 // 1.05x the componentwise worst simulated objective values).
 func (ev *evolver) report(space Space, seeded int) Report {
-	rep := Report{
-		Objectives: ev.objectives,
-		Evaluated:  ev.simulated,
-		Pruned:     ev.pruned,
-		Infeasible: ev.infeasible,
-		MemoHits:   ev.memoHits,
-	}
-	for _, sp := range ev.opts.Scenarios {
-		rep.Scenarios = append(rep.Scenarios, sp.Name)
-	}
-	on := map[string]bool{}
-	for _, p := range ev.frontier.Points() {
-		on[p.Name] = true
-	}
-	rep.Evals = make([]Eval, 0, len(ev.order))
+	evals := make([]Eval, 0, len(ev.order))
 	for _, n := range ev.order {
-		e := *ev.recs[n]
-		e.OnFrontier = on[n]
-		rep.Evals = append(rep.Evals, e)
+		evals = append(evals, *ev.recs[n])
 	}
-	byName := map[string]Eval{}
-	for _, e := range rep.Evals {
-		byName[e.Name] = e
-	}
-	for _, p := range ev.frontier.Points() {
-		rep.Frontier = append(rep.Frontier, byName[p.Name])
-	}
+	rep := ev.v.report(evals)
+	rep.MemoHits = ev.memoHits
 
 	var ref []float64
-	pts := make([][]float64, 0, ev.frontier.Len())
-	for _, n := range ev.order {
-		e := ev.recs[n]
+	for _, e := range evals {
 		if e.Infeasible || e.Pruned {
 			continue
 		}
-		v := objVec(ev.objectives, e.P99Ms, e.EnergyJ, e.PEs)
+		v := objVec(ev.v.objectives, e.P99Ms, e.EnergyJ, e.PEs)
 		if ref == nil {
 			ref = append([]float64(nil), v...)
 			continue
@@ -658,7 +499,8 @@ func (ev *evolver) report(space Space, seeded int) Report {
 	for i := range ref {
 		ref[i] *= 1.05
 	}
-	for _, p := range ev.frontier.Points() {
+	pts := make([][]float64, 0, ev.v.frontier.Len())
+	for _, p := range ev.v.frontier.Points() {
 		pts = append(pts, p.Vec)
 	}
 	rep.Evolution = &Evolution{

@@ -16,13 +16,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"mcmnpu/internal/chiplet"
-	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/nop"
-	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
 )
@@ -358,10 +355,10 @@ type Options struct {
 	// (0 keeps each spec's defaults).
 	Frames       int
 	WindowFrames int
-	// Engine, when non-nil, fans the lower-bound phase across the worker
-	// pool and streams full-run trace windows through it; nil runs
-	// everything serially. Either way the report is bit-for-bit
-	// identical.
+	// Engine fans the lower-bound phase across its worker pool and
+	// streams full-run trace windows through it; nil is the serial
+	// engine, sweep.New(1). The report is bit-for-bit identical at any
+	// worker count.
 	Engine *sweep.Engine
 	// NoPrune disables dominance-based early pruning, forcing a full
 	// streaming run for every feasible candidate.
@@ -403,16 +400,9 @@ type Evolution struct {
 }
 
 // Explore evaluates the space against the scenarios and returns the
-// frontier report.
-//
-// Phase 1 computes, for every candidate x scenario pair, the analytic
-// schedule metrics (fanned across the engine when present; results land
-// by index). Phase 2 walks the candidates in ascending lower-bound
-// order — a serial, deterministic loop — and for each one either prunes
-// it (its safety-discounted lower-bound vector is dominated by an
-// already-realized frontier point, so its realized point, which is
-// componentwise no better, would be too) or runs the full streaming
-// evaluation and offers the realized point to the frontier.
+// frontier report: phase 1 bounds every candidate x scenario pair
+// across the engine, phase 2 prunes or streams each candidate in
+// ascending bound order (see evaluator).
 //
 //perf:hot — evaluates the whole candidate x scenario product; both phases loop at scale
 func Explore(ctx context.Context, space Space, opts Options) (Report, error) {
@@ -440,14 +430,15 @@ func resolveObjectives(opts Options) ([]string, error) {
 }
 
 // ExploreCandidates runs the exhaustive two-phase evaluation over an
-// explicit candidate list (duplicate names collapse to one candidate).
-// Explore is this over Space.Candidates(); the oracle property tests
-// call it directly with EnumerateTyped output to brute-force small
-// heterogeneous spaces.
+// explicit candidate list (duplicate names collapse to one candidate):
+// one bound-and-settle batch over every candidate, reported in
+// enumeration order. Explore is this over Space.Candidates(); the
+// oracle property tests call it directly with EnumerateTyped output to
+// brute-force small heterogeneous spaces.
 //
 //perf:hot — evaluates the whole candidate x scenario product; both phases loop at scale
 func ExploreCandidates(ctx context.Context, cands []Candidate, opts Options) (Report, error) {
-	objectives, err := resolveObjectives(opts)
+	v, err := newEvaluator(opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -459,157 +450,14 @@ func ExploreCandidates(ctx context.Context, cands []Candidate, opts Options) (Re
 			uniq = append(uniq, c)
 		}
 	}
-	cands = uniq
-
-	rep := Report{
-		Objectives: objectives,
-		Evals:      make([]Eval, len(cands)),
+	if err := v.bound(ctx, uniq); err != nil {
+		return Report{}, err
 	}
-	for _, sp := range opts.Scenarios {
-		rep.Scenarios = append(rep.Scenarios, sp.Name)
-	}
-
-	// Phase 1: analytic lower bounds for every candidate x scenario.
-	ns := len(opts.Scenarios)
-	bounds := make([]bound, len(cands)*ns)
-	eachPair := func(i int) error {
-		c, sp := cands[i/ns], opts.Scenarios[i%ns]
-		bounds[i] = lowerBound(c.Apply(sp), cacheOf(opts.Engine))
-		return nil
-	}
-	if opts.Engine != nil {
-		if err := opts.Engine.Each(ctx, len(bounds), eachPair); err != nil {
-			return Report{}, err
-		}
-	} else {
-		for i := range bounds {
-			if err := ctx.Err(); err != nil {
-				return Report{}, err
-			}
-			eachPair(i)
-		}
-	}
-
-	for ci, c := range cands {
-		e := Eval{Candidate: c, Name: c.Name()}
-		for si := 0; si < ns; si++ {
-			b := bounds[ci*ns+si]
-			if b.err != nil {
-				e.Infeasible = true
-				if e.Reason == "" {
-					e.Reason = b.err.Error()
-				}
-				continue
-			}
-			e.Chiplets, e.PEs = b.chips, b.pes
-			e.LBLatMs = max(e.LBLatMs, b.latMs)
-			e.LBEnergyJ = max(e.LBEnergyJ, b.energyJ)
-		}
-		rep.Evals[ci] = e
-	}
-
-	// Phase 2: deterministic pruning + full runs, cheapest lower bound
-	// first (realizing likely-frontier points early maximizes pruning).
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := rep.Evals[order[a]], rep.Evals[order[b]]
-		if ea.LBLatMs != eb.LBLatMs {
-			return ea.LBLatMs < eb.LBLatMs
-		}
-		if ea.LBEnergyJ != eb.LBEnergyJ {
-			return ea.LBEnergyJ < eb.LBEnergyJ
-		}
-		if ea.PEs != eb.PEs {
-			return ea.PEs < eb.PEs
-		}
-		return ea.Name < eb.Name
-	})
-
-	var frontier Frontier
-	for _, ci := range order {
-		e := &rep.Evals[ci]
-		if e.Infeasible {
-			rep.Infeasible++
-			continue
-		}
-		lb := objVec(objectives, e.LBLatMs*lbSafety, e.LBEnergyJ, e.PEs)
-		if !opts.NoPrune && frontier.DominatedBy(lb) {
-			e.Pruned = true
-			rep.Pruned++
-			continue
-		}
-		ropts := scenario.RunOptions{
-			Frames:       opts.Frames,
-			WindowFrames: opts.WindowFrames,
-			Engine:       opts.Engine,
-		}
-		for si := range opts.Scenarios {
-			// Stream on the schedule phase 1 built for this exact
-			// (candidate, scenario) pair — the build was the serial
-			// half of every full run.
-			r, err := bounds[ci*ns+si].prep.Run(ctx, ropts)
-			if err != nil {
-				return Report{}, fmt.Errorf("pareto %s: %w", e.Name, err)
-			}
-			e.P99Ms = max(e.P99Ms, r.P99Ms)
-			e.EnergyJ = max(e.EnergyJ, r.EnergyPerFrameJ)
-		}
-		rep.Evaluated++
-		frontier.Add(Point{Name: e.Name, Vec: objVec(objectives, e.P99Ms, e.EnergyJ, e.PEs)})
-	}
-
-	// The frontier settles only after every insertion (late points can
-	// evict earlier ones), so membership is flagged at the end.
-	on := map[string]bool{}
-	for _, p := range frontier.Points() {
-		on[p.Name] = true
-	}
-	for i := range rep.Evals {
-		rep.Evals[i].OnFrontier = on[rep.Evals[i].Name]
-	}
-	byName := map[string]Eval{}
-	for _, e := range rep.Evals {
-		byName[e.Name] = e
-	}
-	for _, p := range frontier.Points() {
-		rep.Frontier = append(rep.Frontier, byName[p.Name])
-	}
-	return rep, nil
-}
-
-// bound is one candidate x scenario analytic lower-bound sample. It
-// retains the prepared scenario (compiled bundle + built schedule), so
-// a candidate that survives pruning streams on the schedule phase 1
-// already built instead of rebuilding it serially.
-type bound struct {
-	latMs   float64
-	energyJ float64
-	pes     int64
-	chips   int
-	prep    *scenario.Prepared
-	err     error
-}
-
-// lowerBound prepares one candidate-applied spec (compile + one
-// schedule build) and reads the analytic pipeline metrics. Shared with
-// the full run only through the layer-cost cache, so cached and
-// uncached phases agree bit-for-bit.
-func lowerBound(sp scenario.Spec, cache *costmodel.Cache) (b bound) {
-	prep, err := scenario.Prepare(sp, cache)
+	evals, _, err := v.settle(ctx, uniq)
 	if err != nil {
-		b.err = err
-		return b
+		return Report{}, err
 	}
-	m := pipeline.Compute(prep.Schedule, pipeline.Layerwise)
-	b.latMs = m.E2EMs
-	b.energyJ = m.EnergyJ
-	b.pes = prep.Bundle.MCM.TotalPEs()
-	b.chips = prep.Bundle.MCM.Chiplets()
-	b.prep = prep
-	return b
+	return v.report(evals), nil
 }
 
 // objVec assembles the objective vector in the selected canonical
@@ -627,11 +475,4 @@ func objVec(objectives []string, latMs, energyJ float64, pes int64) []float64 {
 		}
 	}
 	return out
-}
-
-func cacheOf(e *sweep.Engine) *costmodel.Cache {
-	if e == nil {
-		return nil
-	}
-	return e.Cache()
 }

@@ -1,10 +1,11 @@
 // Streaming multi-frame runner: a compiled scenario is scheduled once,
 // then its frame budget is split into trace windows that stream through
-// the event-driven simulator — serially or fanned across a sweep.Engine
-// worker pool. Each window is an independent busy-period sample: its
-// generator derives deterministically from (spec seed, window index) and
-// its arrivals restart from an idle package, so results are bit-for-bit
-// identical regardless of worker count or repetition.
+// the event-driven simulator, fanned across a sweep.Engine worker pool
+// (one worker for a serial run). Each window is an independent
+// busy-period sample: its generator derives deterministically from
+// (spec seed, window index) and its arrivals restart from an idle
+// package, so results are bit-for-bit identical regardless of worker
+// count or repetition.
 package scenario
 
 import (
@@ -36,11 +37,19 @@ type RunOptions struct {
 	// definition: the same (frames, window) pair always aggregates the
 	// same per-window simulations.
 	WindowFrames int
-	// Engine, when non-nil, fans the windows across the worker pool and
-	// shares the engine's layer-cost cache with the scheduler. nil runs
-	// the windows serially with a private cache; either way the result
-	// is bit-for-bit identical.
+	// Engine fans the windows across its worker pool and shares its
+	// layer-cost cache with the scheduler; nil is the serial engine,
+	// sweep.New(1). The result is bit-for-bit identical at any worker
+	// count.
 	Engine *sweep.Engine
+}
+
+// withEngine resolves a nil engine to the serial one.
+func (o RunOptions) withEngine() RunOptions {
+	if o.Engine == nil {
+		o.Engine = sweep.New(1)
+	}
+	return o
 }
 
 // Result is one scenario's aggregated streaming metrics. The struct is
@@ -110,11 +119,8 @@ func Prepare(sp Spec, cache *costmodel.Cache) (*Prepared, error) {
 //
 //perf:hot — streams every frame window; per-window state is reused, not reallocated
 func Run(ctx context.Context, sp Spec, opts RunOptions) (Result, error) {
-	cache := costmodel.NewCache()
-	if opts.Engine != nil {
-		cache = opts.Engine.Cache()
-	}
-	p, err := Prepare(sp, cache)
+	opts = opts.withEngine()
+	p, err := Prepare(sp, opts.Engine.Cache())
 	if err != nil {
 		return Result{}, err
 	}
@@ -122,12 +128,13 @@ func Run(ctx context.Context, sp Spec, opts RunOptions) (Result, error) {
 }
 
 // Run streams the frame budget of a prepared scenario through the
-// simulator in trace windows — serially, or fanned across opts.Engine.
-// The schedule is reused as built; opts.Engine only affects window
-// dispatch here, not costs.
+// simulator in trace windows fanned across opts.Engine. The schedule is
+// reused as built; opts.Engine only affects window dispatch here, not
+// costs.
 //
 //perf:hot — streams every frame window; per-window state is reused, not reallocated
 func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
+	opts = opts.withEngine()
 	b, s := pr.Bundle, pr.Schedule
 	frames := b.Spec.Frames
 	if opts.Frames > 0 {
@@ -143,9 +150,9 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 
 	m := pipeline.Compute(s, pipeline.Layerwise)
 
-	// The schedule compiles to a simulation graph once; the windows —
-	// serial or fanned across the pool — share the immutable graph and
-	// only instantiate per-window frame state.
+	// The schedule compiles to a simulation graph once; the windows
+	// share the immutable graph and only instantiate per-window frame
+	// state.
 	g, err := sim.Prepare(s)
 	if err != nil {
 		return Result{}, fmt.Errorf("scenario %s: %w", b.Spec.Name, err)
@@ -166,16 +173,7 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 		windows[i] = r
 		return nil
 	}
-	if opts.Engine != nil {
-		err = opts.Engine.Each(ctx, nw, runWindow)
-	} else {
-		for i := 0; i < nw && err == nil; i++ {
-			if err = ctx.Err(); err == nil {
-				err = runWindow(i)
-			}
-		}
-	}
-	if err != nil {
+	if err := opts.Engine.Each(ctx, nw, runWindow); err != nil {
 		return Result{}, err
 	}
 
@@ -285,10 +283,11 @@ func compileWorkload(cfg workloads.Config) (*workloads.Pipeline, error) {
 	return p, nil
 }
 
-// RunAll streams every spec through Run in order, sharing opts (and the
-// engine's worker pool/cache, when set) across scenarios. The first
-// failure aborts the batch.
+// RunAll streams every spec through Run in order, sharing opts and the
+// engine's worker pool and cache across scenarios. The first failure
+// aborts the batch.
 func RunAll(ctx context.Context, specs []Spec, opts RunOptions) ([]Result, error) {
+	opts = opts.withEngine()
 	out := make([]Result, 0, len(specs))
 	for _, sp := range specs {
 		r, err := Run(ctx, sp, opts)

@@ -33,6 +33,11 @@ func TestBuildConvergesToBase(t *testing.T) {
 	if pipe > base*(1+s.Opts.Tolerance)+1e-9 {
 		t.Errorf("pipe %.2f exceeds base %.2f * tolerance", pipe, base)
 	}
+	// The paper's headline operating point: ~90 ms layerwise pipelining
+	// latency on the 36-chiplet OS package.
+	if pipe < 60 || pipe > 120 {
+		t.Errorf("pipe = %.1f ms, expected ~90", pipe)
+	}
 }
 
 func TestQuadrantAllocation(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 	"mcmnpu/internal/dse"
 )
 
-// Explore is the parallel counterpart of dse.Explore: it fans the
+// Explore is the parallel counterpart of (*dse.Space).Best: it fans the
 // candidate masks of one (chiplets, wsCount) pin across the engine's
 // workers and reduces to the same best configuration as the serial
 // scan, bit-for-bit, regardless of worker count or completion order.
@@ -65,12 +65,12 @@ func (e *Engine) ExploreSpace(ctx context.Context, space *dse.Space, wsCount int
 	return root.Finish(len(candidates)), nil
 }
 
-// TableI is the parallel Table I: the four configuration rows (OS-only,
+// TableI is the paper's Table I: the four configuration rows (OS-only,
 // WS-only, Het(2), Het(4)) on the 9-chiplet trunks quadrant. The pins
 // run in sequence — the two non-trivial ones (Het(2), Het(4)) each fan
 // their 2^n masks across the full pool, so an outer fan-out would only
-// oversubscribe the workers. Rows and deltas come from dse.TableIRows,
-// the same builder the serial dse.TableI uses.
+// oversubscribe the workers. The all-WS row violates the latency
+// constraint; the paper reports it anyway as a bound.
 func (e *Engine) TableI(ctx context.Context, trunks []*dnn.Graph, lcstrMs float64) ([]dse.TableIRow, error) {
 	space := dse.NewCachedSpace(trunks, 9, lcstrMs, e.cache)
 	wsCounts := []int{0, 9, 2, 4}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mcmnpu/internal/dse"
-	"mcmnpu/internal/report"
 	"mcmnpu/internal/workloads"
 )
 
@@ -19,12 +18,13 @@ func trunkCfg() workloads.Config {
 }
 
 // TestExploreMatchesSerial is the engine's core contract: the parallel
-// reduce returns the serial dse.Explore result bit-for-bit, for every
-// pin and every worker count.
+// reduce returns the serial (*dse.Space).Best result bit-for-bit, for
+// every pin and every worker count.
 func TestExploreMatchesSerial(t *testing.T) {
 	trunks := workloads.Trunks(trunkCfg())
+	space := dse.NewCachedSpace(trunks, 9, 85, nil)
 	for _, ws := range []int{0, 2, 4, 9} {
-		want := dse.Explore(trunks, 9, ws, 85)
+		want := space.Best(ws)
 		for _, workers := range []int{1, 4, runtime.NumCPU()} {
 			got, err := New(workers).Explore(context.Background(), trunks, 9, ws, 85)
 			if err != nil {
@@ -37,15 +37,22 @@ func TestExploreMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestTableIMatchesSerial: the engine's Table I at any worker count
+// equals the rows folded serially from (*dse.Space).Best.
 func TestTableIMatchesSerial(t *testing.T) {
 	trunks := workloads.Trunks(trunkCfg())
-	want := dse.TableI(trunks, 85)
-	got, err := New(4).TableI(context.Background(), trunks, 85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("parallel Table I diverges:\n got %+v\nwant %+v", got, want)
+	space := dse.NewCachedSpace(trunks, 9, 85, nil)
+	ws := space.Best(9)
+	ws.Name = "WS"
+	want := dse.TableIRows([]dse.Result{space.Best(0), ws, space.Best(2), space.Best(4)})
+	for _, workers := range []int{1, 4} {
+		got, err := New(workers).TableI(context.Background(), trunks, 85)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d Table I diverges:\n got %+v\nwant %+v", workers, got, want)
+		}
 	}
 }
 
@@ -55,83 +62,5 @@ func TestExploreCancelled(t *testing.T) {
 	_, err := New(2).Explore(ctx, workloads.Trunks(trunkCfg()), 9, 2, 85)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestRunGridCollectsAllScenarios(t *testing.T) {
-	// A synthetic grid: the real experiment grid lives in
-	// internal/experiments (DefaultGrid) and is covered there.
-	mk := func(name string) Scenario {
-		return Scenario{Name: name, Run: func(context.Context, workloads.Config) (*report.Table, error) {
-			t := report.NewTable(name, "col")
-			t.AddRow(name)
-			return t, nil
-		}}
-	}
-	grid := []Scenario{mk("a"), mk("b"), mk("c"), mk("d"), mk("e")}
-	results := New(4).RunGrid(context.Background(), trunkCfg(), grid)
-	if len(results) != len(grid) {
-		t.Fatalf("results = %d, want %d", len(results), len(grid))
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Errorf("scenario %s failed: %v", r.Scenario, r.Err)
-			continue
-		}
-		if r.Scenario != grid[i].Name {
-			t.Errorf("result %d out of order: %s", i, r.Scenario)
-		}
-		if r.Table == nil || len(r.Table.Rows) == 0 {
-			t.Errorf("scenario %s produced no rows", r.Scenario)
-		}
-	}
-}
-
-func TestRunGridScenarioErrorDoesNotAbortGrid(t *testing.T) {
-	boom := errors.New("boom")
-	scenarios := []Scenario{
-		{Name: "fails", Run: func(context.Context, workloads.Config) (*report.Table, error) {
-			return nil, boom
-		}},
-		{Name: "succeeds", Run: func(context.Context, workloads.Config) (*report.Table, error) {
-			t := report.NewTable("ok", "col")
-			t.AddRow("v")
-			return t, nil
-		}},
-	}
-	results := New(2).RunGrid(context.Background(), trunkCfg(), scenarios)
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
-	}
-	if !errors.Is(results[0].Err, boom) {
-		t.Errorf("failing scenario err = %v, want %v", results[0].Err, boom)
-	}
-	if results[1].Err != nil || results[1].Table == nil {
-		t.Errorf("succeeding scenario: %+v", results[1])
-	}
-}
-
-func TestRunGridCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	scenarios := []Scenario{
-		{Name: "blocks", Run: func(ctx context.Context, _ workloads.Config) (*report.Table, error) {
-			close(started)
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}},
-		{Name: "never-runs", Run: func(ctx context.Context, _ workloads.Config) (*report.Table, error) {
-			return nil, ctx.Err()
-		}},
-	}
-	go func() {
-		<-started
-		cancel()
-	}()
-	results := New(1).RunGrid(ctx, trunkCfg(), scenarios)
-	for _, r := range results {
-		if r.Err == nil {
-			t.Errorf("scenario %s should carry a cancellation error, got table=%v", r.Scenario, r.Table)
-		}
 	}
 }

@@ -10,15 +10,13 @@ import (
 	"mcmnpu/internal/workloads"
 )
 
-// The sharded grid fixes the coarse-granularity ceiling of RunGrid:
-// dispatching whole scenarios means the pool is only as fast as its
-// largest scenario (the frontier sweep alone is ~40% of the default
-// grid), so adding workers barely moved the wall clock. Here every
-// scenario declares its individual points — one schedule build each —
-// and the engine dispatches the flattened (scenario, point) units
-// across the pool, heaviest first. Results are assembled serially in
-// scenario/point order, so the output is bit-for-bit identical to a
-// serial run regardless of worker count.
+// The sharded grid: every scenario declares its individual points — one
+// schedule build each — and the engine dispatches the flattened
+// (scenario, point) units across the pool, heaviest first, so no single
+// large scenario (the frontier sweep is ~40% of the default grid) holds
+// the pool up. Results are assembled serially in scenario/point order,
+// so the output is bit-for-bit identical to a serial run regardless of
+// worker count.
 
 // GridPlan is one prepared scenario: a number of independently runnable
 // points plus a serial finisher that assembles the table after every
@@ -40,6 +38,14 @@ type GridPlan struct {
 	// serially, in scenario order, only after every point of the
 	// scenario succeeded.
 	Finish func() (*report.Table, error)
+}
+
+// GridResult is the outcome of one scenario in a grid run.
+type GridResult struct {
+	Scenario  string
+	Table     *report.Table
+	Err       error
+	ElapsedMs float64
 }
 
 // ShardedScenario is a grid scenario decomposed into engine-dispatchable
