@@ -13,8 +13,12 @@ import (
 	"sync"
 	"testing"
 
+	"mcmnpu/internal/chiplet"
+	"mcmnpu/internal/costmodel"
+	"mcmnpu/internal/dataflow"
 	"mcmnpu/internal/dse"
 	"mcmnpu/internal/experiments"
+	"mcmnpu/internal/nop"
 	"mcmnpu/internal/pareto"
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
@@ -535,5 +539,44 @@ func BenchmarkSchedulerOnly(b *testing.B) {
 	b.StopTimer()
 	printTable("schedonly", func() {
 		fmt.Printf("scheduler end-to-end: pipe %.1f ms util %.1f%%\n\n", m.PipeLatMs, m.UtilPct)
+	})
+}
+
+// BenchmarkSchedulerHetero isolates Algorithm 1 on a mixed-type 6x6
+// package (simba/eco/big/bwopt chiplets interleaved): the heterogeneous
+// probe path that mixed-type evolutionary-search candidates take, which
+// the homogeneous BenchmarkSchedulerOnly never reaches. One build warms
+// the shared cost cache first, so the loop measures the scheduler, not
+// first sightings of layer costs.
+func BenchmarkSchedulerHetero(b *testing.B) {
+	p, err := workloads.Perception(workloads.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	types := []string{"simba", "eco", "big", "bwopt"}
+	assign := make([]string, 36)
+	for i := range assign {
+		assign[i] = types[(i+i/6)%len(types)]
+	}
+	m, err := chiplet.NewTyped("mixed-6x6", 6, 6, nop.DefaultParams(), dataflow.OS, assign)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := sched.DefaultOptions()
+	opts.Cache = costmodel.NewCache()
+	if _, err := sched.Build(p, m, opts); err != nil {
+		b.Fatal(err)
+	}
+	var s *sched.Schedule
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s, err = sched.Build(p, m, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	printTable("schedhetero", func() {
+		fmt.Printf("mixed-type scheduler: pipe %.1f ms on %s\n\n", s.PipeLatMs(), m.TypeCounts())
 	})
 }

@@ -21,10 +21,11 @@ type Options struct {
 	// BaseStage selects the stage whose pipelining latency anchors the
 	// throughput matching (the paper chooses FE+BFPN; see §IV-A).
 	BaseStage int
-	// Cache memoizes the sharded layer-cost evaluations Algorithm 1
-	// repeats across its greedy iterations (and, when shared, across
-	// the schedules of a sweep). nil evaluates uncached; results are
-	// bit-identical either way.
+	// Cache memoizes sharded layer costs across builds (and, when
+	// shared, across the schedules of a sweep). Within one Build,
+	// Algorithm 1's repeated unit costings hit a build-scoped memo
+	// first; the cache serves first sightings and cross-build reuse.
+	// nil evaluates uncached; results are bit-identical either way.
 	Cache *costmodel.Cache
 	// MinimizeBase, when true, keeps splitting the base stage after the
 	// other stages have matched it, as long as idle chiplets remain —
@@ -57,6 +58,10 @@ type Schedule struct {
 
 	// InterStage transfers connect consecutive stages' boundary units.
 	InterStage []nop.Transfer
+
+	// load is record's per-chiplet scratch, owned by the Build that
+	// fills Steps and dropped before it returns.
+	load map[nop.Coord]float64
 }
 
 // Build runs Algorithm 1: quadrant allocation, initial per-layer
@@ -297,7 +302,7 @@ func (s *Schedule) relieve(ss *StageSchedule, skip map[*Unit]bool) bool {
 func (s *Schedule) applyImprovement(ss *StageSchedule, u *Unit) ([]*Unit, bool) {
 	if u.canSegment() {
 		a := s.MCM.At(ss.Pool[0])
-		first, second, err := u.segment(a, ss.cache)
+		first, second, err := u.segment(a, ss.cache, ss.costs)
 		if err != nil {
 			return nil, false
 		}
@@ -422,18 +427,34 @@ func (s *Schedule) record(action, stage string) {
 	s.Steps = append(s.Steps, Step{
 		Action:       action,
 		Stage:        stage,
-		PipeLatMs:    s.PipeLatMs(),
+		PipeLatMs:    s.pipeLat(s.load),
 		BaseMs:       s.BaseMs,
 		ChipletsFree: free,
 	})
 }
 
+// release drops the build-scoped scratch — record's load map and the
+// stages' unit-cost memo — so a retained schedule pins neither.
+func (s *Schedule) release() {
+	s.load = nil
+	for _, ss := range s.Stages {
+		ss.costs = nil
+	}
+}
+
 // PipeLatMs returns the schedule's layerwise pipelining latency: the
 // maximum per-chiplet busy time, accumulated globally so that chiplets
 // shared between stages (the few-chip baselines) carry the sum of their
-// stage loads.
+// stage loads. Each call allocates its own load map, so several
+// goroutines may read one built schedule.
 func (s *Schedule) PipeLatMs() float64 {
-	load := make(map[nop.Coord]float64)
+	return s.pipeLat(make(map[nop.Coord]float64))
+}
+
+// pipeLat is PipeLatMs accumulated into a caller-owned load map, which
+// it clears first.
+func (s *Schedule) pipeLat(load map[nop.Coord]float64) float64 {
+	clear(load)
 	for i, ss := range s.Stages {
 		if i >= len(s.Pipeline.Stages) {
 			continue // surplus sentinel

@@ -267,10 +267,10 @@ func TestUnitSegmentBalance(t *testing.T) {
 	ss := newStageSchedule(0, st, chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil)
 	u := ss.Units[0]
 	a := ss.mcm.At(ss.Pool[0])
-	if err := u.evalOn(a, nil); err != nil {
+	if err := u.evalOn(a, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	f, sec, err := u.segment(a, nil)
+	f, sec, err := u.segment(a, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,7 @@ type StageSchedule struct {
 
 	mcm   *chiplet.MCM
 	cache *costmodel.Cache
+	costs unitCosts // the owning Build's unit-cost memo; nil outside Build
 
 	// Reusable working state: Algorithm 1 refreshes each stage dozens
 	// of times per schedule, so per-refresh maps and slices are owned
@@ -51,7 +52,6 @@ type stageScratch struct {
 	groups []chainGroup
 	busy   map[nop.Coord]bool
 	idle   []nop.Coord
-	probed map[*costmodel.Accel]float64 // per-unit heterogeneous probe memo
 }
 
 func (s *stageScratch) loadMap() map[nop.Coord]float64 {
@@ -61,15 +61,6 @@ func (s *stageScratch) loadMap() map[nop.Coord]float64 {
 		clear(s.load)
 	}
 	return s.load
-}
-
-func (s *stageScratch) probedMap() map[*costmodel.Accel]float64 {
-	if s.probed == nil {
-		s.probed = make(map[*costmodel.Accel]float64)
-	} else {
-		clear(s.probed)
-	}
-	return s.probed
 }
 
 func (s *stageScratch) busyMap() map[nop.Coord]bool {
@@ -83,9 +74,9 @@ func (s *stageScratch) busyMap() map[nop.Coord]bool {
 
 // newStageSchedule builds the initial unit decomposition for a stage
 // (one-shot form of decomposeStage + stageFromSpecs; see template.go
-// for the decomposition rules).
+// for the decomposition rules). The stage has no unit-cost memo.
 func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache) *StageSchedule {
-	return stageFromSpecs(idx, st.Name, decomposeStage(st), pool, m, cache)
+	return stageFromSpecs(idx, st.Name, decomposeStage(st), pool, m, cache, nil)
 }
 
 // refresh re-evaluates unit costs, re-places units onto the pool (LPT),
@@ -102,7 +93,7 @@ func (ss *StageSchedule) refresh() error {
 		if u.Shards > int64(len(ss.Pool)) {
 			u.Shards = int64(len(ss.Pool))
 		}
-		if err := u.evalOn(ref, ss.cache); err != nil {
+		if err := u.evalOn(ref, ss.cache, ss.costs); err != nil {
 			return err
 		}
 	}
@@ -111,30 +102,22 @@ func (ss *StageSchedule) refresh() error {
 	// chiplet whose configuration equals the reference (most pools are
 	// homogeneous meshes of distinct-but-identical Accel objects) would
 	// probe to exactly u.PerShardMs — the cost model reads values, not
-	// identities — so only genuinely different configurations probe, and
-	// each distinct accelerator object probes once per unit (typed
-	// packages share one accel instance per type, so a unit spread over
-	// k chiplets of one non-reference type costs one probe, not k).
+	// identities — so only genuinely different configurations probe.
+	// Probes go through the build's unit-cost memo, which returns the
+	// reference cost on that accelerator, never the worst case this
+	// loop writes back: typed packages share one accel instance per
+	// type, so a unit spread over k chiplets of one non-reference type
+	// is costed once per build, not k times per refresh.
 	for _, u := range ss.Units {
 		worst := 0.0
-		var probed map[*costmodel.Accel]float64
 		for _, c := range u.Chiplets {
-			a := ss.mcm.At(c)
-			if a == ref || costmodel.AccelEquivalent(a, ref) {
-				worst = maxf(worst, u.PerShardMs)
-				continue
-			}
-			if probed == nil {
-				probed = ss.scratch.probedMap()
-			}
-			ms, ok := probed[a]
-			if !ok {
-				probe := *u
-				if err := (&probe).evalOn(a, ss.cache); err != nil {
+			ms := u.PerShardMs
+			if a := ss.mcm.At(c); a != ref && !costmodel.AccelEquivalent(a, ref) {
+				pc, err := ss.costs.cost(u, a, ss.cache)
+				if err != nil {
 					return err
 				}
-				ms = probe.PerShardMs
-				probed[a] = ms
+				ms = pc.ms
 			}
 			worst = maxf(worst, ms)
 		}

@@ -74,9 +74,10 @@ func (t *Template) Build(m *chiplet.MCM, opts Options) (*Schedule, error) {
 	if opts.BaseStage >= len(t.p.Stages) {
 		opts.BaseStage = 0
 	}
-	s := &Schedule{MCM: m, Pipeline: t.p, Opts: opts}
+	s := &Schedule{MCM: m, Pipeline: t.p, Opts: opts, load: make(map[nop.Coord]float64)}
+	costs := make(unitCosts)
 	for i, st := range t.p.Stages {
-		s.Stages = append(s.Stages, stageFromSpecs(i, st.Name, t.specs[i], t.pools[i], m, opts.Cache))
+		s.Stages = append(s.Stages, stageFromSpecs(i, st.Name, t.specs[i], t.pools[i], m, opts.Cache, costs))
 	}
 	if len(t.pools) > len(t.p.Stages) {
 		// Unassigned surplus partition (e.g. the trunks quadrant in a
@@ -90,7 +91,9 @@ func (t *Template) Build(m *chiplet.MCM, opts Options) (*Schedule, error) {
 			mcm:  m, cache: opts.Cache,
 		})
 	}
-	return s.solve(opts)
+	out, err := s.solve(opts)
+	s.release()
+	return out, err
 }
 
 // checkGeometry verifies m carries a chiplet at every coordinate the
@@ -151,8 +154,9 @@ func decomposeStage(st workloads.Stage) []unitSpec {
 // recipes. The pool is copied (Algorithm 1 splices pools while
 // borrowing chiplets); node slices stay shared — nothing appends to a
 // Unit's nodes after construction, segmentation only re-slices them.
-func stageFromSpecs(idx int, name string, specs []unitSpec, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache) *StageSchedule {
-	ss := &StageSchedule{Name: name, Index: idx, Pool: append([]nop.Coord(nil), pool...), mcm: m, cache: cache}
+// costs is the unit-cost memo of the calling Build (nil for none).
+func stageFromSpecs(idx int, name string, specs []unitSpec, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache, costs unitCosts) *StageSchedule {
+	ss := &StageSchedule{Name: name, Index: idx, Pool: append([]nop.Coord(nil), pool...), mcm: m, cache: cache, costs: costs}
 	ss.Units = make([]*Unit, len(specs))
 	for i, sp := range specs {
 		//lint:allow hotpathalloc -- one Unit per spec, built once per schedule and retained for its lifetime; the allocation is the product

@@ -63,45 +63,62 @@ func TestTemplateBuildMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestTemplateConcurrentBuilds runs eight Builds of one template at
+// once. The mixed-type mesh with a shared cache takes the heterogeneous
+// probe path through each Build's unit-cost memo, so under the race
+// detector a memo shared across builds would surface here.
 func TestTemplateConcurrentBuilds(t *testing.T) {
 	p, err := workloads.Perception(workloads.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := chiplet.Simba36(dataflow.OS)
-	tmpl, err := NewTemplate(p, m)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		m     *chiplet.MCM
+		cache *costmodel.Cache
+	}{
+		{"simba-6x6-uncached", chiplet.Simba36(dataflow.OS), nil},
+		{"mixed-6x6-shared-cache", mixedMesh(t, 6, 6), costmodel.NewCache()},
 	}
-	ref, err := tmpl.Build(m, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(ref)
-	const n = 8
-	got := make([]string, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			s, err := tmpl.Build(m, DefaultOptions())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tmpl, err := NewTemplate(p, tc.m)
 			if err != nil {
-				errs[i] = err
-				return
+				t.Fatal(err)
 			}
-			got[i] = fingerprint(s)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("build %d: %v", i, errs[i])
-		}
-		if got[i] != want {
-			t.Errorf("concurrent build %d diverged from serial reference", i)
-		}
+			opts := DefaultOptions()
+			opts.Cache = tc.cache
+			ref, err := tmpl.Build(tc.m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(ref)
+			const n = 8
+			got := make([]string, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			wg.Add(n)
+			for i := 0; i < n; i++ {
+				go func(i int) {
+					defer wg.Done()
+					s, err := tmpl.Build(tc.m, opts)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					got[i] = fingerprint(s)
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				if errs[i] != nil {
+					t.Fatalf("build %d: %v", i, errs[i])
+				}
+				if got[i] != want {
+					t.Errorf("concurrent build %d diverged from serial reference", i)
+				}
+			}
+		})
 	}
 }
 

@@ -14,8 +14,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dnn"
@@ -55,28 +56,71 @@ func (u *Unit) Label() string {
 	return name
 }
 
-// evalOn computes the unit's per-shard latency and total energy on the
-// given accelerator. For multi-node units the nodes run serially on one
-// chiplet; for sharded single-node units each shard holds a 1/Shards
-// slice with weights replicated. Costs go through the cache (nil is
-// valid and evaluates uncached): Algorithm 1 re-evaluates the same
-// (layer, shard count) pairs on every greedy iteration.
-func (u *Unit) evalOn(a *costmodel.Accel, cache *costmodel.Cache) error {
-	var ms, ej float64
-	var macs int64
-	for _, n := range u.Nodes {
-		c, err := cache.ShardedLayerOn(n.Layer, u.Shards, a)
-		if err != nil {
-			return fmt.Errorf("sched: unit %s: %w", u.Label(), err)
-		}
-		ms += c.LatencyMs
-		ej += c.EnergyJ * float64(u.Shards)
-		macs += n.Layer.MACs()
+// evalOn sets the unit's per-shard latency, total energy and MACs to
+// its cost on the given accelerator. For multi-node units the nodes run
+// serially on one chiplet; for sharded single-node units each shard
+// holds a 1/Shards slice with weights replicated. Algorithm 1 re-costs
+// the same (unit, shard count, accelerator) on every greedy iteration:
+// within one Build those repeats hit the build's unit-cost memo, and
+// the shared cache (nil is valid and evaluates uncached) serves first
+// sightings and reuse across builds.
+func (u *Unit) evalOn(a *costmodel.Accel, cache *costmodel.Cache, memo unitCosts) error {
+	c, err := memo.cost(u, a, cache)
+	if err != nil {
+		return err
 	}
-	u.PerShardMs = ms
-	u.EnergyJ = ej
-	u.MACs = macs
+	u.PerShardMs, u.EnergyJ, u.MACs = c.ms, c.ej, c.macs
 	return nil
+}
+
+// unitCostKey names one costing of a unit: its node run, shard count
+// and accelerator. Units only ever re-slice one model's node list
+// (decomposeStage, segment), so the first node and the run length name
+// the layers; camera replicas share one node list and so share entries.
+type unitCostKey struct {
+	first  *dnn.Node
+	nodes  int
+	shards int64
+	accel  *costmodel.Accel
+}
+
+// unitCost is a unit's reference cost: per-shard latency, total energy
+// and total MACs, summed in node order.
+type unitCost struct {
+	ms, ej float64
+	macs   int64
+}
+
+// unitCosts is the unit-cost memo of one Template.Build: a plain map,
+// never shared across goroutines and dropped before Build returns.
+// Cost is a pure function of layer, shard and accelerator values, so a
+// hit on the same accelerator pointer is exact; an equal configuration
+// behind another pointer misses into the shared cache. A nil memo
+// evaluates every call through the cache.
+type unitCosts map[unitCostKey]unitCost
+
+// cost returns u's reference cost on a at its current shard count. It
+// never reads u's derived fields: refresh overwrites u.PerShardMs with
+// the heterogeneous worst case after placement.
+func (m unitCosts) cost(u *Unit, a *costmodel.Accel, cache *costmodel.Cache) (unitCost, error) {
+	k := unitCostKey{first: u.Nodes[0], nodes: len(u.Nodes), shards: u.Shards, accel: a}
+	if c, ok := m[k]; ok {
+		return c, nil
+	}
+	var c unitCost
+	for _, n := range u.Nodes {
+		lc, err := cache.ShardedLayerOn(n.Layer, u.Shards, a)
+		if err != nil {
+			return unitCost{}, fmt.Errorf("sched: unit %s: %w", u.Label(), err)
+		}
+		c.ms += lc.LatencyMs
+		c.ej += lc.EnergyJ * float64(u.Shards)
+		c.macs += n.Layer.MACs()
+	}
+	if m != nil {
+		m[k] = c
+	}
+	return c, nil
 }
 
 // maxShards returns the largest useful shard factor for the unit.
@@ -121,9 +165,10 @@ func (u *Unit) canSegment() bool { return len(u.Nodes) > 1 }
 
 // segment splits the unit into two pipeline segments at the balanced
 // cumulative-latency point (the paper splits FE+BFPN at the fourth
-// ResNet block this way in the dual-NPU study). Costs are computed on a
-// through the cache (nil evaluates uncached).
-func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache) (*Unit, *Unit, error) {
+// ResNet block this way in the dual-NPU study). The per-layer split
+// latencies come from the cache (nil evaluates uncached); the two
+// halves are costed on a through the memo, like any other unit.
+func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache, memo unitCosts) (*Unit, *Unit, error) {
 	if !u.canSegment() {
 		return nil, nil, fmt.Errorf("sched: unit %s cannot segment", u.Label())
 	}
@@ -148,10 +193,10 @@ func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache) (*Unit, *Unit
 		Nodes: u.Nodes[:cut], Shards: 1}
 	second := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
 		Nodes: u.Nodes[cut:], Shards: 1}
-	if err := first.evalOn(a, cache); err != nil {
+	if err := first.evalOn(a, cache, memo); err != nil {
 		return nil, nil, err
 	}
-	if err := second.evalOn(a, cache); err != nil {
+	if err := second.evalOn(a, cache, memo); err != nil {
 		return nil, nil, err
 	}
 	return first, second, nil
@@ -180,11 +225,13 @@ func (u *Unit) containsNode(id int) bool {
 	return false
 }
 
+// sortCoords orders coordinates row-major, by (Y, X). Placement
+// coordinates are unique, so sort stability does not matter.
 func sortCoords(cs []nop.Coord) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Y != cs[j].Y {
-			return cs[i].Y < cs[j].Y
+	slices.SortFunc(cs, func(a, b nop.Coord) int {
+		if c := cmp.Compare(a.Y, b.Y); c != 0 {
+			return c
 		}
-		return cs[i].X < cs[j].X
+		return cmp.Compare(a.X, b.X)
 	})
 }

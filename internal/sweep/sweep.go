@@ -8,8 +8,11 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"mcmnpu/internal/costmodel"
@@ -49,7 +52,9 @@ func (e *Engine) Cache() *costmodel.Cache { return e.cache }
 // interleave without static partitioning skew. The first error (or the
 // context's error, checked before each item) cancels the remaining
 // work; already-running items finish. Each blocks until all workers
-// have returned.
+// have returned. A panic in fn is recovered on its worker and fails the
+// run like a returned error: fn runs on goroutines of Each's own, where
+// an unrecovered panic would end the process.
 //
 // n <= 0 is an empty run, not an error: it returns nil on a live
 // context. A cancelled context still surfaces its error — callers use
@@ -63,7 +68,9 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	ctx, cancel := context.WithCancel(ctx)
+	// run stops the dispatch on the first error or the caller's
+	// cancellation.
+	run, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	idx := make(chan int)
@@ -72,7 +79,7 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(i int) error) error {
 		for i := 0; i < n; i++ {
 			select {
 			case idx <- i:
-			case <-ctx.Done():
+			case <-run.Done():
 				return
 			}
 		}
@@ -96,11 +103,14 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if err := ctx.Err(); err != nil {
+				// The caller's ctx is read directly: its Done channel
+				// closes before the cancellation reaches run, and items
+				// started in that window would ignore it.
+				if err := cmp.Or(ctx.Err(), run.Err()); err != nil {
 					fail(err)
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := call(fn, i); err != nil {
 					fail(err)
 					return
 				}
@@ -112,6 +122,17 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(i int) error) error {
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// call runs fn(i), converting a panic into an error that names the
+// item and carries the panicking goroutine's stack.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("sweep: item %d panicked: %v\n%s", i, v, debug.Stack())
+		}
+	}()
+	return fn(i)
 }
 
 // Map runs fn(i) for every i in [0, n) and collects the results in

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,5 +167,45 @@ func TestMapPartialOnError(t *testing.T) {
 	want := []int{1, 2, 3, 4, 5, 0, 0, 0, 0, 0}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("partial = %v, want %v", got, want)
+	}
+}
+
+// TestEachRecoversPanic: a panicking item must fail the run like a
+// returned error instead of ending the process. Each still waits for
+// every in-flight item, and the engine stays usable afterwards.
+func TestEachRecoversPanic(t *testing.T) {
+	eng := New(4)
+	var inflight atomic.Int32
+	err := eng.Each(context.Background(), 100, func(i int) error {
+		inflight.Add(1)
+		defer inflight.Add(-1)
+		if i == 3 {
+			panic("boom at 3")
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if err == nil {
+		t.Fatal("Each returned nil after an item panicked")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sweep: item 3 panicked: boom at 3\n") {
+		t.Errorf("error does not name the panicking item and value:\n%s", msg)
+	}
+	if !strings.Contains(msg, "TestEachRecoversPanic") {
+		t.Errorf("error does not carry the stack of the panicking fn:\n%s", msg)
+	}
+	if n := inflight.Load(); n != 0 {
+		t.Errorf("Each returned with %d items still running", n)
+	}
+	var ran atomic.Int32
+	if err := eng.Each(context.Background(), 100, func(int) error {
+		ran.Add(1)
+		return nil
+	}); err != nil {
+		t.Fatalf("Each after a recovered panic: %v", err)
+	}
+	if ran.Load() != 100 {
+		t.Errorf("Each after a recovered panic ran %d of 100 items", ran.Load())
 	}
 }
