@@ -95,8 +95,10 @@ BENCH_RUN = $(GO) test -run=NONE -bench=. -benchtime=1x -count=5 -benchmem ./...
 # beyond 30% fails the bench lane like a time regression: allocation
 # counts are deterministic, so drift there is a real change, not noise.
 # BenchmarkSchedulerHetero covers the scheduler's mixed-type probe path,
-# which the homogeneous BenchmarkSchedulerOnly never reaches.
-ALLOC_GUARD = BenchmarkSchedulerOnly,BenchmarkSchedulerHetero,BenchmarkDiscreteEventSim
+# which the homogeneous BenchmarkSchedulerOnly never reaches;
+# BenchmarkSimStreamBacklog covers sim.Graph.Run alone on one streaming
+# window, without the per-call Prepare of BenchmarkDiscreteEventSim.
+ALLOC_GUARD = BenchmarkSchedulerOnly,BenchmarkSchedulerHetero,BenchmarkDiscreteEventSim,BenchmarkSimStreamBacklog
 
 # REQUIRE_BENCH is the worker-scaling ladder the bench lane must keep
 # measuring: if a rung disappears from either artifact the gate fails

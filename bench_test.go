@@ -265,6 +265,42 @@ func BenchmarkSimGreedyReference256(b *testing.B) {
 	benchmarkSimEngine(b, 256, sim.RunGreedy)
 }
 
+// BenchmarkSimStreamBacklog isolates the sim.Graph.Run layer on one
+// 64-frame window (the window size of the repository benchmark's
+// stream-long workload) of ws-dataflow-8cam, the most overloaded
+// registry scenario: frames arrive faster than the all-WS package
+// drains them, so tasks pile up waiting on busy chiplets. The schedule
+// and graph are prepared once, as the scenario runner does.
+func BenchmarkSimStreamBacklog(b *testing.B) {
+	sp, err := scenario.Lookup("ws-dataflow-8cam")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := scenario.Prepare(sp, costmodel.NewCache())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := sim.Prepare(p.Schedule)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := sp.Generator(sp.Seed)
+	// One untimed window warms the pooled run scratch, as every window
+	// after the first of a stream finds it. Without it a -benchtime=1x
+	// run counts the scratch allocations or not, depending on whether
+	// the set-up's GCs emptied the pool.
+	if _, err := g.Run(64, gen); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Run(64, gen); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationDataflow measures the package-wide dataflow ablation
 // backing the paper's OS-only focus.
 func BenchmarkAblationDataflow(b *testing.B) {

@@ -6,15 +6,42 @@
 // inter-completion interval should match sched/pipeline's figure — and
 // measures realized utilization and per-chiplet busy time.
 //
-// Engine: Run is event-driven. Tasks carry dependency counters and a
-// global min-heap orders schedulable tasks by (feasible start, frame,
-// construction order). Chiplet occupancy only ever pushes a task's
-// feasible start later, so the heap is lazy: a popped entry whose start
-// went stale is re-keyed and reinserted instead of the whole ready set
-// being rescanned. The result is O(n log n)-ish against the O(n²)
-// greedy rescan of RunGreedy while producing bit-for-bit identical
-// results (same task order, same floating-point accumulation order) —
-// TestEventDrivenMatchesGreedy holds the two engines together.
+// Engine: Run is event-driven. Each step runs the schedulable task with
+// the least (feasible start, seq), where the feasible start is the later
+// of the task's dependency-ready time and the free time of every chiplet
+// in its gang — the order RunGreedy defines by rescanning every task.
+// Tasks carry dependency counters and a global min-heap holds entries
+// keyed by (start, seq). Chiplet occupancy only ever pushes a start
+// later, so keys are lower bounds. The invariant: every schedulable task
+// that has not run is covered by a heap entry whose (key, seq) is at
+// most the task's (true start, seq), and a popped entry runs a task only
+// when the task's current start equals the key — so every decision is
+// the global minimum and results are bit-for-bit those of RunGreedy
+// (same task order, same floating-point accumulation order).
+// TestEventDrivenMatchesGreedy and FuzzRunMatchesGreedy hold the two
+// engines together.
+//
+// Two devices keep the heap small under backlog:
+//
+//   - Frame release. A frame's source tasks enter the heap only when a
+//     frame not yet released could hold the next event: before each
+//     pop, frames are released in frame order while the heap is empty
+//     or the earliest ready time among all unreleased frames (a suffix
+//     minimum, since jittered arrivals need not be monotone) is at most
+//     the heap top's key. The heap holds in-flight frames, not the
+//     whole window.
+//   - Wait queues. A task found blocked by a busy chiplet — when it
+//     becomes schedulable, or when its entry pops with a start that
+//     moved past the key — is parked on the chiplet that now sets its
+//     start. Each chiplet keeps its parked seqs in a min-heap, because
+//     waiters do not arrive in seq order, and one live representative
+//     entry in the global heap: (the chiplet's free time at push, its
+//     smallest parked seq). When the chiplet is granted, only the
+//     representative is re-keyed, not every waiter. A representative
+//     that pops at the chiplet's free time hands its task the same test
+//     as a task's own entry: run it if its start equals the key, else
+//     park it on the chiplet that now blocks it. Superseded
+//     representatives are dropped when they pop.
 //
 // Representation: every frame executes the same task DAG (dependencies
 // never cross frames; arrivals only gate starts), so Prepare compiles
@@ -202,18 +229,21 @@ func Prepare(s *sched.Schedule) (*Graph, error) {
 	return g, nil
 }
 
-// startEvent is one heap entry: a schedulable task keyed by the feasible
-// start computed when it was pushed (a lower bound on its current one).
+// startEvent is one heap entry keyed by a lower bound on a feasible
+// start: a task's own entry (ci < 0), or the representative of chiplet
+// ci's wait queue, carrying that queue's smallest parked seq.
 type startEvent struct {
 	start float64
 	seq   int
+	ci    int32
 }
 
 // eventHeap is a typed binary min-heap of startEvents ordered by
 // (start, seq) — container/heap's algorithm without the interface
-// boxing. (start, seq) pairs are unique, so any correct heap pops the
-// same total order; the seq tie-break reproduces the greedy scan's
-// lowest-index-wins rule.
+// boxing. The seq tie-break reproduces the greedy scan's
+// lowest-index-wins rule. Entries can share a (start, seq) only when a
+// chiplet re-pushes a representative equal to a superseded one still in
+// the heap; such twins are interchangeable.
 type eventHeap []startEvent
 
 func (h eventHeap) less(i, j int) bool {
@@ -268,14 +298,8 @@ func (h *eventHeap) popMin() startEvent {
 	return min
 }
 
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
 // runScratch is the pooled flat working state of one Run: everything
-// sized by task count or chiplet count, so streaming windows reuse one
+// sized by task, frame or chiplet count, so streaming windows reuse one
 // warm allocation set instead of rebuilding per-task objects and maps.
 type runScratch struct {
 	waiting []int32
@@ -284,15 +308,27 @@ type runScratch struct {
 	free    []float64
 	busy    []float64
 	h       eventHeap
+
+	// sufMin[f] is the earliest set-ready time among frames >= f.
+	sufMin []float64
+
+	// Per-chiplet wait queues. Parked entries leave start at 0, so a
+	// queue orders by seq alone. repSeq[c] is the seq of chiplet c's live
+	// representative in h (-1: none; between steps, exactly when wq[c] is
+	// empty) and repKey[c] its key.
+	wq     []eventHeap
+	repKey []float64
+	repSeq []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
 
-// grab sizes the scratch for n tasks over m chiplets. Only the
-// occupancy arrays need zeroing: waiting is fully initialized by the
-// caller, ready/end entries are written before any read (dependency
-// counters gate every read behind the writer).
-func (sc *runScratch) grab(n, m int) {
+// grab sizes the scratch for n tasks in the given frames over m
+// chiplets. Only the per-chiplet state needs resetting: waiting is
+// written when a frame is released, ready/end entries before any read
+// (dependency counters gate every read behind the writer), and sufMin
+// by Run's backward pass.
+func (sc *runScratch) grab(n, frames, m int) {
 	if cap(sc.waiting) < n {
 		sc.waiting = make([]int32, n)
 		sc.ready = make([]float64, n)
@@ -301,17 +337,36 @@ func (sc *runScratch) grab(n, m int) {
 	sc.waiting = sc.waiting[:n]
 	sc.ready = sc.ready[:n]
 	sc.end = sc.end[:n]
+	if cap(sc.sufMin) < frames {
+		sc.sufMin = make([]float64, frames)
+	}
+	sc.sufMin = sc.sufMin[:frames]
 	if cap(sc.free) < m {
 		sc.free = make([]float64, m)
 		sc.busy = make([]float64, m)
+		sc.repKey = make([]float64, m)
+		sc.repSeq = make([]int, m)
+		sc.wq = make([]eventHeap, m)
 	}
 	sc.free = sc.free[:m]
 	sc.busy = sc.busy[:m]
+	sc.repKey = sc.repKey[:m]
+	sc.repSeq = sc.repSeq[:m]
+	sc.wq = sc.wq[:m]
 	for i := range sc.free {
 		sc.free[i] = 0
 		sc.busy[i] = 0
+		sc.repSeq[i] = -1
+		sc.wq[i] = sc.wq[i][:0]
 	}
 	sc.h = sc.h[:0]
+}
+
+// pushRep pushes a fresh representative for chiplet c's non-empty wait
+// queue, superseding any earlier one.
+func (sc *runScratch) pushRep(c int32) {
+	sc.repKey[c], sc.repSeq[c] = sc.free[c], sc.wq[c][0].seq
+	sc.h.push(startEvent{start: sc.repKey[c], seq: sc.repSeq[c], ci: c})
 }
 
 // Run streams `frames` frame sets (arriving per the trace generator)
@@ -331,13 +386,11 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 	n := frames * T
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
-	sc.grab(n, len(g.coords))
+	sc.grab(n, frames, len(g.coords))
 
-	for f := 0; f < frames; f++ {
-		off := f * T
-		for li := range g.defs {
-			sc.waiting[off+li] = g.defs[li].depEnd - g.defs[li].depOff
-		}
+	sc.sufMin[frames-1] = arrivals[frames-1].ReadyMs
+	for f := frames - 2; f >= 0; f-- {
+		sc.sufMin[f] = min(arrivals[f].ReadyMs, sc.sufMin[f+1])
 	}
 
 	// startOf: a task's feasible start is its dependency-readiness
@@ -353,55 +406,107 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 		return start
 	}
 
-	// Seed the heap with every frame's zero-dependency tasks in seq
-	// order (matching the original frame-major construction order).
-	for f := 0; f < frames; f++ {
-		off := f * T
-		for li := range g.defs {
-			d := &g.defs[li]
-			if d.depOff == d.depEnd {
-				seq := off + li
-				sc.ready[seq] = arrivals[f].ReadyMs
-				sc.h = append(sc.h, startEvent{start: startOf(seq, li), seq: seq})
+	// park queues a task blocked by a busy chiplet on the gang chiplet
+	// whose free time is its start. A seq below the live
+	// representative's needs a new representative, which would otherwise
+	// sort after the task's (start, seq).
+	park := func(seq int, gang []int32, start float64) {
+		p := gang[0]
+		for _, ci := range gang {
+			if sc.free[ci] == start {
+				p = ci
+				break
 			}
+		}
+		sc.wq[p].push(startEvent{seq: seq})
+		if sc.repSeq[p] < 0 || seq < sc.repSeq[p] {
+			sc.pushRep(p)
 		}
 	}
-	sc.h.init()
+	// enqueue places a task that just became schedulable: its own heap
+	// entry if it can start when ready, else a wait queue.
+	enqueue := func(seq, li int) {
+		d := &g.defs[li]
+		if start := startOf(seq, li); start > sc.ready[seq] {
+			park(seq, g.coordList[d.coordOff:d.coordEnd], start)
+		} else {
+			sc.h.push(startEvent{start: start, seq: seq, ci: -1})
+		}
+	}
 
-	remaining := n
-	for len(sc.h) > 0 {
+	next, remaining := 0, n
+	for {
+		// Release frames in order while one of them could hold the next
+		// event.
+		for next < frames && (len(sc.h) == 0 || sc.sufMin[next] <= sc.h[0].start) {
+			off := next * T
+			for li := range g.defs {
+				d := &g.defs[li]
+				sc.waiting[off+li] = d.depEnd - d.depOff
+				if d.depOff == d.depEnd {
+					sc.ready[off+li] = arrivals[next].ReadyMs
+					enqueue(off+li, li)
+				}
+			}
+			next++
+		}
+		if len(sc.h) == 0 {
+			break
+		}
+
 		ev := sc.h.popMin()
+		c := ev.ci
+		if c >= 0 {
+			if ev.start != sc.repKey[c] || ev.seq != sc.repSeq[c] {
+				continue // superseded representative
+			}
+			if ev.start < sc.free[c] {
+				// The chiplet was granted since the push: re-key the
+				// whole queue through its representative.
+				sc.pushRep(c)
+				continue
+			}
+			sc.wq[c].popMin() // ev.seq, the queue's smallest
+			sc.repSeq[c] = -1
+		}
+
 		seq := ev.seq
 		li := seq % T
-		if cur := startOf(seq, li); cur > ev.start {
-			// Stale: a gang on one of this task's chiplets was scheduled
-			// after the entry was pushed. Re-key and retry.
-			sc.h.push(startEvent{start: cur, seq: seq})
-			continue
-		}
 		d := &g.defs[li]
-		endMs := ev.start + d.durMs
-		sc.end[seq] = endMs
-		for _, ci := range g.coordList[d.coordOff:d.coordEnd] {
-			sc.free[ci] = endMs
-			sc.busy[ci] += d.durMs
-		}
-		remaining--
-		base := seq - li
-		for _, si := range g.succList[d.succOff:d.succEnd] {
-			gs := base + int(si)
-			sc.waiting[gs]--
-			if sc.waiting[gs] == 0 {
-				sd := &g.defs[si]
-				ready := arrivals[gs/T].ReadyMs
-				for k := sd.depOff; k < sd.depEnd; k++ {
-					if e := sc.end[base+int(g.depList[k])] + g.depExtra[k]; e > ready {
-						ready = e
-					}
-				}
-				sc.ready[gs] = ready
-				sc.h.push(startEvent{start: startOf(gs, int(si)), seq: gs})
+		gang := g.coordList[d.coordOff:d.coordEnd]
+		if cur := startOf(seq, li); cur > ev.start {
+			// Stale: a chiplet of the gang was granted since the push
+			// (cur > key >= ready).
+			park(seq, gang, cur)
+		} else {
+			endMs := ev.start + d.durMs
+			sc.end[seq] = endMs
+			for _, ci := range gang {
+				sc.free[ci] = endMs
+				sc.busy[ci] += d.durMs
 			}
+			remaining--
+			base := seq - li
+			for _, si := range g.succList[d.succOff:d.succEnd] {
+				gs := base + int(si)
+				sc.waiting[gs]--
+				if sc.waiting[gs] == 0 {
+					sd := &g.defs[si]
+					ready := arrivals[gs/T].ReadyMs
+					for k := sd.depOff; k < sd.depEnd; k++ {
+						if e := sc.end[base+int(g.depList[k])] + g.depExtra[k]; e > ready {
+							ready = e
+						}
+					}
+					sc.ready[gs] = ready
+					enqueue(gs, int(si))
+				}
+			}
+		}
+		// The queue's next waiter needs a representative, unless a
+		// successor parked on c has already pushed one.
+		if c >= 0 && sc.repSeq[c] < 0 && len(sc.wq[c]) > 0 {
+			sc.pushRep(c)
 		}
 	}
 	if remaining > 0 {
@@ -554,7 +659,3 @@ func transferMs(s *sched.Schedule, u, v *sched.Unit) float64 {
 	}
 	return worst
 }
-
-// boundaryMs estimates the stage-boundary NoP latency from one upstream
-// terminal.
-func boundaryMs(s *sched.Schedule, u, v *sched.Unit) float64 { return transferMs(s, u, v) }

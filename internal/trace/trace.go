@@ -5,7 +5,11 @@
 // exercises exactly the code paths real captures would.
 package trace
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Frame is one camera capture event.
 type Frame struct {
@@ -63,7 +67,17 @@ func (r *rng) uniform() float64 {
 }
 
 // Frames produces n frame sets (n * Cameras events) ordered by arrival.
+// Arrival order within a frame set can interleave, and with jitter
+// beyond half a period so can frame sets; the sort is stable, so ties
+// keep generation order (Seq, then Camera).
 func (g *Generator) Frames(n int) []Frame {
+	out := g.frames(n)
+	slices.SortStableFunc(out, func(a, b Frame) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) })
+	return out
+}
+
+// frames generates n frame sets in generation order (Seq, then Camera).
+func (g *Generator) frames(n int) []Frame {
 	if n <= 0 || g.Cameras <= 0 || g.FPS <= 0 {
 		return nil
 	}
@@ -80,18 +94,7 @@ func (g *Generator) Frames(n int) []Frame {
 			out = append(out, Frame{Seq: seq, Camera: cam, ArrivalMs: arr, Bytes: g.FrameSize})
 		}
 	}
-	// Arrival order within a frame set can interleave; sort stably.
-	sortFrames(out)
 	return out
-}
-
-func sortFrames(fs []Frame) {
-	// Insertion sort: streams are nearly sorted already.
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].ArrivalMs < fs[j-1].ArrivalMs; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
 }
 
 // SetArrival describes when a full 8-camera frame set is ready (the
@@ -102,9 +105,10 @@ type SetArrival struct {
 }
 
 // FrameSets reduces the stream to per-set readiness times (last camera's
-// arrival gates the set).
+// arrival gates the set). A maximum does not depend on order, so the
+// stream is left unsorted.
 func (g *Generator) FrameSets(n int) []SetArrival {
-	frames := g.Frames(n)
+	frames := g.frames(n)
 	ready := make(map[int]float64, n)
 	for _, f := range frames {
 		if f.ArrivalMs > ready[f.Seq] {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"testing"
 	"testing/quick"
 )
@@ -63,16 +64,31 @@ func TestGeneratorReuseDeterministic(t *testing.T) {
 	}
 }
 
+// Frames is a stable sort by arrival: ties keep generation order
+// (Seq, then Camera), also when jitter beyond half a period lets frame
+// sets interleave. Regression: the former insertion sort was quadratic
+// at 1000 FPS with a second of jitter.
 func TestFramesSortedAndNonNegative(t *testing.T) {
-	fs := NewGenerator(7).Frames(30)
-	for i := 1; i < len(fs); i++ {
-		if fs[i].ArrivalMs < fs[i-1].ArrivalMs {
-			t.Fatalf("arrivals out of order at %d", i)
-		}
+	rates := []struct{ fps, jitter float64 }{
+		{4, 1.5}, {30, 1.5}, {200, 40}, {1000, 1000}, {10, 0},
 	}
-	for _, f := range fs {
-		if f.ArrivalMs < 0 || f.Bytes <= 0 {
-			t.Errorf("bad frame %v", f)
+	for _, rt := range rates {
+		for seed := uint64(1); seed <= 40; seed++ {
+			g := NewGenerator(seed)
+			g.FPS, g.JitterMs = rt.fps, rt.jitter
+			fs := g.Frames(30)
+			for i := 1; i < len(fs); i++ {
+				p, f := fs[i-1], fs[i]
+				if cmp.Or(cmp.Compare(p.ArrivalMs, f.ArrivalMs),
+					cmp.Compare(p.Seq, f.Seq), cmp.Compare(p.Camera, f.Camera)) >= 0 {
+					t.Fatalf("%g FPS, jitter %g ms, seed %d: %v before %v", rt.fps, rt.jitter, seed, p, f)
+				}
+			}
+			for _, f := range fs {
+				if f.ArrivalMs < 0 || f.Bytes <= 0 {
+					t.Errorf("bad frame %v", f)
+				}
+			}
 		}
 	}
 }
@@ -108,6 +124,19 @@ func TestFrameSets(t *testing.T) {
 	gap := sets[1].ReadyMs - sets[0].ReadyMs
 	if gap < 25 || gap > 42 {
 		t.Errorf("set gap = %.1f ms, want ~33", gap)
+	}
+
+	// FrameSets reads the unsorted stream; its maxima must match the
+	// sorted one's even when sets interleave.
+	g.FPS, g.JitterMs = 1000, 1000
+	latest := map[int]float64{}
+	for _, f := range g.Frames(64) {
+		latest[f.Seq] = f.ArrivalMs // sorted: the last one seen is the latest
+	}
+	for _, s := range g.FrameSets(64) {
+		if s.ReadyMs != latest[s.Seq] {
+			t.Errorf("set %d ready at %g ms, latest arrival %g ms", s.Seq, s.ReadyMs, latest[s.Seq])
+		}
 	}
 }
 
