@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		frames     = fs.Int("frames", 0, "frame budget override per scenario (0 = scenario default)")
 		window     = fs.Int("window", 16, "trace-window size in frames")
 		workers    = fs.Int("workers", 0, "worker count for the evaluation pool (0 = NumCPU)")
-		serial     = fs.Bool("serial", false, "evaluate in-line instead of through the pool")
 		noprune    = fs.Bool("noprune", false, "disable dominance-based early pruning")
 		top        = fs.Int("top", 0, "render the top-N frontier candidates ranked by objective product")
 		evolve     = fs.Bool("evolve", false, "search with bound-seeded NSGA-II instead of exhaustive enumeration")
@@ -124,11 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	var eng *sweep.Engine
-	if !*serial {
-		eng = sweep.New(*workers)
-	}
-	resp, err := api.NewService(eng).Pareto(ctx, req)
+	resp, err := api.NewService(sweep.New(*workers)).Pareto(ctx, req)
 	if err != nil {
 		art.Abort()
 		fmt.Fprintln(stderr, err)

@@ -51,7 +51,7 @@ func TestTopTableGolden(t *testing.T) {
 func TestJSONSerialMatchesPool(t *testing.T) {
 	var serial, pooled, again strings.Builder
 	var errOut strings.Builder
-	if code := run(urbanArgs("-json", "-serial"), &serial, &errOut); code != 0 {
+	if code := run(urbanArgs("-json", "-workers", "1"), &serial, &errOut); code != 0 {
 		t.Fatalf("serial run failed: %s", errOut.String())
 	}
 	if code := run(urbanArgs("-json", "-workers", "4"), &pooled, &errOut); code != 0 {
@@ -90,7 +90,7 @@ func TestEvolveJSONSerialMatchesPool(t *testing.T) {
 			"-evolve", "-generations", "3", "-population", "6", "-seed", "7", "-json"}, extra...)
 	}
 	var serial, pooled, errOut strings.Builder
-	if code := run(args("-serial"), &serial, &errOut); code != 0 {
+	if code := run(args("-workers", "1"), &serial, &errOut); code != 0 {
 		t.Fatalf("serial evolve failed: %s", errOut.String())
 	}
 	if code := run(args("-workers", "4"), &pooled, &errOut); code != 0 {

@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		frames   = fs.Int("frames", 0, "frame budget override (0 = scenario default)")
 		window   = fs.Int("window", 16, "trace-window size in frames")
 		workers  = fs.Int("workers", 0, "worker count for the window pool (0 = NumCPU)")
-		serial   = fs.Bool("serial", false, "stream windows in-line instead of through the pool")
 		timeout  = fs.Duration("timeout", 0, "overall deadline (0 = none)")
 	)
 	var opts report.Options
@@ -130,11 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var eng *sweep.Engine
-	if !*serial {
-		eng = sweep.New(*workers)
-	}
-	resp, err := api.NewService(eng).RunScenario(ctx, &req)
+	resp, err := api.NewService(sweep.New(*workers)).RunScenario(ctx, &req)
 	if err != nil {
 		art.Abort()
 		fmt.Fprintln(stderr, err)

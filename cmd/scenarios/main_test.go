@@ -60,11 +60,11 @@ func TestSerialFlagMatchesPool(t *testing.T) {
 	if code := run(base, &pool, &errOut); code != 0 {
 		t.Fatalf("pool run failed: %s", errOut.String())
 	}
-	if code := run(append(base, "-serial"), &serial, &errOut); code != 0 {
+	if code := run(append(base, "-workers", "1"), &serial, &errOut); code != 0 {
 		t.Fatalf("serial run failed: %s", errOut.String())
 	}
 	if pool.String() != serial.String() {
-		t.Errorf("-serial changed the output:\n pool:   %s\n serial: %s", pool.String(), serial.String())
+		t.Errorf("-workers 1 changed the output:\n pool:   %s\n serial: %s", pool.String(), serial.String())
 	}
 }
 

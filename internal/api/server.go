@@ -293,10 +293,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	hits, misses, entries := s.results.stats()
 	st.ResultCache = CacheCounters{Hits: hits, Misses: misses, Entries: entries}
-	if eng := s.svc.Engine(); eng != nil {
-		cs := eng.Cache().Stats()
-		st.CostCache = CacheCounters{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries}
-	}
+	cs := s.svc.engine.Cache().Stats()
+	st.CostCache = CacheCounters{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
 }

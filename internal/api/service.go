@@ -167,21 +167,23 @@ func (r *ParetoResponse) TextFooter() string {
 		len(rep.Evals), rep.Evaluated, rep.Pruned, rep.MemoHits, rep.Infeasible, len(rep.Frontier))
 }
 
-// Service executes api requests. A nil engine runs everything
-// serially (the CLIs' -serial mode); a non-nil engine fans work across
-// its pool and memoizes layer costs in its cache across requests.
+// Service executes api requests. Its engine fans work across a pool
+// and memoizes layer costs in its cache across requests.
 type Service struct {
 	engine  *sweep.Engine
 	version string
 }
 
-// NewService wraps an engine (nil = serial execution) under the
-// current build version.
+// NewService wraps an engine (nil = sweep.New(1), a serial run) under
+// the current build version.
 func NewService(e *sweep.Engine) *Service {
+	if e == nil {
+		e = sweep.New(1)
+	}
 	return &Service{engine: e, version: BuildVersion()}
 }
 
-// Engine returns the service's engine (nil in serial mode).
+// Engine returns the service's engine.
 func (s *Service) Engine() *sweep.Engine { return s.engine }
 
 // Key returns req's result-cache content address under the service's
@@ -199,17 +201,14 @@ func (s *Service) envelope(req Request, start time.Time) RunResult {
 		// fail here.
 		key = "unhashable"
 	}
-	env := RunResult{
-		Version: Version,
-		Kind:    req.Kind(),
-		Key:     key,
-		Timings: Timings{ComputeMs: float64(time.Since(start).Microseconds()) / 1e3},
+	st := s.engine.Cache().Stats()
+	return RunResult{
+		Version:   Version,
+		Kind:      req.Kind(),
+		Key:       key,
+		Timings:   Timings{ComputeMs: float64(time.Since(start).Microseconds()) / 1e3},
+		CostCache: CacheCounters{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries},
 	}
-	if s.engine != nil {
-		st := s.engine.Cache().Stats()
-		env.CostCache = CacheCounters{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
-	}
-	return env
 }
 
 // RunScenario streams the request's scenarios through the multi-frame
@@ -231,16 +230,6 @@ func (s *Service) RunScenario(ctx context.Context, req *RunScenarioRequest) (*Ru
 	return &RunScenarioResponse{RunResult: s.envelope(req, start), Results: results}, nil
 }
 
-// gridEngine returns the engine grid/DSE work runs on: the service's,
-// or a single-worker engine for serial services (the sharded grid
-// needs a pool to dispatch through; one worker makes it serial).
-func (s *Service) gridEngine() *sweep.Engine {
-	if s.engine != nil {
-		return s.engine
-	}
-	return sweep.New(1)
-}
-
 // GridSweep runs the sharded experiment grid.
 func (s *Service) GridSweep(ctx context.Context, req *GridSweepRequest) (*GridSweepResponse, error) {
 	return s.gridSweep(ctx, req, nil)
@@ -259,18 +248,17 @@ func (s *Service) gridSweep(ctx context.Context, req *GridSweepRequest, emit fun
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	eng := s.gridEngine()
-	selected := experiments.SelectGrid(eng, req.selected()...)
+	selected := experiments.SelectGrid(s.engine, req.selected()...)
 	start := time.Now()
 	cfg := workloads.DefaultConfig()
 	var results []GridScenarioResult
 	if emit == nil {
-		for _, r := range eng.RunGridSharded(ctx, cfg, selected) {
+		for _, r := range s.engine.RunGridSharded(ctx, cfg, selected) {
 			results = append(results, toGridResult(r))
 		}
 	} else {
 		for i := range selected {
-			rs := eng.RunGridSharded(ctx, cfg, selected[i:i+1])
+			rs := s.engine.RunGridSharded(ctx, cfg, selected[i:i+1])
 			g := toGridResult(rs[0])
 			results = append(results, g)
 			if err := emit(g); err != nil {
@@ -298,16 +286,15 @@ func (s *Service) DSE(ctx context.Context, req *DSERequest) (*DSEResponse, error
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	eng := s.gridEngine()
 	start := time.Now()
-	res, err := experiments.TableI(ctx, eng, workloads.DefaultConfig(), req.lcstr())
+	res, err := experiments.TableI(ctx, s.engine, workloads.DefaultConfig(), req.lcstr())
 	if err != nil {
 		return nil, err
 	}
 	return &DSEResponse{
 		RunResult: s.envelope(req, start),
 		LcstrMs:   req.lcstr(),
-		Workers:   eng.Workers(),
+		Workers:   s.engine.Workers(),
 		TableData: res.Table(),
 	}, nil
 }

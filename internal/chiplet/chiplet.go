@@ -50,18 +50,6 @@ func New(name string, gridW, gridH int, p nop.Params, mk func(nop.Coord) *costmo
 // At returns the chiplet at c (nil if out of range).
 func (m *MCM) At(c nop.Coord) *costmodel.Accel { return m.accels[c] }
 
-// SetAt replaces the chiplet at c (used for heterogeneous integration).
-func (m *MCM) SetAt(c nop.Coord, a *costmodel.Accel) error {
-	if _, ok := m.accels[c]; !ok {
-		return fmt.Errorf("chiplet: coord %v outside %s", c, m.Name)
-	}
-	if err := a.Validate(); err != nil {
-		return err
-	}
-	m.accels[c] = a
-	return nil
-}
-
 // Coords returns all positions in deterministic row-major order.
 func (m *MCM) Coords() []nop.Coord {
 	out := make([]nop.Coord, 0, len(m.accels))

@@ -118,21 +118,6 @@ func TestPartitionsErrors(t *testing.T) {
 	}
 }
 
-func TestSetAtHeterogeneous(t *testing.T) {
-	m := Simba36(dataflow.OS)
-	ws := costmodel.SimbaChiplet(dataflow.WS)
-	c := nop.Coord{X: 5, Y: 5}
-	if err := m.SetAt(c, ws); err != nil {
-		t.Fatal(err)
-	}
-	if m.At(c).Style != dataflow.WS {
-		t.Error("chiplet not replaced")
-	}
-	if err := m.SetAt(nop.Coord{X: 99, Y: 0}, ws); err == nil {
-		t.Error("out-of-range SetAt should error")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New("bad", 0, 3, nop.DefaultParams(),
 		func(nop.Coord) *costmodel.Accel { return costmodel.SimbaChiplet(dataflow.OS) }); err == nil {

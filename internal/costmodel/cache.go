@@ -191,15 +191,6 @@ func (c *Cache) GraphOn(g *dnn.Graph, a *Accel) GraphCost {
 	return gc
 }
 
-// LayersOn is the memoized counterpart of the package-level LayersOn.
-func (c *Cache) LayersOn(layers []*dnn.Layer, a *Accel) GraphCost {
-	gc := GraphCost{Accel: a, PerLayer: make([]LayerCost, 0, len(layers))}
-	for _, l := range layers {
-		gc.add(c.LayerOn(l, a))
-	}
-	return gc
-}
-
 // AccelEquivalent reports whether two accelerators have identical
 // cost-relevant configurations (everything but the display name). The
 // scheduler uses it to skip probe re-evaluations on homogeneous pools

@@ -276,18 +276,6 @@ type GraphCost struct {
 // EDP returns the energy-delay product in J*ms.
 func (g GraphCost) EDP() float64 { return g.EnergyJ * g.LatencyMs }
 
-// AvgUtil returns the time-weighted effective PE utilization.
-func (g GraphCost) AvgUtil() float64 {
-	if g.LatencyMs <= 0 {
-		return 0
-	}
-	var weighted float64
-	for _, c := range g.PerLayer {
-		weighted += c.EffectiveUtil * c.LatencyMs
-	}
-	return weighted / g.LatencyMs
-}
-
 // add accumulates one layer's cost into the aggregate.
 func (g *GraphCost) add(c LayerCost) {
 	g.PerLayer = append(g.PerLayer, c)
@@ -302,11 +290,6 @@ func (g *GraphCost) add(c LayerCost) {
 // *Cache shares the accumulation loop with the memoized path).
 func GraphOn(g *dnn.Graph, a *Accel) GraphCost {
 	return (*Cache)(nil).GraphOn(g, a)
-}
-
-// LayersOn evaluates a list of layers serially on a.
-func LayersOn(layers []*dnn.Layer, a *Accel) GraphCost {
-	return (*Cache)(nil).LayersOn(layers, a)
 }
 
 // ShardedLayerOn evaluates one shard of an n-way data-parallel split of

@@ -185,21 +185,6 @@ func TestGraphOnAggregates(t *testing.T) {
 	if gc.EDP() != gc.EnergyJ*gc.LatencyMs {
 		t.Error("EDP mismatch")
 	}
-	if u := gc.AvgUtil(); u <= 0 || u > 1 {
-		t.Errorf("avg util = %v", u)
-	}
-}
-
-func TestLayersOnMatchesGraphOn(t *testing.T) {
-	l1 := dnn.NewLinear("a", 1000, 256, 256)
-	l2 := dnn.NewLinear("b", 1000, 256, 256)
-	g := dnn.NewGraph("g")
-	n := g.Add(l1)
-	g.Add(l2, n)
-	if LayersOn([]*dnn.Layer{l1, l2}, SimbaChiplet(dataflow.OS)).LatencyMs !=
-		GraphOn(g, SimbaChiplet(dataflow.OS)).LatencyMs {
-		t.Error("LayersOn and GraphOn should agree")
-	}
 }
 
 func TestShardedLayerOn(t *testing.T) {

@@ -16,15 +16,14 @@ import (
 // interner canonicalizes layer signatures, accelerator signatures and
 // shard derivations into dense IDs. Safe for concurrent use.
 //
-// The pointer-keyed fast-path maps never evict: every layer/accel
-// object costed through a cache stays reachable for the cache's
-// lifetime. That is the deliberate trade-off behind the O(1) hot path
-// — footprint grows with the number of distinct objects one cache
-// serves (bounded by signatures times the object churn of its owner,
-// e.g. one compiled scenario set per pareto candidate on a shared
-// engine cache), which is small against the cost entries themselves.
-// Callers needing a bounded lifetime should scope a cache per
-// exploration rather than per process.
+// The pointer-keyed fast-path maps keep every layer/accel object they
+// have seen reachable, and a long-lived cache sees fresh objects on
+// every request (cmd/serve keeps one engine per process; /v1/dse builds
+// new trunk graphs and accels each time). Once they hold
+// maxInternedPtrs entries, both are cleared: later lookups fall back to
+// the signature maps, which keep every ID stable, so clearing changes
+// no result. Signatures, shard derivations and cost entries grow only
+// with distinct shapes.
 type interner struct {
 	layerPtrs sync.Map // *dnn.Layer -> uint32
 	accelPtrs sync.Map // *Accel -> uint32
@@ -33,7 +32,13 @@ type interner struct {
 	mu        sync.Mutex
 	layerSigs map[layerSig]uint32
 	accelSigs map[Accel]uint32
+	ptrs      int // entries stored in layerPtrs and accelPtrs, under mu
 }
+
+// maxInternedPtrs bounds the pointer fast-path maps together. One
+// evolve op interns about 440 pointers, so the bound only trips on a
+// cache that outlives many requests.
+const maxInternedPtrs = 1 << 14
 
 // shardKey identifies an n-way shard derivation of an interned layer.
 type shardKey struct {
@@ -65,13 +70,13 @@ func (in *interner) layerID(l *dnn.Layer) uint32 {
 	}
 	sig := sigOf(l)
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	id, ok := in.layerSigs[sig]
 	if !ok {
 		id = uint32(len(in.layerSigs))
 		in.layerSigs[sig] = id
 	}
-	in.mu.Unlock()
-	in.layerPtrs.Store(l, id)
+	in.storePtr(&in.layerPtrs, l, id)
 	return id
 }
 
@@ -83,14 +88,26 @@ func (in *interner) accelID(a *Accel) uint32 {
 	}
 	sig := accelSig(a)
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	id, ok := in.accelSigs[sig]
 	if !ok {
 		id = uint32(len(in.accelSigs))
 		in.accelSigs[sig] = id
 	}
-	in.mu.Unlock()
-	in.accelPtrs.Store(a, id)
+	in.storePtr(&in.accelPtrs, a, id)
 	return id
+}
+
+// storePtr records ptr's ID in m, first clearing both pointer maps
+// once they hold maxInternedPtrs entries. Callers hold in.mu.
+func (in *interner) storePtr(m *sync.Map, ptr any, id uint32) {
+	if in.ptrs >= maxInternedPtrs {
+		in.layerPtrs.Clear()
+		in.accelPtrs.Clear()
+		in.ptrs = 0
+	}
+	m.Store(ptr, id)
+	in.ptrs++
 }
 
 // shardOf returns the canonical n-way shard instance of l (with its
@@ -122,9 +139,8 @@ func (in *interner) shardOf(l *dnn.Layer, n int64) (*shardEntry, error) {
 // (layer, accel) pairs a search enumerates — the dynamic Cache then
 // only serves keys discovered later (shard counts, borrowed pools).
 type Table struct {
-	layers []*dnn.Layer
-	accels []*Accel
-	costs  []LayerCost // layer-major: costs[i*len(accels)+j]
+	accels int
+	costs  []LayerCost // layer-major: costs[i*accels+j]
 }
 
 // NewTable precomputes every (layer, accel) cost through the cache (nil
@@ -132,11 +148,7 @@ type Table struct {
 // per cache). The entries are bit-for-bit the values LayerOn returns,
 // with Layer pointing at the indexed layer.
 func (c *Cache) NewTable(layers []*dnn.Layer, accels []*Accel) *Table {
-	t := &Table{
-		layers: append([]*dnn.Layer(nil), layers...),
-		accels: append([]*Accel(nil), accels...),
-		costs:  make([]LayerCost, len(layers)*len(accels)),
-	}
+	t := &Table{accels: len(accels), costs: make([]LayerCost, len(layers)*len(accels))}
 	for i, l := range layers {
 		for j, a := range accels {
 			t.costs[i*len(accels)+j] = c.LayerOn(l, a)
@@ -146,16 +158,4 @@ func (c *Cache) NewTable(layers []*dnn.Layer, accels []*Accel) *Table {
 }
 
 // Cost returns the precomputed cost of layer i on accelerator j.
-func (t *Table) Cost(i, j int) LayerCost { return t.costs[i*len(t.accels)+j] }
-
-// Layers returns the table's layer count.
-func (t *Table) Layers() int { return len(t.layers) }
-
-// Accels returns the table's accelerator count.
-func (t *Table) Accels() int { return len(t.accels) }
-
-// Layer returns the i-th indexed layer.
-func (t *Table) Layer(i int) *dnn.Layer { return t.layers[i] }
-
-// Accel returns the j-th indexed accelerator.
-func (t *Table) Accel(j int) *Accel { return t.accels[j] }
+func (t *Table) Cost(i, j int) LayerCost { return t.costs[i*t.accels+j] }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcmnpu/internal/dataflow"
+	"mcmnpu/internal/dnn"
 )
 
 // TestTableMatchesCacheAndDirect: the index-addressed table returns the
@@ -18,17 +19,8 @@ func TestTableMatchesCacheAndDirect(t *testing.T) {
 	cached := NewCache().NewTable(layers, accels)
 	uncached := (*Cache)(nil).NewTable(layers, accels)
 
-	if cached.Layers() != len(layers) || cached.Accels() != len(accels) {
-		t.Fatalf("table is %dx%d, want %dx%d", cached.Layers(), cached.Accels(), len(layers), len(accels))
-	}
 	for i, l := range layers {
-		if cached.Layer(i) != l {
-			t.Errorf("Layer(%d) = %v, want the indexed layer", i, cached.Layer(i))
-		}
 		for j, a := range accels {
-			if cached.Accel(j) != a {
-				t.Errorf("Accel(%d) = %v, want the indexed accel", j, cached.Accel(j))
-			}
 			want := LayerOn(l, a)
 			if got := cached.Cost(i, j); !reflect.DeepEqual(got, want) {
 				t.Errorf("cached table[%d][%d]: %+v != direct %+v", i, j, got, want)
@@ -60,5 +52,29 @@ func TestAccelEquivalent(t *testing.T) {
 	}
 	if !AccelEquivalent(nil, nil) {
 		t.Error("nil == nil")
+	}
+}
+
+// TestInternerBoundsPointerMaps: a long-lived cache that costs fresh
+// copies of one layer keeps one cost entry, and its pointer fast-path
+// maps stay within maxInternedPtrs instead of pinning every copy.
+func TestInternerBoundsPointerMaps(t *testing.T) {
+	c := NewCache()
+	a := SimbaChiplet(dataflow.OS)
+	for i := 0; i < maxInternedPtrs+100; i++ {
+		l := dnn.NewLinear("fresh", 1000, 256, 256)
+		if got, want := c.LayerOn(l, a), LayerOn(l, a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("copy %d: cached %+v != direct %+v", i, got, want)
+		}
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want 1 entry and 1 miss", st)
+	}
+	n := 0
+	count := func(any, any) bool { n++; return true }
+	c.in.layerPtrs.Range(count)
+	c.in.accelPtrs.Range(count)
+	if n > maxInternedPtrs {
+		t.Errorf("pointer maps hold %d entries, want at most %d", n, maxInternedPtrs)
 	}
 }

@@ -74,11 +74,6 @@ type Analysis struct {
 	SpatialUtil float64
 }
 
-// TotalComputeCycles returns waves x per-wave compute depth.
-func (a Analysis) TotalComputeCycles() float64 {
-	return float64(a.Waves) * a.ComputeCycles
-}
-
 // Analyze maps a compute layer onto an arrayH x arrayW PE array under
 // the given style. Non-compute layers (pool/eltwise/softmax/...) are not
 // MAC-array work; Analyze returns a zero-wave Analysis carrying only

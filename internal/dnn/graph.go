@@ -1,9 +1,6 @@
 package dnn
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Node is a layer instance embedded in a graph with explicit
 // dependencies. A node may depend on multiple producers (fusion, concat,
@@ -66,47 +63,6 @@ func (g *Graph) Verify() error {
 	return nil
 }
 
-// TopoSort returns a topological order computed by Kahn's algorithm
-// (deterministic: ties broken by node ID). It errs on cycles, which can
-// only arise from hand-constructed graphs.
-func (g *Graph) TopoSort() ([]*Node, error) {
-	indeg := make(map[int]int, len(g.nodes))
-	succ := make(map[int][]int, len(g.nodes))
-	for _, n := range g.nodes {
-		indeg[n.ID] += 0
-		for _, d := range n.Deps {
-			indeg[n.ID]++
-			succ[d.ID] = append(succ[d.ID], n.ID)
-		}
-	}
-	var ready []int
-	for id, d := range indeg {
-		if d == 0 {
-			ready = append(ready, id)
-		}
-	}
-	sort.Ints(ready)
-	out := make([]*Node, 0, len(g.nodes))
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		out = append(out, g.byID[id])
-		next := succ[id]
-		sort.Ints(next)
-		for _, s := range next {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
-		sort.Ints(ready)
-	}
-	if len(out) != len(g.nodes) {
-		return nil, fmt.Errorf("dnn: graph %q contains a cycle", g.Name)
-	}
-	return out, nil
-}
-
 // Summary aggregates whole-graph statistics.
 type Summary struct {
 	Layers      int
@@ -129,59 +85,10 @@ func (g *Graph) Summarize() Summary {
 	return s
 }
 
-// ComputeNodes returns only the MAC-array nodes, in insertion order.
-func (g *Graph) ComputeNodes() []*Node {
-	var out []*Node
-	for _, n := range g.nodes {
-		if n.Layer.Kind.ComputeBound() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Tag sets the Stage tag on every layer of the graph (chainable).
 func (g *Graph) Tag(stage string) *Graph {
 	for _, n := range g.nodes {
 		n.Layer.Stage = stage
 	}
 	return g
-}
-
-// Append grafts all nodes of other onto g, re-basing IDs, with every
-// root of other depending on the provided join nodes of g. It returns
-// the mapping from other's nodes to the new nodes in g.
-func (g *Graph) Append(other *Graph, join ...*Node) map[*Node]*Node {
-	mapping := make(map[*Node]*Node, other.Len())
-	for _, n := range other.Nodes() {
-		deps := make([]*Node, 0, len(n.Deps))
-		for _, d := range n.Deps {
-			deps = append(deps, mapping[d])
-		}
-		if len(n.Deps) == 0 {
-			deps = append(deps, join...)
-		}
-		mapping[n] = g.Add(n.Layer, deps...)
-	}
-	return mapping
-}
-
-// CriticalPathMACs returns the maximum dependency-chain MAC total, a
-// lower bound on serial work regardless of parallelism.
-func (g *Graph) CriticalPathMACs() int64 {
-	best := make(map[int]int64, len(g.nodes))
-	var max int64
-	for _, n := range g.nodes { // insertion order is topological
-		var in int64
-		for _, d := range n.Deps {
-			if best[d.ID] > in {
-				in = best[d.ID]
-			}
-		}
-		best[n.ID] = in + n.Layer.MACs()
-		if best[n.ID] > max {
-			max = best[n.ID]
-		}
-	}
-	return max
 }

@@ -80,12 +80,6 @@ func (n LoopNest) MACs() int64 {
 	return n.Batch * n.K * n.C * n.Y * n.X * n.R * n.S
 }
 
-// Outputs returns the number of output elements (Batch*K*Y*X).
-func (n LoopNest) Outputs() int64 { return n.Batch * n.K * n.Y * n.X }
-
-// ReductionDepth returns the per-output accumulation length (C*R*S).
-func (n LoopNest) ReductionDepth() int64 { return n.C * n.R * n.S }
-
 // Valid reports whether every extent is strictly positive.
 func (n LoopNest) Valid() bool {
 	return n.K > 0 && n.C > 0 && n.Y > 0 && n.X > 0 && n.R > 0 && n.S > 0 && n.Batch > 0

@@ -178,21 +178,6 @@ func (s *Space) Candidates(wsCount int) []int {
 	}
 }
 
-// Evaluate scores one candidate mask. It is pure and goroutine-safe:
-// the Space is read-only and all working state is local. Returns nil
-// for infeasible packings (a style with assigned layers but no
-// chiplets). Loops that score many masks should prefer a Scanner,
-// which reuses its evaluation scratch across candidates.
-func (s *Space) Evaluate(wsCount, mask int) *Result {
-	var scr evalScratch
-	var r Result
-	if !s.evalInto(&r, &scr, wsCount, mask) {
-		return nil
-	}
-	r.WSNets = copyNames(r.WSNets)
-	return &r
-}
-
 // Best exhaustively searches the style assignment of nets for the
 // space's chiplets, wsCount of them WS, under the space's latency
 // constraint (with the scheduler's 5% tolerance), and returns the

@@ -132,28 +132,6 @@ func TestPinnedCandidatesCollapse(t *testing.T) {
 	}
 }
 
-func TestSpaceEvaluateMatchesExplore(t *testing.T) {
-	s := trunkSpace(85)
-	want := s.Best(2)
-	// Re-run the scan through the public Space API.
-	var best *Result
-	for _, mask := range s.Candidates(2) {
-		r := s.Evaluate(2, mask)
-		if r == nil {
-			continue
-		}
-		if best == nil || Better(*r, *best) {
-			best = r
-		}
-	}
-	if best == nil {
-		t.Fatal("no feasible packing found")
-	}
-	if best.EDP != want.EDP || best.Feasible != want.Feasible || best.E2EMs != want.E2EMs {
-		t.Errorf("Space scan best %+v != Best %+v", best, want)
-	}
-}
-
 func TestTighterConstraintReducesFeasibility(t *testing.T) {
 	s := trunkSpace(85)
 	loose := s.Best(2)

@@ -87,23 +87,12 @@ var nopPoints = []struct {
 	{"2x faster links", 200, 17.5},
 }
 
-// simba36Template compiles the pipeline's schedule template on the 6x6
-// OS package: the shared half of every NoP and tolerance point, which
-// vary only the interconnect parameters or the solver's tolerance.
-func simba36Template(cfg workloads.Config) (*sched.Template, error) {
-	p, err := workloads.Perception(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sched.NewTemplate(p, chiplet.Simba36(dataflow.OS))
-}
-
 // nopPlan is the NoP-sensitivity grid scenario: the NoP link bandwidth
 // and hop latency swept around the paper's operating point (100 GB/s,
 // 35 ns). It shows the Fig 9 conclusion is robust: even a 4x-degraded
 // interconnect keeps NoP far from the computational critical path.
 func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensitivityRow, error) {
-	tmpl, err := simba36Template(cfg)
+	p, err := workloads.Perception(cfg)
 	if err != nil {
 		return sweep.GridPlan{}, nil, err
 	}
@@ -112,23 +101,21 @@ func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensit
 		Points: len(nopPoints),
 		Weight: func(int) float64 { return 36 },
 		Run: func(_ context.Context, i int) (err error) {
-			rows[i], err = nopPoint(tmpl, i, engineSchedOptions(e))
+			rows[i], err = nopPoint(p, i, engineSchedOptions(e))
 			return err
 		},
 		Finish: func() (*report.Table, error) { return NoPSensitivityTable(rows), nil },
 	}, rows, nil
 }
 
-// nopPoint evaluates one NoP parameter point from the shared schedule
-// template: every point is the same pipeline on the same 6x6 geometry,
-// only the interconnect parameters differ — exactly the case
-// sched.Template exists for. Goroutine-safe.
-func nopPoint(tmpl *sched.Template, i int, opts sched.Options) (NoPSensitivityRow, error) {
+// nopPoint schedules the plan's pipeline on the 6x6 OS package with
+// one NoP parameter point. Goroutine-safe: sched.Build only reads p.
+func nopPoint(p *workloads.Pipeline, i int, opts sched.Options) (NoPSensitivityRow, error) {
 	pt := nopPoints[i]
 	m := chiplet.Simba36(dataflow.OS)
 	m.NoP.LinkBWGBs = pt.bw
 	m.NoP.HopLatencyNs = pt.hop
-	s, err := tmpl.Build(m, opts)
+	s, err := sched.Build(p, m, opts)
 	if err != nil {
 		return NoPSensitivityRow{}, err
 	}
@@ -171,7 +158,7 @@ var defaultTolerances = []float64{0.01, 0.05, 0.10, 0.25}
 // pipeline at the cost of more greedy steps (sharding) and NoP traffic.
 func tolerancePlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []ToleranceSweepRow, error) {
 	tols := defaultTolerances
-	tmpl, err := simba36Template(cfg)
+	p, err := workloads.Perception(cfg)
 	if err != nil {
 		return sweep.GridPlan{}, nil, err
 	}
@@ -181,19 +168,18 @@ func tolerancePlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []Tol
 		// Tighter tolerance means more greedy iterations.
 		Weight: func(i int) float64 { return 36 * 0.05 / tols[i] },
 		Run: func(_ context.Context, i int) (err error) {
-			rows[i], err = tolerancePoint(tmpl, tols[i], engineSchedOptions(e))
+			rows[i], err = tolerancePoint(p, tols[i], engineSchedOptions(e))
 			return err
 		},
 		Finish: func() (*report.Table, error) { return ToleranceSweepTable(rows), nil },
 	}, rows, nil
 }
 
-// tolerancePoint evaluates one tolerance point from the shared schedule
-// template (same pipeline, same geometry — only the solver's tolerance
-// differs). Goroutine-safe.
-func tolerancePoint(tmpl *sched.Template, tol float64, opts sched.Options) (ToleranceSweepRow, error) {
+// tolerancePoint schedules the plan's pipeline on the 6x6 OS package at
+// one tolerance coefficient. Goroutine-safe: sched.Build only reads p.
+func tolerancePoint(p *workloads.Pipeline, tol float64, opts sched.Options) (ToleranceSweepRow, error) {
 	opts.Tolerance = tol
-	s, err := tmpl.Build(chiplet.Simba36(dataflow.OS), opts)
+	s, err := sched.Build(p, chiplet.Simba36(dataflow.OS), opts)
 	if err != nil {
 		return ToleranceSweepRow{}, err
 	}

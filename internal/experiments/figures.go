@@ -45,11 +45,6 @@ type Fig3Result struct {
 // no results.
 var layerCache = costmodel.NewCache()
 
-// SharedLayerCache exposes the package-level cache so callers driving
-// the harnesses (cmd/sweep's -cachestats, future tooling) can report
-// the hit rates of the evaluations these harnesses actually memoize.
-func SharedLayerCache() *costmodel.Cache { return layerCache }
-
 // schedOptions is sched.DefaultOptions with the shared cache attached,
 // so every schedule an experiment harness builds memoizes its sharded
 // layer evaluations alongside the figure profiles.

@@ -121,16 +121,3 @@ func (p Params) Eval(t Transfer) Cost {
 		EnergyJ:   p.TransferEnergyJ(t.Bytes, h),
 	}
 }
-
-// EvalAll costs a batch of transfers, returning the aggregate latency
-// (serial worst-case sum), aggregate energy, and per-transfer costs.
-func (p Params) EvalAll(ts []Transfer) (totalLatMs, totalEnergyJ float64, per []Cost) {
-	per = make([]Cost, len(ts))
-	for i, t := range ts {
-		c := p.Eval(t)
-		per[i] = c
-		totalLatMs += c.LatencyMs
-		totalEnergyJ += c.EnergyJ
-	}
-	return totalLatMs, totalEnergyJ, per
-}

@@ -80,24 +80,14 @@ func TestRoute(t *testing.T) {
 	}
 }
 
-func TestEvalAndEvalAll(t *testing.T) {
+func TestEval(t *testing.T) {
 	p := DefaultParams()
-	ts := []Transfer{
-		{Src: Coord{0, 0}, Dst: Coord{1, 0}, Bytes: 1000},
-		{Src: Coord{0, 0}, Dst: Coord{2, 2}, Bytes: 1000},
+	c := p.Eval(Transfer{Src: Coord{0, 0}, Dst: Coord{2, 2}, Bytes: 1000})
+	if c.Hops != 4 {
+		t.Errorf("hops = %d", c.Hops)
 	}
-	lat, e, per := p.EvalAll(ts)
-	if len(per) != 2 {
-		t.Fatal("per-transfer costs missing")
-	}
-	if per[1].Hops != 4 {
-		t.Errorf("hops = %d", per[1].Hops)
-	}
-	if lat != per[0].LatencyMs+per[1].LatencyMs {
-		t.Error("aggregate latency mismatch")
-	}
-	if e != per[0].EnergyJ+per[1].EnergyJ {
-		t.Error("aggregate energy mismatch")
+	if c.LatencyMs != p.TransferLatencyMs(1000, 4) || c.EnergyJ != p.TransferEnergyJ(1000, 4) {
+		t.Errorf("cost %+v disagrees with the 4-hop transfer model", c)
 	}
 }
 

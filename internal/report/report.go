@@ -251,9 +251,3 @@ func Bars(w io.Writer, title string, labels []string, values []float64, unit str
 			strings.Repeat("#", n), formatFloat(v), unit)
 	}
 }
-
-// Series renders an x/y series as rows (a terminal stand-in for a line
-// plot).
-func Series(w io.Writer, title string, xs []string, ys []float64, unit string) {
-	Bars(w, title, xs, ys, unit)
-}

@@ -197,11 +197,3 @@ func TestBarsZeroSafe(t *testing.T) {
 		t.Error("zero-value bars should still render labels")
 	}
 }
-
-func TestSeries(t *testing.T) {
-	var b strings.Builder
-	Series(&b, "s", []string{"p1"}, []float64{3}, "J")
-	if !strings.Contains(b.String(), "p1") {
-		t.Error("series output missing label")
-	}
-}

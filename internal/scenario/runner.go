@@ -241,7 +241,9 @@ func buildSchedule(b Bundle) (*sched.Schedule, error) {
 // any realistic sweep reuses a handful of workload configurations;
 // the cap only exists so a fuzzer or a long-lived server feeding
 // unique inline specs cannot grow the map without bound (overflow
-// compiles uncached, identical output either way).
+// compiles uncached, identical output either way). Every overflow
+// compile builds fresh layers, so the cap bounds memory only because
+// the engine's cost cache bounds the layer pointers it interns.
 const workloadMemoCap = 256
 
 // workloadMemo caches workloads.Perception output per workload

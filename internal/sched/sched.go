@@ -16,27 +16,26 @@ type Options struct {
 	// latency over the base latency before it counts as a bottleneck
 	// (the paper's tolerance coefficient).
 	Tolerance float64
-	// MaxIters caps the greedy iterations (safety net).
-	MaxIters int
-	// BaseStage selects the stage whose pipelining latency anchors the
-	// throughput matching (the paper chooses FE+BFPN; see §IV-A).
-	BaseStage int
 	// Cache memoizes sharded layer costs across builds (and, when
 	// shared, across the schedules of a sweep). Within one Build,
 	// Algorithm 1's repeated unit costings hit a build-scoped memo
 	// first; the cache serves first sightings and cross-build reuse.
 	// nil evaluates uncached; results are bit-identical either way.
 	Cache *costmodel.Cache
-	// MinimizeBase, when true, keeps splitting the base stage after the
-	// other stages have matched it, as long as idle chiplets remain —
-	// the dual-NPU behaviour of Fig 10.
-	MinimizeBase bool
 }
 
 // DefaultOptions returns the paper's settings.
 func DefaultOptions() Options {
-	return Options{Tolerance: 0.05, MaxIters: 256, BaseStage: workloads.StageFE, MinimizeBase: true}
+	return Options{Tolerance: 0.05}
 }
+
+const (
+	// maxIters caps the greedy iterations (safety net).
+	maxIters = 256
+	// baseStage is the stage whose pipelining latency anchors the
+	// throughput matching (the paper chooses FE+BFPN; see §IV-A).
+	baseStage = workloads.StageFE
+)
 
 // Step records one greedy action for the Fig 10 style trace.
 type Step struct {
@@ -66,22 +65,42 @@ type Schedule struct {
 
 // Build runs Algorithm 1: quadrant allocation, initial per-layer
 // placement, then nested greedy throughput matching with recursive
-// sharding and surplus-chiplet reallocation. One-shot form of
-// NewTemplate + Template.Build; sweeps that schedule the same pipeline
-// many times compile the template once instead.
+// sharding and surplus-chiplet reallocation. Safe for concurrent use,
+// also on one pipeline: every call works on its own pools and units,
+// and the pipeline is only read.
 //
 //perf:hot — runs once per sweep candidate; its improvement loops dominate sweep time
 func Build(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule, error) {
-	t, err := NewTemplate(p, m)
+	pools, err := allocatePools(m, len(p.Stages))
 	if err != nil {
 		return nil, err
 	}
-	return t.Build(m, opts)
+	if opts.Tolerance <= 0 {
+		opts.Tolerance = 0.05
+	}
+	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, load: make(map[nop.Coord]float64)}
+	costs := make(unitCosts)
+	for i, st := range p.Stages {
+		s.Stages = append(s.Stages, newStageSchedule(i, st, pools[i], m, opts.Cache, costs))
+	}
+	if len(pools) > len(p.Stages) {
+		// Unassigned surplus partition (e.g. the trunks quadrant in a
+		// 3-stage run): modeled as an empty stage whose idle chiplets
+		// borrowChiplet can raid. allocatePools builds this pool fresh
+		// on every call, so the stage owns it without a copy.
+		s.Stages = append(s.Stages, &StageSchedule{
+			Name: "surplus", Index: len(p.Stages), Pool: pools[len(p.Stages)],
+			mcm: m, cache: opts.Cache,
+		})
+	}
+	out, err := s.solve()
+	s.release()
+	return out, err
 }
 
 // solve runs the greedy throughput-matching loops on freshly
 // instantiated stages (the mutable half of Algorithm 1).
-func (s *Schedule) solve(opts Options) (*Schedule, error) {
+func (s *Schedule) solve() (*Schedule, error) {
 	if err := s.refreshAll(); err != nil {
 		return nil, err
 	}
@@ -89,13 +108,14 @@ func (s *Schedule) solve(opts Options) (*Schedule, error) {
 
 	// Outer loop: alleviate bottleneck stages until throughput matches.
 	skip := make(map[*Unit]bool)
-	for iter := 0; iter < opts.MaxIters; iter++ {
-		base := s.Stages[opts.BaseStage].PipeLatMs
+	for iter := 0; iter < maxIters; iter++ {
+		base := s.Stages[baseStage].PipeLatMs
 		s.BaseMs = base
-		bn := s.worstStage(opts.BaseStage, base)
+		bn := s.worstStage(base)
 		if bn == nil {
-			// All stages matched. Optionally push the base down (Fig 10).
-			if !opts.MinimizeBase || !s.improveBase(skip) {
+			// All stages matched: push the base down while idle
+			// chiplets remain (Fig 10).
+			if !s.improveBase(skip) {
 				break
 			}
 			continue
@@ -238,11 +258,11 @@ func (s *Schedule) refreshAll() error {
 
 // worstStage returns the stage (other than base) whose pipelining
 // latency exceeds base*(1+tol) by the most, or nil.
-func (s *Schedule) worstStage(baseIdx int, base float64) *StageSchedule {
+func (s *Schedule) worstStage(base float64) *StageSchedule {
 	limit := base * (1 + s.Opts.Tolerance)
 	var worst *StageSchedule
 	for i, ss := range s.Stages {
-		if i == baseIdx {
+		if i == baseStage {
 			continue
 		}
 		if ss.PipeLatMs > limit && (worst == nil || ss.PipeLatMs > worst.PipeLatMs) {
@@ -327,7 +347,7 @@ func (s *Schedule) applyImprovement(ss *StageSchedule, u *Unit) ([]*Unit, bool) 
 // anywhere on the package (Fig 10's dual-NPU behaviour: the FE models
 // split into two pipeline segments, halving the base).
 func (s *Schedule) improveBase(skip map[*Unit]bool) bool {
-	base := s.Stages[s.Opts.BaseStage]
+	base := s.Stages[baseStage]
 	idleTotal := 0
 	for _, ss := range s.Stages {
 		idleTotal += len(ss.idleCoords())
@@ -470,15 +490,6 @@ func (s *Schedule) pipeLat(load map[nop.Coord]float64) float64 {
 		v = maxf(v, l)
 	}
 	return v
-}
-
-// StagePipeLats returns each stage's pipelining latency in order.
-func (s *Schedule) StagePipeLats() []float64 {
-	out := make([]float64, 0, len(s.Pipeline.Stages))
-	for i := range s.Pipeline.Stages {
-		out = append(out, s.Stages[i].PipeLatMs)
-	}
-	return out
 }
 
 // buildInterStage creates the stage-boundary transfers: each stage

@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"mcmnpu/internal/chiplet"
+	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dataflow"
 	"mcmnpu/internal/nop"
 	"mcmnpu/internal/workloads"
@@ -264,7 +267,7 @@ func TestMCMBeatsMonolithicThroughput(t *testing.T) {
 func TestUnitSegmentBalance(t *testing.T) {
 	p, _ := workloads.Perception(workloads.DefaultConfig())
 	st := p.Stages[workloads.StageFE]
-	ss := newStageSchedule(0, st, chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil)
+	ss := newStageSchedule(0, st, chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil, nil)
 	u := ss.Units[0]
 	a := ss.mcm.At(ss.Pool[0])
 	if err := u.evalOn(a, nil, nil); err != nil {
@@ -287,7 +290,7 @@ func TestUnitSegmentBalance(t *testing.T) {
 func TestNextShardsDivisors(t *testing.T) {
 	p, _ := workloads.Perception(workloads.DefaultConfig())
 	ss := newStageSchedule(2, p.Stages[workloads.StageTFuse],
-		chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil)
+		chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil, nil)
 	for _, u := range ss.Units {
 		if u.Nodes[0].Layer.Name == "T_FFN_fc1" {
 			// Batch 12: divisor ladder 1 -> 2 -> 3 -> 4 -> 6 -> 12.
@@ -322,5 +325,83 @@ func TestInterStageTransfersExist(t *testing.T) {
 	}
 	if feOut < 8 {
 		t.Errorf("FE boundary transfers = %d, want >= 8 (one per camera)", feOut)
+	}
+}
+
+// fingerprint renders every decision the greedy solver made — unit
+// boundaries, shard counts, placements, trace steps — so two schedules
+// can be asserted bit-for-bit identical.
+func fingerprint(s *Schedule) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "base=%.9g pipe=%.9g\n", s.BaseMs, s.PipeLatMs())
+	for _, ss := range s.Stages {
+		fmt.Fprintf(&b, "stage %d %s pipe=%.9g e2e=%.9g energy=%.9g pool=%v\n",
+			ss.Index, ss.Name, ss.PipeLatMs, ss.E2EMs, ss.EnergyJ, ss.Pool)
+		for _, u := range ss.Units {
+			fmt.Fprintf(&b, "  unit %s shards=%d per=%.9g chips=%v nodes=%d\n",
+				u.Label(), u.Shards, u.PerShardMs, u.Chiplets, len(u.Nodes))
+		}
+	}
+	for _, st := range s.Steps {
+		fmt.Fprintf(&b, "step %s/%s %.9g %.9g %d\n", st.Action, st.Stage, st.PipeLatMs, st.BaseMs, st.ChipletsFree)
+	}
+	for _, tr := range s.InterStage {
+		fmt.Fprintf(&b, "xfer %v->%v %d %s\n", tr.Src, tr.Dst, tr.Bytes, tr.Label)
+	}
+	return b.String()
+}
+
+// TestConcurrentBuilds runs eight Builds of one pipeline at once. The
+// mixed-type mesh with a shared cache takes the heterogeneous probe
+// path through each Build's unit-cost memo, so under the race detector
+// a memo, pool or unit shared across builds would surface here.
+func TestConcurrentBuilds(t *testing.T) {
+	p, err := workloads.Perception(workloads.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		m     *chiplet.MCM
+		cache *costmodel.Cache
+	}{
+		{"simba-6x6-uncached", chiplet.Simba36(dataflow.OS), nil},
+		{"mixed-6x6-shared-cache", mixedMesh(t, 6, 6), costmodel.NewCache()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Cache = tc.cache
+			ref, err := Build(p, tc.m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(ref)
+			const n = 8
+			got := make([]string, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			wg.Add(n)
+			for i := 0; i < n; i++ {
+				go func(i int) {
+					defer wg.Done()
+					s, err := Build(p, tc.m, opts)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					got[i] = fingerprint(s)
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				if errs[i] != nil {
+					t.Fatalf("build %d: %v", i, errs[i])
+				}
+				if got[i] != want {
+					t.Errorf("concurrent build %d diverged from serial reference", i)
+				}
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
+	"mcmnpu/internal/dnn"
 	"mcmnpu/internal/nop"
 	"mcmnpu/internal/workloads"
 )
@@ -72,11 +73,47 @@ func (s *stageScratch) busyMap() map[nop.Coord]bool {
 	return s.busy
 }
 
-// newStageSchedule builds the initial unit decomposition for a stage
-// (one-shot form of decomposeStage + stageFromSpecs; see template.go
-// for the decomposition rules). The stage has no unit-cost memo.
-func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache) *StageSchedule {
-	return stageFromSpecs(idx, st.Name, decomposeStage(st), pool, m, cache, nil)
+// newStageSchedule builds a stage's initial units on a copy of pool
+// (borrowChiplet splices pools in place, and few-chip packages share
+// one coordinate slice across stages):
+//
+//   - Replicated stages (FE+BFPN x 8 cameras) get one whole-model unit
+//     per replica.
+//   - Single-model fusion stages get one unit per layer (tiny
+//     non-compute layers fold into their predecessor unit).
+//   - Multi-model stages (trunks) get one whole-model unit per model.
+//
+// Units share the pipeline's node slices read-only: nothing appends to
+// a unit's nodes after construction, segmentation only re-slices them.
+// costs is the unit-cost memo of the calling Build (nil for none).
+func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache, costs unitCosts) *StageSchedule {
+	ss := &StageSchedule{Name: st.Name, Index: idx, Pool: append([]nop.Coord(nil), pool...), mcm: m, cache: cache, costs: costs}
+	switch {
+	case st.Replicas > 1:
+		ss.Units = make([]*Unit, 0, st.Replicas*len(st.Graphs))
+		for r := 1; r <= st.Replicas; r++ {
+			for _, g := range st.Graphs {
+				ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Replica: r, Nodes: g.Nodes(), Shards: 1})
+			}
+		}
+	case len(st.Graphs) == 1:
+		g := st.Graphs[0]
+		ss.Units = make([]*Unit, 0, len(g.Nodes()))
+		for _, n := range g.Nodes() {
+			if len(ss.Units) == 0 || n.Layer.Kind.ComputeBound() {
+				ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Nodes: []*dnn.Node{n}, Shards: 1})
+			} else {
+				u := ss.Units[len(ss.Units)-1]
+				u.Nodes = append(u.Nodes, n)
+			}
+		}
+	default:
+		ss.Units = make([]*Unit, 0, len(st.Graphs))
+		for _, g := range st.Graphs {
+			ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Nodes: g.Nodes(), Shards: 1})
+		}
+	}
+	return ss
 }
 
 // refresh re-evaluates unit costs, re-places units onto the pool (LPT),

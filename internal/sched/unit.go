@@ -75,7 +75,7 @@ func (u *Unit) evalOn(a *costmodel.Accel, cache *costmodel.Cache, memo unitCosts
 
 // unitCostKey names one costing of a unit: its node run, shard count
 // and accelerator. Units only ever re-slice one model's node list
-// (decomposeStage, segment), so the first node and the run length name
+// (newStageSchedule, segment), so the first node and the run length name
 // the layers; camera replicas share one node list and so share entries.
 type unitCostKey struct {
 	first  *dnn.Node
@@ -91,7 +91,7 @@ type unitCost struct {
 	macs   int64
 }
 
-// unitCosts is the unit-cost memo of one Template.Build: a plain map,
+// unitCosts is the unit-cost memo of one Build: a plain map,
 // never shared across goroutines and dropped before Build returns.
 // Cost is a pure function of layer, shard and accelerator values, so a
 // hit on the same accelerator pointer is exact; an equal configuration
@@ -213,16 +213,6 @@ func abs64(v float64) float64 {
 // activations of its terminal node).
 func (u *Unit) outputBytes() int64 {
 	return u.Nodes[len(u.Nodes)-1].Layer.OutputElems()
-}
-
-// containsNode reports whether the unit holds the given node.
-func (u *Unit) containsNode(id int) bool {
-	for _, n := range u.Nodes {
-		if n.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // sortCoords orders coordinates row-major, by (Y, X). Placement

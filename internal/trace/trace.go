@@ -21,9 +21,9 @@ type Frame struct {
 
 // Generator produces deterministic frame streams. Generation is
 // stateless: every call derives its random stream from the stored seed
-// without mutating it, so repeated Frames/FrameSets/TelemetryStream
-// calls on one generator return identical sequences (a generator can be
-// shared across sim.Run invocations and comparisons reproduce exactly).
+// without mutating it, so repeated Frames/FrameSets calls on one
+// generator return identical sequences (a generator can be shared
+// across sim.Run invocations and comparisons reproduce exactly).
 type Generator struct {
 	Cameras   int
 	FPS       float64
@@ -48,10 +48,6 @@ func NewGenerator(seed uint64) *Generator {
 // Generator method runs its own rng copied from the seed, leaving the
 // generator untouched.
 type rng struct{ state uint64 }
-
-// telemetryDomain decorrelates the telemetry stream from the frame
-// stream of the same seed (arbitrary odd constant).
-const telemetryDomain = 0xd1342543de82ef95
 
 func (r *rng) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -118,42 +114,6 @@ func (g *Generator) FrameSets(n int) []SetArrival {
 	out := make([]SetArrival, 0, n)
 	for seq := 0; seq < n; seq++ {
 		out = append(out, SetArrival{Seq: seq, ReadyMs: ready[seq]})
-	}
-	return out
-}
-
-// Telemetry is one ego-kinematics sample.
-type Telemetry struct {
-	TimeMs  float64
-	SpeedMS float64 // m/s
-	YawRate float64 // rad/s
-}
-
-// TelemetryStream produces n samples at the given rate with a smooth
-// deterministic drive profile (accelerate, cruise, turn).
-func (g *Generator) TelemetryStream(n int, hz float64) []Telemetry {
-	if n <= 0 || hz <= 0 {
-		return nil
-	}
-	r := rng{state: g.seed ^ telemetryDomain}
-	out := make([]Telemetry, 0, n)
-	speed, yaw := 8.0, 0.0
-	for i := 0; i < n; i++ {
-		speed += r.uniform() * 0.3
-		if speed < 0 {
-			speed = 0
-		}
-		if speed > 35 {
-			speed = 35
-		}
-		yaw += r.uniform() * 0.02
-		if yaw > 0.5 {
-			yaw = 0.5
-		}
-		if yaw < -0.5 {
-			yaw = -0.5
-		}
-		out = append(out, Telemetry{TimeMs: float64(i) * 1e3 / hz, SpeedMS: speed, YawRate: yaw})
 	}
 	return out
 }

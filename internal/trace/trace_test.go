@@ -49,12 +49,6 @@ func TestGeneratorReuseDeterministic(t *testing.T) {
 			t.Fatalf("set %d differs on reuse: %v vs %v", i, sa[i], sb[i])
 		}
 	}
-	ta, tb := g.TelemetryStream(20, 50), g.TelemetryStream(20, 50)
-	for i := range ta {
-		if ta[i] != tb[i] {
-			t.Fatalf("telemetry %d differs on reuse: %v vs %v", i, ta[i], tb[i])
-		}
-	}
 	// Interleaving calls must not perturb either stream.
 	fc := g.Frames(6)
 	for i := range fa {
@@ -140,25 +134,9 @@ func TestFrameSets(t *testing.T) {
 	}
 }
 
-func TestTelemetryBounds(t *testing.T) {
-	g := NewGenerator(5)
-	ts := g.TelemetryStream(500, 100)
-	if len(ts) != 500 {
-		t.Fatalf("samples = %d", len(ts))
-	}
-	for _, s := range ts {
-		if s.SpeedMS < 0 || s.SpeedMS > 35 {
-			t.Errorf("speed out of bounds: %v", s.SpeedMS)
-		}
-		if s.YawRate < -0.5 || s.YawRate > 0.5 {
-			t.Errorf("yaw out of bounds: %v", s.YawRate)
-		}
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	g := NewGenerator(1)
-	if g.Frames(0) != nil || g.TelemetryStream(0, 10) != nil {
+	if g.Frames(0) != nil {
 		t.Error("zero counts should return nil")
 	}
 }
