@@ -155,6 +155,7 @@ golden:
 	$(GO) test ./internal/scenario -run TestListTableGolden -update
 	$(GO) test ./cmd/pareto -run TestTopTableGolden -update
 	$(GO) test ./internal/api -run TestRequestKeyGolden -update
+	$(GO) test ./internal/sched -run TestScheduleGolden -update
 
 # check is the tier-1 gate, mirrored by .github/workflows/ci.yml:
 # build + format + vet + determinism lint + race-enabled tests + bench
