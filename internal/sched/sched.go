@@ -61,6 +61,9 @@ type Schedule struct {
 	// load is record's per-chiplet scratch, owned by the Build that
 	// fills Steps and dropped before it returns.
 	load map[nop.Coord]float64
+	// shared marks a package too small to partition: every stage's pool
+	// is the whole mesh, so borrowing a chiplet cannot add capacity.
+	shared bool
 }
 
 // Build runs Algorithm 1: quadrant allocation, initial per-layer
@@ -71,14 +74,14 @@ type Schedule struct {
 //
 //perf:hot — runs once per sweep candidate; its improvement loops dominate sweep time
 func Build(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule, error) {
-	pools, err := allocatePools(m, len(p.Stages))
+	pools, shared, err := allocatePools(m, len(p.Stages))
 	if err != nil {
 		return nil, err
 	}
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = 0.05
 	}
-	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, load: make(map[nop.Coord]float64)}
+	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, load: make(map[nop.Coord]float64), shared: shared}
 	costs := make(unitCosts)
 	for i, st := range p.Stages {
 		s.Stages = append(s.Stages, newStageSchedule(i, st, pools[i], m, opts.Cache, costs))
@@ -185,8 +188,8 @@ func (s *Schedule) useIdleChiplets() {
 // allocatePools carves the mesh into per-stage chiplet pools: one
 // contiguous partition per stage when the package is large enough
 // (quadrants for the 6x6 package), otherwise all stages share the full
-// pool (the monolithic / few-chip baselines).
-func allocatePools(m *chiplet.MCM, nStages int) ([][]nop.Coord, error) {
+// pool (the monolithic / few-chip baselines) and the bool reports it.
+func allocatePools(m *chiplet.MCM, nStages int) ([][]nop.Coord, bool, error) {
 	coords := m.Coords()
 	if len(coords) < 2*nStages {
 		// Too few chiplets for meaningful per-stage partitions (the
@@ -196,7 +199,7 @@ func allocatePools(m *chiplet.MCM, nStages int) ([][]nop.Coord, error) {
 		for i := range pools {
 			pools[i] = coords
 		}
-		return pools, nil
+		return pools, true, nil
 	}
 	// Prefer the quadrant split of the paper: 4 partitions for a
 	// 4-stage pipeline. A 3-stage view still uses 4 partitions, with
@@ -218,11 +221,11 @@ func allocatePools(m *chiplet.MCM, nStages int) ([][]nop.Coord, error) {
 			}
 			pools[i] = coords[lo:hi]
 		}
-		return pools, nil
+		return pools, false, nil
 	}
 	split, err := m.Partitions(parts)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	pools := make([][]nop.Coord, nStages)
 	for i := 0; i < nStages; i++ {
@@ -243,7 +246,7 @@ func allocatePools(m *chiplet.MCM, nStages int) ([][]nop.Coord, error) {
 		}
 		pools = append(pools, spare) // sentinel surplus pool
 	}
-	return pools, nil
+	return pools, false, nil
 }
 
 // refreshAll recomputes every stage.
@@ -411,8 +414,12 @@ func clearStageSkips(skip map[*Unit]bool, stageIdx int) {
 }
 
 // borrowChiplet moves one idle chiplet from the least-loaded donor stage
-// (or the surplus pool) into ss's pool.
+// (or the surplus pool) into ss's pool. On shared pools ss already holds
+// every chiplet, so it borrows nothing.
 func (s *Schedule) borrowChiplet(ss *StageSchedule) bool {
+	if s.shared {
+		return false
+	}
 	var donor *StageSchedule
 	for _, other := range s.Stages {
 		if other == ss {
