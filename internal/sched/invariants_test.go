@@ -55,3 +55,29 @@ func TestFewChipPoolsHoldEachChipletOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestThreeStageSurplusDrained builds the first three stages on a 4x4
+// mesh. The mesh splits into four quadrants and the fourth becomes the
+// surplus pool, which borrowing can empty: Build must still succeed,
+// and the pools must cover the mesh exactly once.
+func TestThreeStageSurplusDrained(t *testing.T) {
+	m := simbaMesh(t, 4, 4)
+	s, err := Build(perception(t).FirstThreeStages(), m, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := make(map[nop.Coord]int)
+	for _, ss := range s.Stages {
+		for _, c := range ss.Pool {
+			covered[c]++
+		}
+	}
+	for _, c := range m.Coords() {
+		if covered[c] != 1 {
+			t.Errorf("chiplet %v is in %d pools, want 1", c, covered[c])
+		}
+	}
+	if len(covered) != m.Chiplets() {
+		t.Errorf("pools cover %d positions of a %d-chiplet mesh", len(covered), m.Chiplets())
+	}
+}

@@ -122,6 +122,9 @@ func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.
 //perf:hot — called per improvement iteration per stage; uses stageScratch, not fresh slices
 func (ss *StageSchedule) refresh() error {
 	if len(ss.Pool) == 0 {
+		if len(ss.Units) == 0 {
+			return nil // a surplus pool that borrowing drained
+		}
 		return fmt.Errorf("sched: stage %s has an empty chiplet pool", ss.Name)
 	}
 	// Evaluate on the pool's (homogeneous) accelerator.
