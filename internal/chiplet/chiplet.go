@@ -8,23 +8,27 @@ package chiplet
 
 import (
 	"fmt"
-	"sort"
 
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dataflow"
 	"mcmnpu/internal/nop"
 )
 
-// MCM is a package of chiplets on a GridW x GridH mesh.
+// MCM is a package of chiplets on a GridW x GridH mesh. Chiplets are
+// stored row-major: the chiplet at c has ordinal Ord(c) = c.Y*GridW+c.X.
 type MCM struct {
 	Name   string
 	GridW  int
 	GridH  int
 	NoP    nop.Params
-	accels map[nop.Coord]*costmodel.Accel
+	accels []*costmodel.Accel // indexed by ordinal
+	class  []int              // accelerator-equivalence class per ordinal
 }
 
 // New builds an MCM with one chiplet per mesh position, created by mk.
+// It groups the chiplets into accelerator-equivalence classes once, so
+// Class replaces a value comparison of two accelerators with an int
+// compare.
 func New(name string, gridW, gridH int, p nop.Params, mk func(nop.Coord) *costmodel.Accel) (*MCM, error) {
 	if gridW <= 0 || gridH <= 0 {
 		return nil, fmt.Errorf("chiplet: invalid grid %dx%d", gridW, gridH)
@@ -32,8 +36,10 @@ func New(name string, gridW, gridH int, p nop.Params, mk func(nop.Coord) *costmo
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	n := gridW * gridH
 	m := &MCM{Name: name, GridW: gridW, GridH: gridH, NoP: p,
-		accels: make(map[nop.Coord]*costmodel.Accel, gridW*gridH)}
+		accels: make([]*costmodel.Accel, 0, n), class: make([]int, 0, n)}
+	var reps []*costmodel.Accel // one accelerator per class, first seen first
 	for y := 0; y < gridH; y++ {
 		for x := 0; x < gridW; x++ {
 			c := nop.Coord{X: x, Y: y}
@@ -41,27 +47,50 @@ func New(name string, gridW, gridH int, p nop.Params, mk func(nop.Coord) *costmo
 			if err := a.Validate(); err != nil {
 				return nil, fmt.Errorf("chiplet %v: %w", c, err)
 			}
-			m.accels[c] = a
+			k := 0
+			for k < len(reps) && !costmodel.AccelEquivalent(reps[k], a) {
+				k++
+			}
+			if k == len(reps) {
+				reps = append(reps, a)
+			}
+			m.accels = append(m.accels, a)
+			m.class = append(m.class, k)
 		}
 	}
 	return m, nil
 }
 
-// At returns the chiplet at c (nil if out of range).
-func (m *MCM) At(c nop.Coord) *costmodel.Accel { return m.accels[c] }
+// Ord returns the row-major ordinal of c, c.Y*GridW + c.X, which is
+// c's index in Coords(); -1 when c is off the mesh.
+func (m *MCM) Ord(c nop.Coord) int {
+	if c.X < 0 || c.X >= m.GridW || c.Y < 0 || c.Y >= m.GridH {
+		return -1
+	}
+	return c.Y*m.GridW + c.X
+}
 
-// Coords returns all positions in deterministic row-major order.
+// At returns the chiplet at c (nil if off the mesh).
+func (m *MCM) At(c nop.Coord) *costmodel.Accel {
+	if i := m.Ord(c); i >= 0 {
+		return m.accels[i]
+	}
+	return nil
+}
+
+// Class returns the accelerator-equivalence class of the chiplet with
+// ordinal i: two chiplets share a class exactly when
+// costmodel.AccelEquivalent holds for their accelerators.
+func (m *MCM) Class(i int) int { return m.class[i] }
+
+// Coords returns all positions in row-major (ordinal) order.
 func (m *MCM) Coords() []nop.Coord {
 	out := make([]nop.Coord, 0, len(m.accels))
-	for c := range m.accels {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
+	for y := 0; y < m.GridH; y++ {
+		for x := 0; x < m.GridW; x++ {
+			out = append(out, nop.Coord{X: x, Y: y})
 		}
-		return out[i].X < out[j].X
-	})
+	}
 	return out
 }
 
@@ -78,13 +107,13 @@ func (m *MCM) TotalPEs() int64 {
 }
 
 // PeakMACs returns the aggregate MAC throughput (MACs/s). Summation
-// runs in row-major coordinate order: float addition is not
-// associative, so on heterogeneous packages a map-order sum would
-// change its last bits from run to run (rule D1).
+// runs in row-major order: float addition is not associative, so on
+// heterogeneous packages any other order could change the last bits
+// (rule D1).
 func (m *MCM) PeakMACs() float64 {
 	var v float64
-	for _, c := range m.Coords() {
-		v += m.accels[c].PeakMACs()
+	for _, a := range m.accels {
+		v += a.PeakMACs()
 	}
 	return v
 }

@@ -130,3 +130,66 @@ func TestNewValidation(t *testing.T) {
 		t.Error("invalid chiplet should error")
 	}
 }
+
+func TestOrdRowMajorAndOffMesh(t *testing.T) {
+	m, err := NewTyped("simba-4x3", 4, 3, nop.DefaultParams(), dataflow.OS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range m.Coords() {
+		if got := m.Ord(c); got != i || got != c.Y*m.GridW+c.X {
+			t.Errorf("Ord(%v) = %d, want Coords index %d = Y*GridW+X", c, got, i)
+		}
+	}
+	for _, c := range []nop.Coord{{X: -1, Y: 0}, {X: m.GridW, Y: 0}, {X: 0, Y: m.GridH}} {
+		if got := m.Ord(c); got != -1 {
+			t.Errorf("Ord(%v) = %d off the mesh, want -1", c, got)
+		}
+		if a := m.At(c); a != nil {
+			t.Errorf("At(%v) = %v off the mesh, want nil", c, a.Name)
+		}
+	}
+}
+
+// TestClassMatchesAccelEquivalent checks over every pair of chiplets
+// that two share a class exactly when their accelerators are
+// equivalent, on a package of distinct equal accelerators, one of
+// equal configurations under different names, and a mixed-type mesh.
+func TestClassMatchesAccelEquivalent(t *testing.T) {
+	mixed, err := NewTyped("mixed-3x2", 3, 2, nop.DefaultParams(), dataflow.OS,
+		[]string{"simba", "eco", "big", "eco", "simba", "big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name                 string
+		m                    *MCM
+		ptrs, names, classes int
+	}{
+		{"simba36", Simba36(dataflow.OS), 36, 1, 1},
+		{"baseline4", Baseline(4, dataflow.OS), 4, 4, 1},
+		{"mixed", mixed, 3, 3, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := tc.m.Coords()
+			ptrs := map[*costmodel.Accel]bool{}
+			names := map[string]bool{}
+			classes := map[int]bool{}
+			for i, ci := range cs {
+				a := tc.m.At(ci)
+				ptrs[a], names[a.Name], classes[tc.m.Class(i)] = true, true, true
+				for j, cj := range cs {
+					eq := costmodel.AccelEquivalent(a, tc.m.At(cj))
+					if same := tc.m.Class(i) == tc.m.Class(j); same != eq {
+						t.Errorf("%v/%v: same class %v, AccelEquivalent %v", ci, cj, same, eq)
+					}
+				}
+			}
+			if len(ptrs) != tc.ptrs || len(names) != tc.names || len(classes) != tc.classes {
+				t.Errorf("%d accelerators, %d names, %d classes; want %d, %d, %d",
+					len(ptrs), len(names), len(classes), tc.ptrs, tc.names, tc.classes)
+			}
+		})
+	}
+}

@@ -221,8 +221,8 @@ func NewTyped(name string, gridW, gridH int, p nop.Params, style dataflow.Style,
 // rendering layers' compact heterogeneity descriptor.
 func (m *MCM) TypeCounts() string {
 	counts := map[string]int{}
-	for _, c := range m.Coords() {
-		counts[m.accels[c].Name]++
+	for _, a := range m.accels {
+		counts[a.Name]++
 	}
 	names := make([]string, 0, len(counts))
 	for n := range counts {

@@ -58,9 +58,9 @@ type Schedule struct {
 	// InterStage transfers connect consecutive stages' boundary units.
 	InterStage []nop.Transfer
 
-	// load is record's per-chiplet scratch, owned by the Build that
-	// fills Steps and dropped before it returns.
-	load map[nop.Coord]float64
+	// load is record's per-ordinal scratch (see pipeLat), owned by the
+	// Build that fills Steps and dropped before it returns.
+	load []float64
 	// shared marks a package too small to partition: every stage's pool
 	// is the whole mesh, so borrowing a chiplet cannot add capacity.
 	shared bool
@@ -81,20 +81,17 @@ func Build(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule, erro
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = 0.05
 	}
-	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, load: make(map[nop.Coord]float64), shared: shared}
+	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, load: make([]float64, m.Chiplets()), shared: shared}
 	costs := make(unitCosts)
 	for i, st := range p.Stages {
 		s.Stages = append(s.Stages, newStageSchedule(i, st, pools[i], m, opts.Cache, costs))
 	}
 	if len(pools) > len(p.Stages) {
 		// Unassigned surplus partition (e.g. the trunks quadrant in a
-		// 3-stage run): modeled as an empty stage whose idle chiplets
-		// borrowChiplet can raid. allocatePools builds this pool fresh
-		// on every call, so the stage owns it without a copy.
-		s.Stages = append(s.Stages, &StageSchedule{
-			Name: "surplus", Index: len(p.Stages), Pool: pools[len(p.Stages)],
-			mcm: m, cache: opts.Cache,
-		})
+		// 3-stage run): modeled as a stage without units whose idle
+		// chiplets borrowChiplet can raid.
+		s.Stages = append(s.Stages, newStageSchedule(len(p.Stages),
+			workloads.Stage{Name: "surplus"}, pools[len(p.Stages)], m, opts.Cache, costs))
 	}
 	out, err := s.solve()
 	s.release()
@@ -154,7 +151,7 @@ func (s *Schedule) useIdleChiplets() {
 		ss := s.Stages[i]
 		clear(skip)
 		for guard := 0; guard < 4*len(ss.Pool); guard++ {
-			if len(ss.idleCoords()) == 0 {
+			if ss.idle == 0 {
 				break
 			}
 			u := ss.bottleneckUnit(skip)
@@ -351,10 +348,7 @@ func (s *Schedule) applyImprovement(ss *StageSchedule, u *Unit) ([]*Unit, bool) 
 // split into two pipeline segments, halving the base).
 func (s *Schedule) improveBase(skip map[*Unit]bool) bool {
 	base := s.Stages[baseStage]
-	idleTotal := 0
-	for _, ss := range s.Stages {
-		idleTotal += len(ss.idleCoords())
-	}
+	idleTotal := s.idleChiplets()
 	if idleTotal == 0 {
 		return false
 	}
@@ -369,7 +363,7 @@ func (s *Schedule) improveBase(skip map[*Unit]bool) bool {
 		// Fall back to improving one base unit at a time (splitting the
 		// replicas one by one — the stage max only moves once the last
 		// twin splits, so per-unit progress counts).
-		if len(base.idleCoords()) == 0 && s.borrowChiplet(base) {
+		if base.idle == 0 && s.borrowChiplet(base) {
 			clearStageSkips(skip, base.Index)
 			if err := base.refresh(); err != nil {
 				return false
@@ -379,7 +373,7 @@ func (s *Schedule) improveBase(skip map[*Unit]bool) bool {
 	}
 	// Grow the base pool with borrowed idle chiplets, then split.
 	for i := 0; i < len(splittable); i++ {
-		if len(base.idleCoords()) == 0 && !s.borrowChiplet(base) {
+		if base.idle == 0 && !s.borrowChiplet(base) {
 			return false
 		}
 	}
@@ -413,88 +407,85 @@ func clearStageSkips(skip map[*Unit]bool, stageIdx int) {
 	}
 }
 
-// borrowChiplet moves one idle chiplet from the least-loaded donor stage
-// (or the surplus pool) into ss's pool. On shared pools ss already holds
-// every chiplet, so it borrows nothing.
+// borrowChiplet moves one idle chiplet from the donor stage with the
+// most idle chiplets (or the surplus pool) into ss's pool: the donor's
+// last idle pool entry. On shared pools ss already holds every chiplet,
+// so it borrows nothing.
 func (s *Schedule) borrowChiplet(ss *StageSchedule) bool {
 	if s.shared {
 		return false
 	}
 	var donor *StageSchedule
 	for _, other := range s.Stages {
-		if other == ss {
-			continue
-		}
-		if len(other.idleCoords()) > 0 && (donor == nil ||
-			len(other.idleCoords()) > len(donor.idleCoords())) {
+		if other != ss && other.idle > 0 && (donor == nil || other.idle > donor.idle) {
 			donor = other
 		}
 	}
 	if donor == nil {
 		return false
 	}
-	idle := donor.idleCoords()
-	c := idle[len(idle)-1]
-	for i, pc := range donor.Pool {
-		if pc == c {
-			donor.Pool = append(donor.Pool[:i], donor.Pool[i+1:]...)
-			break
-		}
+	i := len(donor.Pool) - 1
+	for donor.scratch.busy[s.MCM.Ord(donor.Pool[i])] {
+		i--
 	}
+	c := donor.Pool[i]
+	donor.Pool = append(donor.Pool[:i], donor.Pool[i+1:]...)
+	donor.idle--
 	ss.Pool = append(ss.Pool, c)
+	ss.idle++
 	return true
+}
+
+// idleChiplets counts the pool chiplets without work over every stage.
+func (s *Schedule) idleChiplets() int {
+	n := 0
+	for _, ss := range s.Stages {
+		n += ss.idle
+	}
+	return n
 }
 
 // record appends a trace step with the current global state.
 func (s *Schedule) record(action, stage string) {
-	free := 0
-	for _, ss := range s.Stages {
-		free += len(ss.idleCoords())
-	}
 	s.Steps = append(s.Steps, Step{
 		Action:       action,
 		Stage:        stage,
 		PipeLatMs:    s.pipeLat(s.load),
 		BaseMs:       s.BaseMs,
-		ChipletsFree: free,
+		ChipletsFree: s.idleChiplets(),
 	})
 }
 
-// release drops the build-scoped scratch — record's load map and the
-// stages' unit-cost memo — so a retained schedule pins neither.
+// release drops the build-scoped scratch — record's load slice, the
+// stages' unit-cost memo and working state — so a retained schedule
+// pins none of it.
 func (s *Schedule) release() {
 	s.load = nil
 	for _, ss := range s.Stages {
 		ss.costs = nil
+		ss.scratch = stageScratch{}
 	}
 }
 
 // PipeLatMs returns the schedule's layerwise pipelining latency: the
 // maximum per-chiplet busy time, accumulated globally so that chiplets
 // shared between stages (the few-chip baselines) carry the sum of their
-// stage loads. Each call allocates its own load map, so several
+// stage loads. Each call allocates its own load slice, so several
 // goroutines may read one built schedule.
 func (s *Schedule) PipeLatMs() float64 {
-	return s.pipeLat(make(map[nop.Coord]float64))
+	return s.pipeLat(make([]float64, s.MCM.Chiplets()))
 }
 
-// pipeLat is PipeLatMs accumulated into a caller-owned load map, which
-// it clears first.
-func (s *Schedule) pipeLat(load map[nop.Coord]float64) float64 {
-	clear(load)
-	for i, ss := range s.Stages {
-		if i >= len(s.Pipeline.Stages) {
-			continue // surplus sentinel
-		}
-		for _, u := range ss.Units {
-			for _, c := range u.Chiplets {
-				load[c] += u.PerShardMs
-			}
-		}
+// pipeLat is PipeLatMs accumulated into a caller-owned per-ordinal
+// load slice, which must be all zero and is left all zero.
+func (s *Schedule) pipeLat(load []float64) float64 {
+	stages := s.Stages[:len(s.Pipeline.Stages)] // without the surplus sentinel
+	for _, ss := range stages {
+		addLoads(load, s.MCM, ss.Units)
 	}
 	var v float64
-	for _, l := range load {
-		v = maxf(v, l)
+	for _, ss := range stages {
+		v = drainMaxLoad(load, s.MCM, ss.Units, v)
 	}
 	return v
 }

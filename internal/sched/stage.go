@@ -31,6 +31,7 @@ type StageSchedule struct {
 	mcm   *chiplet.MCM
 	cache *costmodel.Cache
 	costs unitCosts // the owning Build's unit-cost memo; nil outside Build
+	idle  int       // pool chiplets no unit is placed on (place, borrowChiplet)
 
 	// Reusable working state: Algorithm 1 refreshes each stage dozens
 	// of times per schedule, so per-refresh maps and slices are owned
@@ -46,31 +47,12 @@ type chainGroup struct {
 }
 
 type stageScratch struct {
-	load   map[nop.Coord]float64
+	load   []float64 // per-ordinal load (computeMetrics), all zero between calls
+	busy   []bool    // per-ordinal: a unit is placed there (place)
 	order  []*Unit
 	loads  []float64 // per-pool-index packed load (place)
 	cands  []int32   // pool indices under the placement sort
 	groups []chainGroup
-	busy   map[nop.Coord]bool
-	idle   []nop.Coord
-}
-
-func (s *stageScratch) loadMap() map[nop.Coord]float64 {
-	if s.load == nil {
-		s.load = make(map[nop.Coord]float64)
-	} else {
-		clear(s.load)
-	}
-	return s.load
-}
-
-func (s *stageScratch) busyMap() map[nop.Coord]bool {
-	if s.busy == nil {
-		s.busy = make(map[nop.Coord]bool)
-	} else {
-		clear(s.busy)
-	}
-	return s.busy
 }
 
 // newStageSchedule builds a stage's initial units on a copy of pool
@@ -87,7 +69,8 @@ func (s *stageScratch) busyMap() map[nop.Coord]bool {
 // a unit's nodes after construction, segmentation only re-slices them.
 // costs is the unit-cost memo of the calling Build (nil for none).
 func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache, costs unitCosts) *StageSchedule {
-	ss := &StageSchedule{Name: st.Name, Index: idx, Pool: append([]nop.Coord(nil), pool...), mcm: m, cache: cache, costs: costs}
+	ss := &StageSchedule{Name: st.Name, Index: idx, Pool: append([]nop.Coord(nil), pool...), mcm: m, cache: cache, costs: costs,
+		scratch: stageScratch{load: make([]float64, m.Chiplets()), busy: make([]bool, m.Chiplets())}}
 	switch {
 	case st.Replicas > 1:
 		ss.Units = make([]*Unit, 0, st.Replicas*len(st.Graphs))
@@ -129,6 +112,7 @@ func (ss *StageSchedule) refresh() error {
 	}
 	// Evaluate on the pool's (homogeneous) accelerator.
 	ref := ss.mcm.At(ss.Pool[0])
+	refClass := ss.mcm.Class(ss.mcm.Ord(ss.Pool[0]))
 	for _, u := range ss.Units {
 		if u.Shards > int64(len(ss.Pool)) {
 			u.Shards = int64(len(ss.Pool))
@@ -139,7 +123,7 @@ func (ss *StageSchedule) refresh() error {
 	}
 	ss.place()
 	// Re-evaluate heterogeneous pools against their actual chiplets. A
-	// chiplet whose configuration equals the reference (most pools are
+	// chiplet in the reference's equivalence class (most pools are
 	// homogeneous meshes of distinct-but-identical Accel objects) would
 	// probe to exactly u.PerShardMs — the cost model reads values, not
 	// identities — so only genuinely different configurations probe.
@@ -152,8 +136,8 @@ func (ss *StageSchedule) refresh() error {
 		worst := 0.0
 		for _, c := range u.Chiplets {
 			ms := u.PerShardMs
-			if a := ss.mcm.At(c); a != ref && !costmodel.AccelEquivalent(a, ref) {
-				pc, err := ss.costs.cost(u, a, ss.cache)
+			if ss.mcm.Class(ss.mcm.Ord(c)) != refClass {
+				pc, err := ss.costs.cost(u, ss.mcm.At(c), ss.cache)
 				if err != nil {
 					return err
 				}
@@ -172,7 +156,8 @@ func (ss *StageSchedule) refresh() error {
 // place assigns each unit's shards to chiplets with longest-processing-
 // time-first packing: heavier units claim the least-loaded chiplets.
 // Loads are tracked per pool index — plain array reads in the
-// selection loop, no coordinate hashing.
+// selection loop, no coordinate hashing. It marks the chiplets it uses
+// busy and counts the rest of the pool as idle.
 func (ss *StageSchedule) place() {
 	if cap(ss.scratch.loads) < len(ss.Pool) {
 		ss.scratch.loads = make([]float64, len(ss.Pool))
@@ -181,6 +166,13 @@ func (ss *StageSchedule) place() {
 	for i := range loads {
 		loads[i] = 0
 	}
+	// Only pool chiplets are ever marked: a chiplet leaves a pool only
+	// while idle (borrowChiplet).
+	busy := ss.scratch.busy
+	for _, c := range ss.Pool {
+		busy[ss.mcm.Ord(c)] = false
+	}
+	ss.idle = len(ss.Pool)
 	order := append(ss.scratch.order[:0], ss.Units...)
 	ss.scratch.order = order
 	sort.SliceStable(order, func(i, j int) bool {
@@ -196,9 +188,14 @@ func (ss *StageSchedule) place() {
 		//lint:allow hotpathalloc -- coords escapes as u.Chiplets, the placement's per-unit output; reusing scratch here would alias every unit's slice
 		coords := make([]nop.Coord, len(idxs))
 		for i, ix := range idxs {
-			coords[i] = ss.Pool[ix]
+			c := ss.Pool[ix]
+			coords[i] = c
+			if o := ss.mcm.Ord(c); !busy[o] {
+				busy[o] = true
+				ss.idle--
+			}
 		}
-		sortCoords(coords)
+		sortCoords(coords, ss.mcm.GridW)
 		u.Chiplets = coords
 		for _, ix := range idxs {
 			loads[ix] += u.PerShardMs
@@ -230,20 +227,14 @@ func (ss *StageSchedule) leastLoaded(loads []float64, n int) []int32 {
 // computeMetrics derives pipe latency, E2E, energy and intra-stage NoP
 // traffic from the current placement.
 func (ss *StageSchedule) computeMetrics() {
-	load := ss.scratch.loadMap()
 	ss.EnergyJ = 0
 	ss.MACs = 0
 	for _, u := range ss.Units {
-		for _, c := range u.Chiplets {
-			load[c] += u.PerShardMs
-		}
 		ss.EnergyJ += u.EnergyJ
 		ss.MACs += u.MACs
 	}
-	ss.PipeLatMs = 0
-	for _, l := range load {
-		ss.PipeLatMs = maxf(ss.PipeLatMs, l)
-	}
+	addLoads(ss.scratch.load, ss.mcm, ss.Units)
+	ss.PipeLatMs = drainMaxLoad(ss.scratch.load, ss.mcm, ss.Units, 0)
 
 	// Intra-stage transfers: edges between units of the same instance.
 	// Each (replica, model) group is one serial chain; groups are walked
@@ -329,30 +320,29 @@ func (ss *StageSchedule) linkUnits(u, v *Unit) float64 {
 	return worst
 }
 
-// busyChiplets returns coords with assigned work. The map is stage
-// scratch — valid until the next busyChiplets/idleCoords call.
-func (ss *StageSchedule) busyChiplets() map[nop.Coord]bool {
-	busy := ss.scratch.busyMap()
-	for _, u := range ss.Units {
+// addLoads adds each unit's per-shard latency to the load of every
+// chiplet ordinal it occupies. It sums in unit order, which fixes the
+// last bits of each chiplet's load (float addition is not associative).
+func addLoads(load []float64, m *chiplet.MCM, units []*Unit) {
+	for _, u := range units {
 		for _, c := range u.Chiplets {
-			busy[c] = true
+			load[m.Ord(c)] += u.PerShardMs
 		}
 	}
-	return busy
 }
 
-// idleCoords returns pool coords with no assigned work. The slice is
-// stage scratch — valid until the next idleCoords call.
-func (ss *StageSchedule) idleCoords() []nop.Coord {
-	busy := ss.busyChiplets()
-	idle := ss.scratch.idle[:0]
-	for _, c := range ss.Pool {
-		if !busy[c] {
-			idle = append(idle, c)
+// drainMaxLoad returns the larger of v and the maximum load over the
+// chiplets units occupy, and zeroes those entries, so load returns to
+// all zero without a pass over the whole mesh.
+func drainMaxLoad(load []float64, m *chiplet.MCM, units []*Unit, v float64) float64 {
+	for _, u := range units {
+		for _, c := range u.Chiplets {
+			o := m.Ord(c)
+			v = maxf(v, load[o])
+			load[o] = 0
 		}
 	}
-	ss.scratch.idle = idle
-	return idle
+	return v
 }
 
 // bottleneckUnit returns the unit with the largest per-shard latency

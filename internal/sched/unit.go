@@ -215,13 +215,11 @@ func (u *Unit) outputBytes() int64 {
 	return u.Nodes[len(u.Nodes)-1].Layer.OutputElems()
 }
 
-// sortCoords orders coordinates row-major, by (Y, X). Placement
-// coordinates are unique, so sort stability does not matter.
-func sortCoords(cs []nop.Coord) {
+// sortCoords orders coordinates by row-major ordinal on a mesh w
+// chiplets wide. Placement coordinates are unique, so sort stability
+// does not matter.
+func sortCoords(cs []nop.Coord, w int) {
 	slices.SortFunc(cs, func(a, b nop.Coord) int {
-		if c := cmp.Compare(a.Y, b.Y); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.X, b.X)
+		return cmp.Compare(a.Y*w+a.X, b.Y*w+b.X)
 	})
 }
