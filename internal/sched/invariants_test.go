@@ -81,3 +81,124 @@ func TestThreeStageSurplusDrained(t *testing.T) {
 		t.Errorf("pools cover %d positions of a %d-chiplet mesh", len(covered), m.Chiplets())
 	}
 }
+
+// FuzzBuildInvariants builds the perception pipeline on a fuzzed
+// package, W and H in 1..8 with a library type per chiplet (none: the
+// paper's chiplet everywhere), OS or WS, on 3 or 4 stages, and checks
+// the schedule's structural contract.
+func FuzzBuildInvariants(f *testing.F) {
+	f.Add(uint8(5), uint8(5), false, false, []byte(nil))         // the paper's 6x6 package
+	f.Add(uint8(1), uint8(2), false, false, []byte(nil))         // 2x3: stages share the mesh
+	f.Add(uint8(0), uint8(6), true, false, []byte{1, 2})         // 1x7, WS, mixed
+	f.Add(uint8(3), uint8(3), false, true, []byte(nil))          // 4x4, 3 stages: surplus drained
+	f.Add(uint8(3), uint8(3), true, false, []byte{0, 1, 2, 3})   // mixed 4x4
+	f.Add(uint8(7), uint8(7), false, true, []byte{3, 3, 0, 2})   // 8x8, 3 stages
+	f.Add(uint8(4), uint8(4), true, true, []byte{2, 0, 0, 1, 3}) // uneven 5x5 split
+	full := perception(f)
+	three := full.FirstThreeStages()
+	names := chiplet.TypeNames()
+	f.Fuzz(func(t *testing.T, w, h uint8, ws, threeStages bool, types []byte) {
+		gw, gh := 1+int(w%8), 1+int(h%8)
+		var assign []string
+		if len(types) > 0 {
+			assign = make([]string, gw*gh)
+			for i := range assign {
+				assign[i] = names[int(types[i%len(types)])%len(names)]
+			}
+		}
+		style, p := dataflow.OS, full
+		if ws {
+			style = dataflow.WS
+		}
+		if threeStages {
+			p = three
+		}
+		m, err := chiplet.NewTyped("fuzz", gw, gh, nop.DefaultParams(), style, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Build(p, m, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%dx%d %v %d stages: %v", gw, gh, style, len(p.Stages), err)
+		}
+		checkBuildInvariants(t, s)
+	})
+}
+
+// checkBuildInvariants asserts the structural contract of a built
+// schedule: every unit sits in its own stage's pool on strictly
+// increasing ordinals, one chiplet per shard as far as the pool
+// allows; no pool repeats a chiplet, and partitioned pools cover the
+// mesh exactly once; idle counts and pipelining latencies match a
+// recount over coordinate-keyed maps, bit for bit.
+func checkBuildInvariants(t *testing.T, s *Schedule) {
+	t.Helper()
+	m := s.MCM
+	covered := make(map[nop.Coord]int)
+	load := make(map[nop.Coord]float64)
+	for i, ss := range s.Stages {
+		if c, ok := repeated(ss.Pool); ok {
+			t.Errorf("stage %s pool holds %v twice: %v", ss.Name, c, ss.Pool)
+		}
+		pool := make(map[nop.Coord]bool, len(ss.Pool))
+		for _, c := range ss.Pool {
+			pool[c] = true
+			covered[c]++
+		}
+		busy := make(map[nop.Coord]bool)
+		stageLoad := make(map[nop.Coord]float64)
+		for _, u := range ss.Units {
+			if want := min(int(u.Shards), len(ss.Pool)); len(u.Chiplets) != want {
+				t.Errorf("stage %s unit %s: %d chiplets, want %d", ss.Name, u.Label(), len(u.Chiplets), want)
+			}
+			for k, c := range u.Chiplets {
+				if !pool[c] {
+					t.Errorf("stage %s unit %s: %v is not in the stage's pool", ss.Name, u.Label(), c)
+				}
+				if k > 0 && m.Ord(u.Chiplets[k-1]) >= m.Ord(c) {
+					t.Errorf("stage %s unit %s: chiplets %v not in strictly increasing row-major order",
+						ss.Name, u.Label(), u.Chiplets)
+				}
+				busy[c] = true
+				stageLoad[c] += u.PerShardMs
+				if i < len(s.Pipeline.Stages) {
+					load[c] += u.PerShardMs
+				}
+			}
+		}
+		idle := 0
+		for _, c := range ss.Pool {
+			if !busy[c] {
+				idle++
+			}
+		}
+		if ss.idle != idle {
+			t.Errorf("stage %s: idle count %d, recount %d", ss.Name, ss.idle, idle)
+		}
+		if want := maxLoad(stageLoad); ss.PipeLatMs != want {
+			t.Errorf("stage %s: PipeLatMs %v, recount %v", ss.Name, ss.PipeLatMs, want)
+		}
+	}
+	if want := maxLoad(load); s.PipeLatMs() != want {
+		t.Errorf("PipeLatMs %v, recount %v", s.PipeLatMs(), want)
+	}
+	if s.shared {
+		return
+	}
+	for _, c := range m.Coords() {
+		if covered[c] != 1 {
+			t.Errorf("chiplet %v is in %d pools, want 1", c, covered[c])
+		}
+	}
+	if len(covered) != m.Chiplets() {
+		t.Errorf("pools cover %d positions of a %d-chiplet mesh", len(covered), m.Chiplets())
+	}
+}
+
+func maxLoad(load map[nop.Coord]float64) float64 {
+	var v float64
+	for _, l := range load {
+		v = maxf(v, l)
+	}
+	return v
+}
