@@ -192,9 +192,10 @@ func (c *Cache) GraphOn(g *dnn.Graph, a *Accel) GraphCost {
 }
 
 // AccelEquivalent reports whether two accelerators have identical
-// cost-relevant configurations (everything but the display name). The
-// scheduler uses it to skip probe re-evaluations on homogeneous pools
-// whose chiplets are distinct objects with equal values.
+// cost-relevant configurations (everything but the display name).
+// chiplet.New groups a package's chiplets into classes with it, so the
+// scheduler skips probe re-evaluations on homogeneous pools whose
+// chiplets are distinct objects with equal values.
 func AccelEquivalent(a, b *Accel) bool {
 	if a == b {
 		return true
