@@ -156,6 +156,7 @@ golden:
 	$(GO) test ./cmd/pareto -run TestTopTableGolden -update
 	$(GO) test ./internal/api -run TestRequestKeyGolden -update
 	$(GO) test ./internal/sched -run TestScheduleGolden -update
+	$(GO) test ./internal/sim -run TestTemplateGolden -update
 
 # check is the tier-1 gate, mirrored by .github/workflows/ci.yml:
 # build + format + vet + determinism lint + race-enabled tests + bench

@@ -329,14 +329,16 @@ func TestInterStageTransfersExist(t *testing.T) {
 }
 
 // fingerprint renders every decision the greedy solver made — unit
-// boundaries, shard counts, placements, trace steps — so two schedules
-// can be asserted bit-for-bit identical.
+// boundaries, shard counts, placements, trace steps — and each stage's
+// intra-stage NoP totals, so two schedules can be asserted bit-for-bit
+// identical. It prints the transfer count, not the list: the order of
+// a stage's transfers is not part of the contract.
 func fingerprint(s *Schedule) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "base=%.9g pipe=%.9g\n", s.BaseMs, s.PipeLatMs())
 	for _, ss := range s.Stages {
-		fmt.Fprintf(&b, "stage %d %s pipe=%.9g e2e=%.9g energy=%.9g pool=%v\n",
-			ss.Index, ss.Name, ss.PipeLatMs, ss.E2EMs, ss.EnergyJ, ss.Pool)
+		fmt.Fprintf(&b, "stage %d %s pipe=%.9g e2e=%.9g energy=%.9g nop=%.9g nopE=%.9g xfers=%d pool=%v\n",
+			ss.Index, ss.Name, ss.PipeLatMs, ss.E2EMs, ss.EnergyJ, ss.NoPLatMs, ss.NoPEnergyJ, len(ss.Transfers), ss.Pool)
 		for _, u := range ss.Units {
 			fmt.Fprintf(&b, "  unit %s shards=%d per=%.9g chips=%v nodes=%d\n",
 				u.Label(), u.Shards, u.PerShardMs, u.Chiplets, len(u.Nodes))
