@@ -130,7 +130,8 @@ func FuzzBuildInvariants(f *testing.F) {
 // increasing ordinals, one chiplet per shard as far as the pool
 // allows; no pool repeats a chiplet, and partitioned pools cover the
 // mesh exactly once; idle counts and pipelining latencies match a
-// recount over coordinate-keyed maps, bit for bit.
+// recount over coordinate-keyed maps, bit for bit; every stage keeps
+// the chain contract (checkChains).
 func checkBuildInvariants(t *testing.T, s *Schedule) {
 	t.Helper()
 	m := s.MCM
@@ -178,6 +179,7 @@ func checkBuildInvariants(t *testing.T, s *Schedule) {
 		if want := maxLoad(stageLoad); ss.PipeLatMs != want {
 			t.Errorf("stage %s: PipeLatMs %v, recount %v", ss.Name, ss.PipeLatMs, want)
 		}
+		checkChains(t, ss)
 	}
 	if want := maxLoad(load); s.PipeLatMs() != want {
 		t.Errorf("PipeLatMs %v, recount %v", s.PipeLatMs(), want)
@@ -192,6 +194,59 @@ func checkBuildInvariants(t *testing.T, s *Schedule) {
 	}
 	if len(covered) != m.Chiplets() {
 		t.Errorf("pools cover %d positions of a %d-chiplet mesh", len(covered), m.Chiplets())
+	}
+}
+
+// checkChains asserts the contract of ss.Chains(), which the stage
+// metrics, the stage-boundary transfers and the simulator's task graph
+// share: every unit lies in exactly one chain, chains strictly increase
+// in (model, replica), node IDs strictly increase along each chain, and
+// each chain's tail holds its instance's largest node ID.
+func checkChains(t *testing.T, ss *StageSchedule) {
+	t.Helper()
+	type instance struct {
+		model   string
+		replica int
+	}
+	lastID := make(map[instance]int)
+	for _, u := range ss.Units {
+		k := instance{u.Model, u.Replica}
+		if id, ok := lastID[k]; !ok || u.Nodes[len(u.Nodes)-1].ID > id {
+			lastID[k] = u.Nodes[len(u.Nodes)-1].ID
+		}
+	}
+	inChains := make(map[*Unit]int)
+	var prev *Unit
+	for chain := range ss.Chains() {
+		head := chain[0]
+		if prev != nil && (head.Model < prev.Model || head.Model == prev.Model && head.Replica <= prev.Replica) {
+			t.Errorf("stage %s: chain %s[%d] follows %s[%d]", ss.Name, head.Model, head.Replica, prev.Model, prev.Replica)
+		}
+		prev = head
+		id := -1
+		for _, u := range chain {
+			inChains[u]++
+			if u.Model != head.Model || u.Replica != head.Replica {
+				t.Errorf("stage %s: unit %s in the chain of %s[%d]", ss.Name, u.Label(), head.Model, head.Replica)
+			}
+			for _, n := range u.Nodes {
+				if n.ID <= id {
+					t.Errorf("stage %s: node %d follows node %d in the chain of %s[%d]", ss.Name, n.ID, id, head.Model, head.Replica)
+				}
+				id = n.ID
+			}
+		}
+		if want := lastID[instance{head.Model, head.Replica}]; id != want {
+			t.Errorf("stage %s: chain %s[%d] ends at node %d, the instance's last is %d", ss.Name, head.Model, head.Replica, id, want)
+		}
+	}
+	for _, u := range ss.Units {
+		if inChains[u] != 1 {
+			t.Errorf("stage %s: unit %s lies in %d chains, want 1", ss.Name, u.Label(), inChains[u])
+		}
+	}
+	if len(inChains) != len(ss.Units) {
+		t.Errorf("stage %s: chains hold %d units, the stage %d", ss.Name, len(inChains), len(ss.Units))
 	}
 }
 

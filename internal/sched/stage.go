@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 
 	"mcmnpu/internal/chiplet"
@@ -39,20 +42,51 @@ type StageSchedule struct {
 	scratch stageScratch
 }
 
-// chainGroup identifies one (replica, model) serial unit chain of the
-// stage.
-type chainGroup struct {
-	replica int
-	model   string
-}
-
 type stageScratch struct {
 	load   []float64 // per-ordinal load (computeMetrics), all zero between calls
 	busy   []bool    // per-ordinal: a unit is placed there (place)
 	order  []*Unit
 	loads  []float64 // per-pool-index packed load (place)
 	cands  []int32   // pool indices under the placement sort
-	groups []chainGroup
+	chains []*Unit   // the units by instance (computeMetrics)
+}
+
+// Chains yields the stage's serial unit chains, one per (model,
+// replica) instance, in (model, replica) order. A chain holds its
+// instance's units in construction order, which is layer order, so its
+// tail is the instance's terminal: the unit holding the model's final
+// node. Each call sorts its own copy of the units, so several
+// goroutines may read one built schedule.
+func (ss *StageSchedule) Chains() iter.Seq[[]*Unit] {
+	return chainRuns(byInstance(nil, ss.Units))
+}
+
+// byInstance copies units into buf's storage, stably sorted by (model,
+// replica), and returns the copy: each instance's units form one run,
+// in construction order.
+func byInstance(buf, units []*Unit) []*Unit {
+	buf = append(buf[:0], units...)
+	slices.SortStableFunc(buf, func(a, b *Unit) int {
+		return cmp.Or(cmp.Compare(a.Model, b.Model), cmp.Compare(a.Replica, b.Replica))
+	})
+	return buf
+}
+
+// chainRuns yields the runs of one instance in units sorted by
+// byInstance.
+func chainRuns(sorted []*Unit) iter.Seq[[]*Unit] {
+	return func(yield func([]*Unit) bool) {
+		for rest := sorted; len(rest) > 0; {
+			n := 1
+			for n < len(rest) && rest[n].Model == rest[0].Model && rest[n].Replica == rest[0].Replica {
+				n++
+			}
+			if !yield(rest[:n]) {
+				return
+			}
+			rest = rest[n:]
+		}
+	}
 }
 
 // newStageSchedule builds a stage's initial units on a copy of pool
@@ -236,88 +270,37 @@ func (ss *StageSchedule) computeMetrics() {
 	addLoads(ss.scratch.load, ss.mcm, ss.Units)
 	ss.PipeLatMs = drainMaxLoad(ss.scratch.load, ss.mcm, ss.Units, 0)
 
-	// Intra-stage transfers: edges between units of the same instance.
-	// Each (replica, model) group is one serial chain; groups are walked
-	// in (replica, model) order — deterministic, where the map-based
-	// predecessor visited replicas in random map order. Chain latencies
-	// feed a max (order-free) and replica chains are value-symmetric, so
-	// the visit order does not change any metric.
-	ss.Transfers = ss.Transfers[:0]
-	groups := ss.scratch.groups[:0]
-	for _, u := range ss.Units {
-		found := false
-		for _, g := range groups {
-			if g.replica == u.Replica && g.model == u.Model {
-				found = true
-				break
-			}
-		}
-		if !found {
-			groups = append(groups, chainGroup{replica: u.Replica, model: u.Model})
-		}
-	}
-	ss.scratch.groups = groups
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && (groups[j].replica < groups[j-1].replica ||
-			(groups[j].replica == groups[j-1].replica && groups[j].model < groups[j-1].model)); j-- {
-			groups[j], groups[j-1] = groups[j-1], groups[j]
-		}
-	}
-
 	// E2E of the stage: the longest instance chain (replicas and trunk
 	// models run concurrently when they own disjoint chiplets), floored
 	// by the stage's busiest chiplet (instances forced onto a shared
-	// chiplet serialize).
-	ss.NoPLatMs, ss.NoPEnergyJ = 0, 0
+	// chiplet serialize). A chain sums its units' per-shard latencies
+	// and, between consecutive units, the slowest shard transfer (shard
+	// streams move in parallel); those transfers are the stage's
+	// intra-stage NoP traffic. Chains come in a total order, so the NoP
+	// sums below are deterministic; chain latencies feed a max, which
+	// is order-free.
+	ss.Transfers = ss.Transfers[:0]
 	ss.E2EMs = 0
-	for _, g := range groups {
-		ss.E2EMs = maxf(ss.E2EMs, ss.chainPath(g))
+	ss.scratch.chains = byInstance(ss.scratch.chains, ss.Units)
+	for chain := range chainRuns(ss.scratch.chains) {
+		var ms float64
+		for k, u := range chain {
+			if k > 0 {
+				n := len(ss.Transfers)
+				ss.Transfers = AppendFanOut(ss.Transfers, chain[k-1], u)
+				ms += slowest(ss.mcm.NoP, ss.Transfers[n:])
+			}
+			ms += u.PerShardMs
+		}
+		ss.E2EMs = maxf(ss.E2EMs, ms)
 	}
 	ss.E2EMs = maxf(ss.E2EMs, ss.PipeLatMs)
+	ss.NoPLatMs, ss.NoPEnergyJ = 0, 0
 	for _, t := range ss.Transfers {
 		c := ss.mcm.NoP.Eval(t)
 		ss.NoPLatMs += c.LatencyMs
 		ss.NoPEnergyJ += c.EnergyJ
 	}
-}
-
-// chainPath walks the units of one (replica, model) instance in
-// construction order, summing per-shard latencies and inter-unit
-// transfer latencies, and records the transfers. Units of the same
-// instance are serial (they partition one model's layers).
-func (ss *StageSchedule) chainPath(g chainGroup) float64 {
-	var chain float64
-	var prev *Unit
-	for _, u := range ss.Units {
-		if u.Replica != g.replica || u.Model != g.model {
-			continue
-		}
-		if prev != nil {
-			chain += ss.linkUnits(prev, u)
-		}
-		chain += u.PerShardMs
-		prev = u
-	}
-	return chain
-}
-
-// linkUnits records the NoP transfers from producer u to consumer v and
-// returns the added critical-path latency (the slowest single shard
-// transfer; shard streams move in parallel).
-func (ss *StageSchedule) linkUnits(u, v *Unit) float64 {
-	bytes := u.outputBytes()
-	if bytes <= 0 || len(u.Chiplets) == 0 || len(v.Chiplets) == 0 {
-		return 0
-	}
-	per := bytes / int64(len(u.Chiplets))
-	var worst float64
-	for i, src := range u.Chiplets {
-		dst := v.Chiplets[i%len(v.Chiplets)]
-		t := nop.Transfer{Src: src, Dst: dst, Bytes: per, Label: u.Nodes[len(u.Nodes)-1].Layer.Name}
-		ss.Transfers = append(ss.Transfers, t)
-		worst = maxf(worst, ss.mcm.NoP.Eval(t).LatencyMs)
-	}
-	return worst
 }
 
 // addLoads adds each unit's per-shard latency to the load of every

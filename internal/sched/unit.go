@@ -209,10 +209,33 @@ func abs64(v float64) float64 {
 	return v
 }
 
-// outputBytes returns the bytes the unit emits downstream (int8
-// activations of its terminal node).
-func (u *Unit) outputBytes() int64 {
-	return u.Nodes[len(u.Nodes)-1].Layer.OutputElems()
+// AppendFanOut appends to dst the NoP transfers that carry u's output
+// (the int8 activations of its terminal node) to v, and returns the
+// extended slice. The output splits evenly over u's chiplets, and shard
+// i goes to v's chiplet i mod len(v.Chiplets). Nothing is appended
+// when u emits nothing or either unit is unplaced.
+func AppendFanOut(dst []nop.Transfer, u, v *Unit) []nop.Transfer {
+	last := u.Nodes[len(u.Nodes)-1].Layer
+	bytes := last.OutputElems()
+	if bytes <= 0 || len(u.Chiplets) == 0 || len(v.Chiplets) == 0 {
+		return dst
+	}
+	per := bytes / int64(len(u.Chiplets))
+	for i, src := range u.Chiplets {
+		dst = append(dst, nop.Transfer{Src: src, Dst: v.Chiplets[i%len(v.Chiplets)], Bytes: per, Label: last.Name})
+	}
+	return dst
+}
+
+// slowest returns the largest latency of the transfers under p, 0 for
+// none: a unit's shard streams move in parallel, so the slowest one is
+// what its consumer waits for.
+func slowest(p nop.Params, ts []nop.Transfer) float64 {
+	var worst float64
+	for _, t := range ts {
+		worst = maxf(worst, p.Eval(t).LatencyMs)
+	}
+	return worst
 }
 
 // sortCoords orders coordinates by row-major ordinal on a mesh w
