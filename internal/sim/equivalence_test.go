@@ -29,9 +29,9 @@ func buildFirstThreeSchedule(t *testing.T) *sched.Schedule {
 
 // TestEventDrivenMatchesGreedy is the engine-equivalence contract: the
 // event-driven Run must reproduce the greedy rescan's Result exactly —
-// every field, including the per-chiplet busy map, per-frame latencies
-// and link accounting — on multiple schedules and frame counts. The
-// generator is stateless, so passing the same one to both engines
+// every field, including per-frame latencies, utilization and
+// busiest-link accounting — on multiple schedules and frame counts.
+// The generator is stateless, so passing the same one to both engines
 // replays identical arrivals.
 func TestEventDrivenMatchesGreedy(t *testing.T) {
 	schedules := map[string]*sched.Schedule{
@@ -78,7 +78,7 @@ func TestStageBoundaryChargesPerTerminalTransfer(t *testing.T) {
 		multi++
 		for k := d.depOff; k < d.depEnd; k++ {
 			dep := g.defs[g.depList[k]]
-			want := transferMs(s, dep.unit, d.unit)
+			want := s.TransferMs(dep.unit, d.unit)
 			if g.depExtra[k] != want {
 				t.Errorf("task %s dep %d (%s): extra %.4f ms, want that terminal's transfer %.4f ms",
 					d.unit.Label(), k-d.depOff, dep.unit.Label(), g.depExtra[k], want)

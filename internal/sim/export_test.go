@@ -12,13 +12,14 @@ import (
 // every bit Run reads. It is exported for TestTemplateGolden, which
 // lives in package sim_test because the scenario registry imports sim.
 func RenderTemplate(w io.Writer, g *Graph) {
+	coords := g.s.MCM.Coords()
 	for i, d := range g.defs {
 		fmt.Fprintf(w, "task %d s%d %s dur=%v gang=[", i, d.unit.StageIdx, d.unit.Label(), d.durMs)
-		for k, ci := range g.coordList[d.coordOff:d.coordEnd] {
+		for k, o := range g.gangList[d.gangOff:d.gangEnd] {
 			if k > 0 {
 				fmt.Fprint(w, " ")
 			}
-			fmt.Fprint(w, g.coords[ci])
+			fmt.Fprint(w, coords[o])
 		}
 		fmt.Fprintln(w, "]")
 		for k := d.depOff; k < d.depEnd; k++ {

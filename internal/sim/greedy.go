@@ -32,8 +32,8 @@ func RunGreedy(s *sched.Schedule, frames int, gen *trace.Generator) (Result, err
 	var (
 		done = make([]bool, n)
 		end  = make([]float64, n)
-		free = make([]float64, len(g.coords))
-		busy = make([]float64, len(g.coords))
+		free = make([]float64, s.MCM.Chiplets())
+		busy = make([]float64, s.MCM.Chiplets())
 	)
 
 	remaining := n
@@ -63,7 +63,7 @@ func RunGreedy(s *sched.Schedule, frames int, gen *trace.Generator) (Result, err
 				continue
 			}
 			start := ready
-			for _, ci := range g.coordList[d.coordOff:d.coordEnd] {
+			for _, ci := range g.gangList[d.gangOff:d.gangEnd] {
 				if free[ci] > start {
 					start = free[ci]
 				}
@@ -78,7 +78,7 @@ func RunGreedy(s *sched.Schedule, frames int, gen *trace.Generator) (Result, err
 		d := &g.defs[bestIdx%T]
 		done[bestIdx] = true
 		end[bestIdx] = bestStart + d.durMs
-		for _, ci := range g.coordList[d.coordOff:d.coordEnd] {
+		for _, ci := range g.gangList[d.gangOff:d.gangEnd] {
 			free[ci] = end[bestIdx]
 			busy[ci] += d.durMs
 		}

@@ -4,7 +4,7 @@
 // NoP transfer latencies between dependent units. It validates the
 // analytical pipelining latency of the scheduler — the steady-state
 // inter-completion interval should match sched/pipeline's figure — and
-// measures realized utilization and per-chiplet busy time.
+// measures realized utilization and the busiest NoP link's load.
 //
 // Engine: Run is event-driven. Each step runs the schedulable task with
 // the least (feasible start, seq), where the feasible start is the later
@@ -46,13 +46,14 @@
 // Representation: every frame executes the same task DAG (dependencies
 // never cross frames; arrivals only gate starts), so Prepare compiles
 // the schedule once into a per-frame template — flat task definitions
-// with CSR dependency/successor lists, dense chiplet indices and
-// per-frame NoP link traffic — and Run instantiates `frames` copies of
-// it arithmetically: global task seq = frame*T + template index, which
-// reproduces the original frame-major construction order exactly. The
-// event loop itself runs on pooled flat arrays (no per-task objects, no
-// map lookups, no interface boxing in the heap), so a streaming run
-// allocates almost nothing beyond its Result.
+// with CSR dependency/successor lists, gangs as chiplet ordinals
+// (chiplet.MCM.Ord) and the per-frame busiest NoP link — and Run
+// instantiates `frames` copies of it arithmetically: global task seq =
+// frame*T + template index, which reproduces the original frame-major
+// construction order exactly. The event loop itself runs on pooled
+// flat arrays (no per-task objects, no map lookups, no interface boxing
+// in the heap), so a streaming run allocates almost nothing beyond its
+// Result.
 package sim
 
 import (
@@ -66,15 +67,15 @@ import (
 )
 
 // taskDef is one unit execution slot of the per-frame template. Deps,
-// successors and chiplet indices are ranges into the Graph's shared
-// CSR arrays.
+// successors and gang chiplets are ranges into the Graph's shared CSR
+// arrays.
 type taskDef struct {
 	unit  *sched.Unit
 	durMs float64 // unit.PerShardMs at Prepare time
 
-	depOff, depEnd     int32 // into Graph.depList / Graph.depExtra
-	succOff, succEnd   int32 // into Graph.succList
-	coordOff, coordEnd int32 // into Graph.coordList
+	depOff, depEnd   int32 // into Graph.depList / Graph.depExtra
+	succOff, succEnd int32 // into Graph.succList
+	gangOff, gangEnd int32 // into Graph.gangList
 }
 
 // Graph is a schedule compiled for simulation: the per-frame task
@@ -90,45 +91,46 @@ type Graph struct {
 	depExtra []float64 // NoP latency charged on top of each dependency
 	succList []int32   // template-local successor indices
 	lastTmpl []int32   // template indices of the frame's terminal tasks
+	gangList []int32   // per-def chiplet ordinals (MCM.Ord)
+	pes      []float64 // PEs per chiplet ordinal
 
-	coords    []nop.Coord // used chiplets, row-major order
-	coordList []int32     // per-def dense indices into coords
-
-	// Per-frame NoP link traffic (XY routes of every inter-unit
-	// transfer); identical for every frame, so a run's totals are one
-	// multiplication away.
-	linkBytes map[nop.Link]int64
-	maxLink   int64
+	// maxLink is the busiest NoP link's bytes per frame over the XY
+	// routes of every inter-unit transfer. Every frame moves the same
+	// bytes, so a run's total is one multiplication away.
+	maxLink int64
 }
 
 // Result summarizes a simulation run.
 type Result struct {
-	Frames            int
-	MakespanMs        float64
-	AvgFrameLatencyMs float64
+	Frames     int
+	MakespanMs float64
 	// SteadyIntervalMs is the average inter-completion interval over the
 	// second half of the run: the realized pipelining latency.
 	SteadyIntervalMs float64
 	ThroughputFPS    float64
 	UtilPct          float64 // busy-PE-time / (PEs * makespan)
-	ChipletBusyMs    map[nop.Coord]float64
 	FrameLatenciesMs []float64
 
-	// Per-link NoP traffic over the whole run (XY routes of every
-	// inter-unit transfer) and the busiest link's realized bandwidth
-	// demand — evidence for the paper's claim that the NoP never becomes
-	// the bottleneck.
-	LinkBytes          map[nop.Link]int64
+	// The busiest NoP link's traffic over the whole run (XY routes of
+	// every inter-unit transfer) and its realized bandwidth demand —
+	// evidence for the paper's claim that the NoP never becomes the
+	// bottleneck.
 	BusiestLinkBytes   int64
-	BusiestLinkGBps    float64 // busiest link bytes / makespan
-	LinkUtilizationPct float64 // busiest link demand / link bandwidth
+	LinkUtilizationPct float64 // busiest link bytes / makespan / link bandwidth
 }
 
-// Prepare compiles the schedule's per-frame task template. The
-// returned Graph snapshots unit latencies and placements, so it must
-// be rebuilt if the schedule is modified.
+// Prepare compiles the schedule's per-frame task template: the
+// schedule's chains (sched.StageSchedule.Chains) become serial task
+// chains, and its transfers (sched.Schedule.TransferMs and
+// sched.AppendFanOut) the latencies and link bytes of their edges. The
+// returned Graph snapshots unit latencies and placements, so it must be
+// rebuilt if the schedule is modified.
 func Prepare(s *sched.Schedule) (*Graph, error) {
-	g := &Graph{s: s, linkBytes: map[nop.Link]int64{}}
+	m := s.MCM
+	g := &Graph{s: s, pes: make([]float64, 0, m.Chiplets())}
+	for _, c := range m.Coords() {
+		g.pes = append(g.pes, float64(m.At(c).PEs))
+	}
 
 	type tpl struct {
 		unit  *sched.Unit
@@ -137,17 +139,14 @@ func Prepare(s *sched.Schedule) (*Graph, error) {
 	}
 	var tpls []tpl
 	var prevTerminals []int32
-	nStages := len(s.Pipeline.Stages)
-	for i := 0; i < nStages; i++ {
-		chains := chainsOf(s.Stages[i])
+	for _, ss := range s.Stages[:len(s.Pipeline.Stages)] {
 		var terminals []int32
-		for _, chain := range chains {
-			prev := int32(-1)
+		for chain := range ss.Chains() {
 			for k, u := range chain {
 				t := tpl{unit: u}
-				if prev >= 0 {
-					t.deps = append(t.deps, prev)
-					t.extra = append(t.extra, transferMs(s, chain[k-1], u))
+				if k > 0 {
+					t.deps = append(t.deps, int32(len(tpls)-1))
+					t.extra = append(t.extra, s.TransferMs(chain[k-1], u))
 				} else {
 					// The stage boundary waits for every upstream
 					// chain terminal plus that terminal's own
@@ -156,15 +155,12 @@ func Prepare(s *sched.Schedule) (*Graph, error) {
 					// differ per dependency).
 					for _, pt := range prevTerminals {
 						t.deps = append(t.deps, pt)
-						t.extra = append(t.extra, transferMs(s, tpls[pt].unit, u))
+						t.extra = append(t.extra, s.TransferMs(tpls[pt].unit, u))
 					}
 				}
-				prev = int32(len(tpls))
 				tpls = append(tpls, t)
 			}
-			if prev >= 0 {
-				terminals = append(terminals, prev)
-			}
+			terminals = append(terminals, int32(len(tpls)-1))
 		}
 		if len(terminals) > 0 {
 			prevTerminals = terminals
@@ -175,27 +171,10 @@ func Prepare(s *sched.Schedule) (*Graph, error) {
 	}
 	g.lastTmpl = prevTerminals
 
-	// Dense chiplet indexing, row-major over the used coords.
-	coordIdx := map[nop.Coord]int32{}
-	for _, t := range tpls {
-		for _, c := range t.unit.Chiplets {
-			if _, ok := coordIdx[c]; !ok {
-				coordIdx[c] = 0
-				g.coords = append(g.coords, c)
-			}
-		}
-	}
-	sort.Slice(g.coords, func(i, j int) bool {
-		if g.coords[i].Y != g.coords[j].Y {
-			return g.coords[i].Y < g.coords[j].Y
-		}
-		return g.coords[i].X < g.coords[j].X
-	})
-	for i, c := range g.coords {
-		coordIdx[c] = int32(i)
-	}
-
-	// Flatten to CSR and account each dependency's per-frame link load.
+	// Flatten to CSR and charge each dependency's transfers to the links
+	// of their XY routes.
+	linkBytes := make(map[nop.Link]int64)
+	var fanOut []nop.Transfer
 	succs := make([][]int32, len(tpls))
 	g.defs = make([]taskDef, len(tpls))
 	for i, t := range tpls {
@@ -207,24 +186,27 @@ func Prepare(s *sched.Schedule) (*Graph, error) {
 			g.depList = append(g.depList, dep)
 			g.depExtra = append(g.depExtra, t.extra[k])
 			succs[dep] = append(succs[dep], int32(i))
-			recordLinks(g.linkBytes, tpls[dep].unit, t.unit)
+			fanOut = sched.AppendFanOut(fanOut[:0], tpls[dep].unit, t.unit)
+			for _, tr := range fanOut {
+				for _, l := range nop.Route(tr.Src, tr.Dst) {
+					linkBytes[l] += tr.Bytes
+				}
+			}
 		}
 		d.depEnd = int32(len(g.depList))
-		d.coordOff = int32(len(g.coordList))
+		d.gangOff = int32(len(g.gangList))
 		for _, c := range t.unit.Chiplets {
-			g.coordList = append(g.coordList, coordIdx[c])
+			g.gangList = append(g.gangList, int32(m.Ord(c)))
 		}
-		d.coordEnd = int32(len(g.coordList))
+		d.gangEnd = int32(len(g.gangList))
 	}
 	for i := range g.defs {
 		g.defs[i].succOff = int32(len(g.succList))
 		g.succList = append(g.succList, succs[i]...)
 		g.defs[i].succEnd = int32(len(g.succList))
 	}
-	for _, b := range g.linkBytes {
-		if b > g.maxLink {
-			g.maxLink = b
-		}
+	for _, b := range linkBytes {
+		g.maxLink = max(g.maxLink, b)
 	}
 	return g, nil
 }
@@ -386,7 +368,7 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 	n := frames * T
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
-	sc.grab(n, frames, len(g.coords))
+	sc.grab(n, frames, g.s.MCM.Chiplets())
 
 	sc.sufMin[frames-1] = arrivals[frames-1].ReadyMs
 	for f := frames - 2; f >= 0; f-- {
@@ -398,7 +380,7 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 	startOf := func(seq, li int) float64 {
 		d := &g.defs[li]
 		start := sc.ready[seq]
-		for _, ci := range g.coordList[d.coordOff:d.coordEnd] {
+		for _, ci := range g.gangList[d.gangOff:d.gangEnd] {
 			if f := sc.free[ci]; f > start {
 				start = f
 			}
@@ -428,7 +410,7 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 	enqueue := func(seq, li int) {
 		d := &g.defs[li]
 		if start := startOf(seq, li); start > sc.ready[seq] {
-			park(seq, g.coordList[d.coordOff:d.coordEnd], start)
+			park(seq, g.gangList[d.gangOff:d.gangEnd], start)
 		} else {
 			sc.h.push(startEvent{start: start, seq: seq, ci: -1})
 		}
@@ -473,7 +455,7 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 		seq := ev.seq
 		li := seq % T
 		d := &g.defs[li]
-		gang := g.coordList[d.coordOff:d.coordEnd]
+		gang := g.gangList[d.gangOff:d.gangEnd]
 		if cur := startOf(seq, li); cur > ev.start {
 			// Stale: a chiplet of the gang was granted since the push
 			// (cur > key >= ready).
@@ -531,8 +513,9 @@ func Run(s *sched.Schedule, frames int, gen *trace.Generator) (Result, error) {
 }
 
 // summarize assembles the Result shared by both engines from the flat
-// end-time and busy arrays: summary metrics plus the whole-run NoP link
-// accounting (the per-frame link load times the frame count).
+// end-time and per-ordinal busy arrays: summary metrics plus the
+// whole-run busiest-link accounting (the per-frame load times the
+// frame count).
 func (g *Graph) summarize(frames int, arrivals []trace.SetArrival, end, busy []float64) Result {
 	r := Result{Frames: frames}
 	T := len(g.defs)
@@ -552,11 +535,6 @@ func (g *Graph) summarize(frames int, arrivals []trace.SetArrival, end, busy []f
 			r.MakespanMs = e
 		}
 	}
-	var sum float64
-	for _, l := range r.FrameLatenciesMs {
-		sum += l
-	}
-	r.AvgFrameLatencyMs = sum / float64(frames)
 
 	// Steady-state interval: average completion gap over the back half.
 	sort.Float64s(completions)
@@ -572,90 +550,18 @@ func (g *Graph) summarize(frames int, arrivals []trace.SetArrival, end, busy []f
 		r.ThroughputFPS = 1e3 / r.SteadyIntervalMs
 	}
 
-	// Busy accounting in row-major coordinate order: float addition is
+	// Busy accounting in ordinal (row-major) order: float addition is
 	// not associative, so the fixed order keeps UtilPct identical
-	// between runs (g.coords is sorted at Prepare time).
-	r.ChipletBusyMs = make(map[nop.Coord]float64, len(g.coords))
+	// between runs. A chiplet without work adds exactly zero.
 	var busyPE float64
-	for i, c := range g.coords {
-		r.ChipletBusyMs[c] = busy[i]
-		if a := g.s.MCM.At(c); a != nil {
-			busyPE += busy[i] * float64(a.PEs)
-		}
-	}
-	if r.MakespanMs > 0 {
-		r.UtilPct = busyPE / (float64(g.s.MCM.TotalPEs()) * r.MakespanMs) * 100
-	}
-
-	r.LinkBytes = make(map[nop.Link]int64, len(g.linkBytes))
-	for l, b := range g.linkBytes {
-		r.LinkBytes[l] = b * int64(frames)
+	for o, b := range busy {
+		busyPE += b * g.pes[o]
 	}
 	r.BusiestLinkBytes = g.maxLink * int64(frames)
 	if r.MakespanMs > 0 {
-		r.BusiestLinkGBps = float64(r.BusiestLinkBytes) / (r.MakespanMs * 1e-3) / 1e9
-		r.LinkUtilizationPct = r.BusiestLinkGBps / g.s.MCM.NoP.LinkBWGBs * 100
+		r.UtilPct = busyPE / (float64(g.s.MCM.TotalPEs()) * r.MakespanMs) * 100
+		gbps := float64(r.BusiestLinkBytes) / (r.MakespanMs * 1e-3) / 1e9
+		r.LinkUtilizationPct = gbps / g.s.MCM.NoP.LinkBWGBs * 100
 	}
 	return r
-}
-
-// recordLinks charges a producer->consumer transfer's bytes to every
-// link on its XY routes.
-func recordLinks(linkBytes map[nop.Link]int64, u, v *sched.Unit) {
-	if u == nil || v == nil || len(u.Chiplets) == 0 || len(v.Chiplets) == 0 {
-		return
-	}
-	bytes := u.Nodes[len(u.Nodes)-1].Layer.OutputElems() / int64(len(u.Chiplets))
-	for i, src := range u.Chiplets {
-		dst := v.Chiplets[i%len(v.Chiplets)]
-		for _, l := range nop.Route(src, dst) {
-			linkBytes[l] += bytes
-		}
-	}
-}
-
-// chainsOf groups a stage's units into serial chains per (model,
-// replica), preserving construction order.
-func chainsOf(ss *sched.StageSchedule) [][]*sched.Unit {
-	type key struct {
-		model   string
-		replica int
-	}
-	order := make(map[key][]*sched.Unit)
-	var keys []key
-	for _, u := range ss.Units {
-		k := key{u.Model, u.Replica}
-		if _, ok := order[k]; !ok {
-			keys = append(keys, k)
-		}
-		order[k] = append(order[k], u)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].model != keys[j].model {
-			return keys[i].model < keys[j].model
-		}
-		return keys[i].replica < keys[j].replica
-	})
-	out := make([][]*sched.Unit, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, order[k])
-	}
-	return out
-}
-
-// transferMs estimates the NoP latency between two consecutive units.
-func transferMs(s *sched.Schedule, u, v *sched.Unit) float64 {
-	if len(u.Chiplets) == 0 || len(v.Chiplets) == 0 {
-		return 0
-	}
-	bytes := u.Nodes[len(u.Nodes)-1].Layer.OutputElems() / int64(len(u.Chiplets))
-	var worst float64
-	for i, src := range u.Chiplets {
-		dst := v.Chiplets[i%len(v.Chiplets)]
-		c := s.MCM.NoP.Eval(nop.Transfer{Src: src, Dst: dst, Bytes: bytes})
-		if c.LatencyMs > worst {
-			worst = c.LatencyMs
-		}
-	}
-	return worst
 }

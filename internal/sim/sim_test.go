@@ -30,11 +30,16 @@ func TestRunBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Frames != 8 || r.MakespanMs <= 0 || r.AvgFrameLatencyMs <= 0 {
+	if r.Frames != 8 || r.MakespanMs <= 0 {
 		t.Fatalf("bad result: %+v", r)
 	}
 	if len(r.FrameLatenciesMs) != 8 {
 		t.Errorf("frame latencies = %d", len(r.FrameLatenciesMs))
+	}
+	for f, l := range r.FrameLatenciesMs {
+		if l <= 0 {
+			t.Errorf("frame %d latency = %v, want > 0", f, l)
+		}
 	}
 	if r.UtilPct <= 0 || r.UtilPct > 100 {
 		t.Errorf("util = %.2f", r.UtilPct)
@@ -119,7 +124,7 @@ func TestLinkAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.LinkBytes) == 0 || r.BusiestLinkBytes <= 0 {
+	if r.BusiestLinkBytes <= 0 {
 		t.Fatal("no link traffic recorded")
 	}
 	// The paper's conclusion: the NoP never becomes the bottleneck.
@@ -127,12 +132,5 @@ func TestLinkAccounting(t *testing.T) {
 	if r.LinkUtilizationPct > 50 {
 		t.Errorf("busiest link at %.1f%% of capacity; expected << 100%%",
 			r.LinkUtilizationPct)
-	}
-	var total int64
-	for _, b := range r.LinkBytes {
-		total += b
-	}
-	if total < r.BusiestLinkBytes {
-		t.Error("total link traffic below busiest link")
 	}
 }
