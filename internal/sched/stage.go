@@ -6,6 +6,7 @@ import (
 	"iter"
 	"slices"
 	"sort"
+	"strings"
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
@@ -67,13 +68,16 @@ func (ss *StageSchedule) Chains() iter.Seq[[]*Unit] {
 func byInstance(buf, units []*Unit) []*Unit {
 	buf = append(buf[:0], units...)
 	slices.SortStableFunc(buf, func(a, b *Unit) int {
-		return cmp.Or(cmp.Compare(a.Model, b.Model), cmp.Compare(a.Replica, b.Replica))
+		if a.Model != b.Model {
+			return strings.Compare(a.Model, b.Model)
+		}
+		return cmp.Compare(a.Replica, b.Replica)
 	})
 	return buf
 }
 
-// chainRuns yields the runs of one instance in units sorted by
-// byInstance.
+// chainRuns yields each instance's run of the units byInstance
+// sorted.
 func chainRuns(sorted []*Unit) iter.Seq[[]*Unit] {
 	return func(yield func([]*Unit) bool) {
 		for rest := sorted; len(rest) > 0; {
