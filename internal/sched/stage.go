@@ -62,17 +62,20 @@ func (ss *StageSchedule) Chains() iter.Seq[[]*Unit] {
 	return chainRuns(byInstance(nil, ss.Units))
 }
 
-// byInstance copies units into buf's storage, stably sorted by (model,
-// replica), and returns the copy: each instance's units form one run,
-// in construction order.
+// cmpInstance orders units by (model, replica), the key of a chain.
+func cmpInstance(a, b *Unit) int {
+	if a.Model != b.Model {
+		return strings.Compare(a.Model, b.Model)
+	}
+	return cmp.Compare(a.Replica, b.Replica)
+}
+
+// byInstance copies units into buf's storage, stably sorted by
+// cmpInstance, and returns the copy: each instance's units form one
+// run, in construction order.
 func byInstance(buf, units []*Unit) []*Unit {
 	buf = append(buf[:0], units...)
-	slices.SortStableFunc(buf, func(a, b *Unit) int {
-		if a.Model != b.Model {
-			return strings.Compare(a.Model, b.Model)
-		}
-		return cmp.Compare(a.Replica, b.Replica)
-	})
+	slices.SortStableFunc(buf, cmpInstance)
 	return buf
 }
 
@@ -82,7 +85,7 @@ func chainRuns(sorted []*Unit) iter.Seq[[]*Unit] {
 	return func(yield func([]*Unit) bool) {
 		for rest := sorted; len(rest) > 0; {
 			n := 1
-			for n < len(rest) && rest[n].Model == rest[0].Model && rest[n].Replica == rest[0].Replica {
+			for n < len(rest) && cmpInstance(rest[n], rest[0]) == 0 {
 				n++
 			}
 			if !yield(rest[:n]) {
