@@ -53,11 +53,12 @@ type stageScratch struct {
 }
 
 // Chains yields the stage's serial unit chains, one per (model,
-// replica) instance, in (model, replica) order. A chain holds its
-// instance's units in construction order, which is layer order, so its
-// tail is the instance's terminal: the unit holding the model's final
-// node. Each call sorts its own copy of the units, so several
-// goroutines may read one built schedule.
+// replica) instance, in (model, replica) order. An instance's units
+// partition its model's layers, so they run serially; a chain holds
+// them in construction order, which is layer order, so its tail is the
+// instance's terminal: the unit holding the model's final node. Each
+// call sorts its own copy of the units, so several goroutines may read
+// one built schedule.
 func (ss *StageSchedule) Chains() iter.Seq[[]*Unit] {
 	return chainRuns(byInstance(nil, ss.Units))
 }
