@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -347,10 +346,9 @@ func BenchmarkAblationNoPSensitivity(b *testing.B) {
 	})
 }
 
-// BenchmarkDSEExploreSerial is the serial §IV-C exhaustive search over
-// the Het(2) pin (2^8 candidate masks) — the baseline the parallel
-// engine is measured against. Each iteration builds its own uncached
-// space, then scans it.
+// BenchmarkDSEExploreSerial is the §IV-C exhaustive search over the
+// Het(2) pin (2^8 candidate masks), one in-order (*dse.Space).Best
+// scan. Each iteration builds its own uncached space, then scans it.
 func BenchmarkDSEExploreSerial(b *testing.B) {
 	cfg := workloads.DefaultConfig()
 	cfg.LaneContext = 0.6
@@ -363,37 +361,6 @@ func BenchmarkDSEExploreSerial(b *testing.B) {
 	b.StopTimer()
 	printTable("dse-serial", func() {
 		fmt.Printf("serial DSE: %d combos, best EDP %.2f\n\n", r.Combos, r.EDP)
-	})
-}
-
-// BenchmarkDSEExploreParallel fans the same search across NumCPU
-// workers. The reduce is deterministic, so the result is asserted
-// bit-for-bit against the serial baseline; the ns/op ratio against
-// BenchmarkDSEExploreSerial is the engine's speedup (~linear up to the
-// candidate count on multi-core hosts).
-func BenchmarkDSEExploreParallel(b *testing.B) {
-	cfg := workloads.DefaultConfig()
-	cfg.LaneContext = 0.6
-	trunks := workloads.Trunks(cfg)
-	want := dse.NewCachedSpace(trunks, 9, 85, nil).Best(2)
-	eng := sweep.New(0)
-	ctx := context.Background()
-	var r dse.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = eng.Explore(ctx, trunks, 9, 2, 85)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if !reflect.DeepEqual(r, want) {
-		b.Fatalf("parallel result diverged from serial:\n got %+v\nwant %+v", r, want)
-	}
-	printTable("dse-parallel", func() {
-		fmt.Printf("parallel DSE (%d workers): %d combos, best EDP %.2f\n\n",
-			eng.Workers(), r.Combos, r.EDP)
 	})
 }
 

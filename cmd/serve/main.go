@@ -34,6 +34,11 @@ import (
 	"mcmnpu/internal/sweep"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a stalled or trickling client cannot hold a
+// connection (and its goroutine) open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -78,10 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// canceled with an explanation instead of being abandoned.
 	reqCtx, cancelReqs := context.WithCancelCause(ctx)
 	defer cancelReqs(nil)
-	hs := &http.Server{
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return reqCtx },
-	}
+	hs := newHTTPServer(reqCtx, srv.Handler())
 
 	fmt.Fprintf(stdout, "serving on http://%s (workers=%d, watermarks low=%d high=%d, cache=%d)\n",
 		ln.Addr(), svc.Engine().Workers(), *low, *high, *cache)
@@ -115,4 +117,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "drained; goodbye")
 	return 0
+}
+
+// newHTTPServer is the daemon's http.Server around the API handler:
+// every request context descends from base, and header reads are
+// bounded by readHeaderTimeout.
+func newHTTPServer(base context.Context, h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return base },
+		ReadHeaderTimeout: readHeaderTimeout,
+	}
 }

@@ -109,3 +109,17 @@ func TestListenFailure(t *testing.T) {
 		t.Error("listen failure not reported")
 	}
 }
+
+// TestServerHasHeaderTimeout: the daemon's http.Server bounds header
+// reads, and its request contexts descend from the serve context.
+func TestServerHasHeaderTimeout(t *testing.T) {
+	type key struct{}
+	base := context.WithValue(context.Background(), key{}, "serve")
+	hs := newHTTPServer(base, http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v (> 0)", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if got := hs.BaseContext(nil).Value(key{}); got != "serve" {
+		t.Fatalf("BaseContext does not descend from the serve context (value %v)", got)
+	}
+}

@@ -1,8 +1,8 @@
-// Command sweep drives the parallel execution engine: a worker-pool
-// design-space exploration (the paper's Table I search, fanned across
-// cores with a reduce identical to the serial scan) and a concurrent
+// Command sweep runs the paper's Table I design-space exploration (one
+// serial scan per configuration pin on the engine's cost cache) and the
 // multi-scenario experiment grid (camera count, temporal depth, NoP
-// bandwidth, mesh size, scheduler tolerance, DSE Lcstr). Both actions
+// bandwidth, mesh size, frontier, scheduler tolerance, DSE Lcstr),
+// whose points fan out across the engine's worker pool. Both actions
 // execute through the internal/api service — the same typed request
 // path the cmd/serve daemon speaks — and reports render as aligned
 // text tables, JSON, or CSV via internal/report.
@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	workers := fs.Int("workers", 0, "worker count (0 = NumCPU)")
-	dseFlag := fs.Bool("dse", false, "parallel Table I design-space exploration")
+	dseFlag := fs.Bool("dse", false, "Table I design-space exploration (a serial scan)")
 	grid := fs.Bool("grid", false, "concurrent multi-scenario experiment grid")
 	scenarios := fs.String("scenarios", "", "comma-separated scenario filter for -grid (default: all)")
 	lcstr := fs.Float64("lcstr", api.DefaultLcstrMs, "latency constraint for -dse (ms)")
@@ -132,9 +132,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exit
 }
 
-// printCacheStats reports the engine's layer-cost cache — since the
-// grid went through the sharded path, every evaluation of a run (DSE
-// explorations and all grid scenarios) memoizes there.
+// printCacheStats reports the engine's layer-cost cache: every
+// evaluation of a run (Table I's cost table and all grid scenarios)
+// memoizes there.
 func printCacheStats(w io.Writer, eng *sweep.Engine, enabled bool) {
 	if !enabled {
 		return

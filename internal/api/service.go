@@ -113,7 +113,10 @@ func (r *GridSweepResponse) Failed() int {
 // DSEResponse carries the Table I exploration.
 type DSEResponse struct {
 	RunResult
-	LcstrMs   float64       `json:"lcstr_ms"`
+	LcstrMs float64 `json:"lcstr_ms"`
+	// Workers reports the engine's worker count. Table I itself is a
+	// serial scan; the field and its text footer stay for v1
+	// compatibility.
 	Workers   int           `json:"workers"`
 	TableData *report.Table `json:"table"`
 }

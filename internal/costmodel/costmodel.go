@@ -89,22 +89,10 @@ func (a *Accel) PeakMACs() float64 { return float64(a.PEs) * a.FreqGHz * 1e9 }
 const simbaGLBReadBW = 20.6
 
 // SimbaChiplet returns the paper's 256-PE accelerator chiplet
-// (16x16 array, 2 GHz) with the given dataflow style.
+// (16x16 array, 2 GHz) with the given dataflow style: the calibrated
+// SimbaProfile instantiated.
 func SimbaChiplet(style dataflow.Style) *Accel {
-	return &Accel{
-		Name:        fmt.Sprintf("simba-256-%v", style),
-		PEs:         256,
-		ArrayH:      16,
-		ArrayW:      16,
-		Style:       style,
-		FreqGHz:     2.0,
-		GLBReadBW:   simbaGLBReadBW,
-		PsumBW:      8,
-		DRAMBW:      16,
-		GLBBytes:    2 << 20,
-		VectorLanes: 16,
-		Energy:      DefaultEnergy(),
-	}
+	return SimbaProfile().Chiplet(style)
 }
 
 // Monolithic returns an equal-frequency accelerator with the given PE

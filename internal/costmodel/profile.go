@@ -61,8 +61,7 @@ func (p ChipProfile) Chiplet(style dataflow.Style) *Accel {
 }
 
 // SimbaProfile is the paper's calibrated 256-PE chiplet expressed as a
-// profile: SimbaProfile().Chiplet(style) and SimbaChiplet(style) build
-// value-identical accelerators up to the display name.
+// profile; SimbaChiplet(style) is SimbaProfile().Chiplet(style).
 func SimbaProfile() ChipProfile {
 	return ChipProfile{
 		Name:        "simba",

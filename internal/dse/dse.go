@@ -16,8 +16,10 @@
 package dse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,7 +89,8 @@ type Result struct {
 // every net layer's cost on both styles precomputed into an
 // index-addressed table at construction. The configuration fields are
 // immutable after NewCachedSpace, so one Space may be shared by
-// concurrent goroutines (the internal/sweep engine relies on this).
+// concurrent goroutines (the dse-lcstr grid scans its points' WithLcstr
+// views of one space on the engine's workers).
 type Space struct {
 	Nets     []Net
 	Chiplets int
@@ -181,22 +184,37 @@ func (s *Space) Candidates(wsCount int) []int {
 // Best exhaustively searches the style assignment of nets for the
 // space's chiplets, wsCount of them WS, under the space's latency
 // constraint (with the scheduler's 5% tolerance), and returns the
-// best-scoring configuration. It is the serial scan: one scanner over
-// every candidate in order. sweep.Engine.ExploreSpace distributes the
-// same fold across workers and merges to the same result.
+// best-scoring configuration. It is one in-order scan over the
+// candidates under the strict Better, so the first of tied
+// configurations wins. Scoring a mask reuses one scratch and allocates
+// nothing once the buffers warm up; only a new incumbent copies its
+// WS net names.
 func (s *Space) Best(wsCount int) Result {
 	candidates := s.Candidates(wsCount)
-	sc := s.NewScanner(wsCount)
-	for i, mask := range candidates {
-		sc.Scan(mask, i)
+	var (
+		scr   evalScratch
+		r     Result
+		found bool
+	)
+	best := Result{EDP: math.Inf(1)} // returned as is when no mask packs
+	for _, mask := range candidates {
+		if !s.evalInto(&r, &scr, wsCount, mask) {
+			continue
+		}
+		if !found || Better(r, best) {
+			best, found = r, true
+			best.WSNets = slices.Clone(r.WSNets) // r's names alias the scratch
+		}
 	}
-	return sc.Finish(len(candidates))
+	best.Name = configName(wsCount)
+	best.WSCount = wsCount
+	best.Combos = len(candidates)
+	return best
 }
 
 // Better reports whether a beats b: feasible configurations first, then
 // strictly lower EDP. It is strict — among ties the incumbent wins,
-// which is what makes the serial scan (and any reduce that re-applies
-// it in candidate order) deterministic.
+// which is what makes the in-order scan deterministic.
 func Better(a, b Result) bool {
 	if a.Feasible != b.Feasible {
 		return a.Feasible
@@ -205,7 +223,7 @@ func Better(a, b Result) bool {
 }
 
 // configName is the Table I row name for a wsCount pin (OS / Het(k);
-// sweep.Engine.TableI renames the all-WS row "WS").
+// experiments.TableI renames the all-WS row "WS").
 func configName(wsCount int) string {
 	if wsCount == 0 {
 		return "OS"
@@ -215,9 +233,9 @@ func configName(wsCount int) string {
 
 // evalScratch is the reusable working state of one evaluation loop:
 // the per-style latency lists handed to the LPT packer, the per-model
-// chain accumulators, and the packer's load bins. One scanner (or one
-// worker of the parallel engine) owns one scratch, so scoring a mask
-// allocates nothing after the buffers warm up.
+// chain accumulators, and the packer's load bins. One scan owns one
+// scratch, so scoring a mask allocates nothing after the buffers warm
+// up.
 type evalScratch struct {
 	osMs   []float64
 	wsMs   []float64
@@ -233,8 +251,8 @@ type evalScratch struct {
 // in order) matches the original cache-backed evaluation exactly, so
 // results are bit-for-bit identical.
 //
-// r.WSNets aliases scr's buffer — callers keeping r beyond the next
-// evalInto call on the same scratch must copy it (see copyNames).
+// r.WSNets aliases scr's buffer (nil when empty) — callers keeping r
+// beyond the next evalInto call on the same scratch must copy it.
 func (s *Space) evalInto(r *Result, scr *evalScratch, wsCount, mask int) bool {
 	limit := s.LcstrMs * 1.05 // the scheduler's tolerance
 	osChips, wsChips := s.Chiplets-wsCount, wsCount
@@ -300,9 +318,10 @@ func (s *Space) evalInto(r *Result, scr *evalScratch, wsCount, mask int) bool {
 
 // packLPT is longest-processing-time-first packing of the latency list
 // onto `chips` bins, returning the busiest bin. The sort is in place
-// (the list is scratch) with the same comparator the original
-// item-struct version used, so the packed order — and therefore the
-// busiest-bin value — is unchanged.
+// (the list is scratch) and descending; equal floats are
+// indistinguishable, so the packed order — and therefore the
+// busiest-bin value — does not depend on the sort's stability.
+// slices.SortFunc, unlike sort.Slice, sorts without allocating.
 func packLPT(ms []float64, chips int, scr *evalScratch) (float64, bool) {
 	if len(ms) == 0 {
 		return 0, true
@@ -317,7 +336,7 @@ func packLPT(ms []float64, chips int, scr *evalScratch) (float64, bool) {
 	for i := range loads {
 		loads[i] = 0
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i] > ms[j] })
+	slices.SortFunc(ms, func(a, b float64) int { return cmp.Compare(b, a) })
 	for _, v := range ms {
 		k := 0
 		for j := 1; j < chips; j++ {
@@ -334,78 +353,6 @@ func packLPT(ms []float64, chips int, scr *evalScratch) (float64, bool) {
 		}
 	}
 	return max, true
-}
-
-func copyNames(names []string) []string {
-	if len(names) == 0 {
-		return nil
-	}
-	return append([]string(nil), names...)
-}
-
-// Scanner folds candidate masks into a running best with reusable
-// evaluation scratch: a serial scan over all masks — or one engine
-// worker's share of them — evaluates allocation-free, and the fold
-// rule (Better first, then lower candidate index) makes the best over
-// any subset a total-order minimum, so per-worker scanners merged in
-// any order reproduce the serial scan bit-for-bit.
-type Scanner struct {
-	space   *Space
-	wsCount int
-	scr     evalScratch
-	r       Result
-
-	best    Result
-	bestIdx int
-}
-
-// NewScanner prepares a scanner for one wsCount pin. Scanners are not
-// goroutine-safe; use one per worker and Merge the results.
-func (s *Space) NewScanner(wsCount int) *Scanner {
-	return &Scanner{
-		space:   s,
-		wsCount: wsCount,
-		best:    Result{Name: configName(wsCount), WSCount: wsCount, EDP: math.Inf(1)},
-		bestIdx: math.MaxInt,
-	}
-}
-
-// Scan evaluates one candidate mask (the idx-th candidate of the
-// enumeration) and keeps it when it beats the running best — or ties
-// it with a lower index, which is what the serial incumbent-wins scan
-// would have kept.
-func (sc *Scanner) Scan(mask, idx int) {
-	if !sc.space.evalInto(&sc.r, &sc.scr, sc.wsCount, mask) {
-		return
-	}
-	if Better(sc.r, sc.best) || (!Better(sc.best, sc.r) && idx < sc.bestIdx) {
-		sc.best = sc.r
-		sc.best.WSNets = copyNames(sc.r.WSNets)
-		sc.best.WSCount = sc.wsCount
-		sc.best.Name = configName(sc.wsCount)
-		sc.bestIdx = idx
-	}
-}
-
-// Merge folds another scanner's running best into sc. Both scanners
-// must cover disjoint index shares of the same (space, wsCount) scan;
-// merging is order-independent.
-func (sc *Scanner) Merge(o *Scanner) {
-	if o.bestIdx == math.MaxInt {
-		return
-	}
-	if Better(o.best, sc.best) || (!Better(sc.best, o.best) && o.bestIdx < sc.bestIdx) {
-		sc.best = o.best
-		sc.bestIdx = o.bestIdx
-	}
-}
-
-// Finish returns the best result seen, stamped with the candidate
-// count — exactly the value the pre-scanner serial loop returned.
-func (sc *Scanner) Finish(combos int) Result {
-	best := sc.best
-	best.Combos = combos
-	return best
 }
 
 // TableIRow pairs a configuration result with its deltas vs the OS-only

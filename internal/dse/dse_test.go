@@ -143,3 +143,29 @@ func TestTighterConstraintReducesFeasibility(t *testing.T) {
 		t.Error("5 ms cannot be feasible for the trunks")
 	}
 }
+
+// TestEvalAllocationFree: once a scratch is warm, scoring every
+// candidate mask of every pin allocates nothing, so a scan's only
+// allocations are its scratch warm-up and its incumbents' WS net names.
+func TestEvalAllocationFree(t *testing.T) {
+	s := trunkSpace(85)
+	pins := make([][]int, s.Chiplets+1)
+	for ws := range pins {
+		pins[ws] = s.Candidates(ws)
+	}
+	var (
+		scr evalScratch
+		r   Result
+	)
+	pass := func() {
+		for ws, masks := range pins {
+			for _, mask := range masks {
+				s.evalInto(&r, &scr, ws, mask)
+			}
+		}
+	}
+	pass() // warm the scratch buffers
+	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+		t.Fatalf("scoring every mask allocated %v times per pass, want 0", allocs)
+	}
+}

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"mcmnpu/internal/chiplet"
-	"mcmnpu/internal/dataflow"
-	"mcmnpu/internal/pipeline"
+	"mcmnpu/internal/nop"
 	"mcmnpu/internal/report"
-	"mcmnpu/internal/sched"
+	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
@@ -32,18 +30,13 @@ type DataflowAblationRow struct {
 // dataflow".
 func DataflowAblation(cfg workloads.Config) ([]DataflowAblationRow, error) {
 	var rows []DataflowAblationRow
-	for _, style := range []dataflow.Style{dataflow.OS, dataflow.WS} {
-		p, err := workloads.Perception(cfg)
+	for _, style := range []string{"OS", "WS"} {
+		_, m, err := layerwise(scenario.Spec{Name: "dataflow/" + style, Workload: cfg, Dataflow: style}, layerCache)
 		if err != nil {
 			return nil, err
 		}
-		s, err := sched.Build(p, chiplet.Simba36(style), schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		m := pipeline.Compute(s, pipeline.Layerwise)
 		rows = append(rows, DataflowAblationRow{
-			Dataflow:  style.String(),
+			Dataflow:  style,
 			PipeLatMs: m.PipeLatMs,
 			EnergyJ:   m.EnergyJ,
 			EDP:       m.EDP,
@@ -89,46 +82,37 @@ var nopPoints = []struct {
 
 // nopPlan is the NoP-sensitivity grid scenario: the NoP link bandwidth
 // and hop latency swept around the paper's operating point (100 GB/s,
-// 35 ns). It shows the Fig 9 conclusion is robust: even a 4x-degraded
-// interconnect keeps NoP far from the computational critical path.
-func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensitivityRow, error) {
-	p, err := workloads.Perception(cfg)
-	if err != nil {
-		return sweep.GridPlan{}, nil, err
-	}
+// 35 ns) on the 6x6 OS package. It shows the Fig 9 conclusion is
+// robust: even a 4x-degraded interconnect keeps NoP far from the
+// computational critical path.
+func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensitivityRow) {
 	rows := make([]NoPSensitivityRow, len(nopPoints))
 	return sweep.GridPlan{
 		Points: len(nopPoints),
 		Weight: func(int) float64 { return 36 },
-		Run: func(_ context.Context, i int) (err error) {
-			rows[i], err = nopPoint(p, i, engineSchedOptions(e))
-			return err
+		Run: func(_ context.Context, i int) error {
+			pt := nopPoints[i]
+			link := nop.DefaultParams()
+			link.LinkBWGBs = pt.bw
+			link.HopLatencyNs = pt.hop
+			sp := scenario.Spec{Name: fmt.Sprintf("nop-bandwidth/%gGBs-%gns", pt.bw, pt.hop), Workload: cfg, NoP: &link}
+			_, m, err := layerwise(sp, e.Cache())
+			if err != nil {
+				return err
+			}
+			rows[i] = NoPSensitivityRow{
+				Label:      pt.label,
+				LinkBWGBs:  pt.bw,
+				HopLatNs:   pt.hop,
+				E2EMs:      m.E2EMs,
+				NoPLatMs:   m.NoPLatMs,
+				NoPShare:   m.NoPLatMs / m.E2EMs,
+				NoPEnergyJ: m.NoPEnergyJ,
+			}
+			return nil
 		},
 		Finish: func() (*report.Table, error) { return NoPSensitivityTable(rows), nil },
-	}, rows, nil
-}
-
-// nopPoint schedules the plan's pipeline on the 6x6 OS package with
-// one NoP parameter point. Goroutine-safe: sched.Build only reads p.
-func nopPoint(p *workloads.Pipeline, i int, opts sched.Options) (NoPSensitivityRow, error) {
-	pt := nopPoints[i]
-	m := chiplet.Simba36(dataflow.OS)
-	m.NoP.LinkBWGBs = pt.bw
-	m.NoP.HopLatencyNs = pt.hop
-	s, err := sched.Build(p, m, opts)
-	if err != nil {
-		return NoPSensitivityRow{}, err
-	}
-	mt := pipeline.Compute(s, pipeline.Layerwise)
-	return NoPSensitivityRow{
-		Label:      pt.label,
-		LinkBWGBs:  pt.bw,
-		HopLatNs:   pt.hop,
-		E2EMs:      mt.E2EMs,
-		NoPLatMs:   mt.NoPLatMs,
-		NoPShare:   mt.NoPLatMs / mt.E2EMs,
-		NoPEnergyJ: mt.NoPEnergyJ,
-	}, nil
+	}, rows
 }
 
 // NoPSensitivityTable renders the NoP sweep.
@@ -154,42 +138,33 @@ type ToleranceSweepRow struct {
 var defaultTolerances = []float64{0.01, 0.05, 0.10, 0.25}
 
 // tolerancePlan is the tolerance grid scenario: Algorithm 1's tolerance
-// coefficient varied. Tighter tolerances buy a slightly flatter
-// pipeline at the cost of more greedy steps (sharding) and NoP traffic.
-func tolerancePlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []ToleranceSweepRow, error) {
+// coefficient varied on the 6x6 OS package. Tighter tolerances buy a
+// slightly flatter pipeline at the cost of more greedy steps (sharding)
+// and NoP traffic.
+func tolerancePlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []ToleranceSweepRow) {
 	tols := defaultTolerances
-	p, err := workloads.Perception(cfg)
-	if err != nil {
-		return sweep.GridPlan{}, nil, err
-	}
 	rows := make([]ToleranceSweepRow, len(tols))
 	return sweep.GridPlan{
 		Points: len(tols),
 		// Tighter tolerance means more greedy iterations.
 		Weight: func(i int) float64 { return 36 * 0.05 / tols[i] },
-		Run: func(_ context.Context, i int) (err error) {
-			rows[i], err = tolerancePoint(p, tols[i], engineSchedOptions(e))
-			return err
+		Run: func(_ context.Context, i int) error {
+			tol := tols[i]
+			sp := scenario.Spec{Name: fmt.Sprintf("tolerance/%g", tol), Workload: cfg, Tolerance: tol}
+			s, m, err := layerwise(sp, e.Cache())
+			if err != nil {
+				return err
+			}
+			rows[i] = ToleranceSweepRow{
+				Tolerance: tol,
+				PipeLatMs: m.PipeLatMs,
+				Steps:     len(s.Steps),
+				E2EMs:     m.E2EMs,
+			}
+			return nil
 		},
 		Finish: func() (*report.Table, error) { return ToleranceSweepTable(rows), nil },
-	}, rows, nil
-}
-
-// tolerancePoint schedules the plan's pipeline on the 6x6 OS package at
-// one tolerance coefficient. Goroutine-safe: sched.Build only reads p.
-func tolerancePoint(p *workloads.Pipeline, tol float64, opts sched.Options) (ToleranceSweepRow, error) {
-	opts.Tolerance = tol
-	s, err := sched.Build(p, chiplet.Simba36(dataflow.OS), opts)
-	if err != nil {
-		return ToleranceSweepRow{}, err
-	}
-	m := pipeline.Compute(s, pipeline.Layerwise)
-	return ToleranceSweepRow{
-		Tolerance: tol,
-		PipeLatMs: m.PipeLatMs,
-		Steps:     len(s.Steps),
-		E2EMs:     m.E2EMs,
-	}, nil
+	}, rows
 }
 
 // ToleranceSweepTable renders the tolerance sweep.
@@ -215,41 +190,32 @@ var defaultTemporalDepths = []int64{4, 8, 12, 16}
 
 // temporalPlan is the temporal-depth grid scenario: the temporal
 // fusion queue depth N varied (paper uses 12). The throughput matcher
-// absorbs deeper queues by sharding until the quadrant saturates.
-func temporalPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []TemporalDepthRow, error) {
+// absorbs deeper queues by sharding until the quadrant saturates. The
+// depth changes the workload, so each point compiles its own pipeline.
+func temporalPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []TemporalDepthRow) {
 	depths := defaultTemporalDepths
 	rows := make([]TemporalDepthRow, len(depths))
 	return sweep.GridPlan{
 		Points: len(depths),
 		Weight: func(int) float64 { return 36 },
-		Run: func(_ context.Context, i int) (err error) {
-			rows[i], err = temporalPoint(cfg, depths[i], engineSchedOptions(e))
-			return err
+		Run: func(_ context.Context, i int) error {
+			n := depths[i]
+			sp := scenario.Spec{Name: fmt.Sprintf("temporal-depth/%d", n), Workload: cfg}
+			sp.Workload.TemporalFrames = n
+			s, m, err := layerwise(sp, e.Cache())
+			if err != nil {
+				return err
+			}
+			rows[i] = TemporalDepthRow{
+				Frames:    n,
+				PipeLatMs: m.PipeLatMs,
+				TFusePipe: s.Stages[workloads.StageTFuse].PipeLatMs,
+				EnergyJ:   m.EnergyJ,
+			}
+			return nil
 		},
 		Finish: func() (*report.Table, error) { return TemporalDepthTable(rows), nil },
-	}, rows, nil
-}
-
-// temporalPoint evaluates one queue-depth point: the depth changes the
-// workload, so each point compiles its own pipeline. Goroutine-safe.
-func temporalPoint(cfg workloads.Config, n int64, opts sched.Options) (TemporalDepthRow, error) {
-	c := cfg
-	c.TemporalFrames = n
-	p, err := workloads.Perception(c)
-	if err != nil {
-		return TemporalDepthRow{}, err
-	}
-	s, err := sched.Build(p, chiplet.Simba36(dataflow.OS), opts)
-	if err != nil {
-		return TemporalDepthRow{}, err
-	}
-	m := pipeline.Compute(s, pipeline.Layerwise)
-	return TemporalDepthRow{
-		Frames:    n,
-		PipeLatMs: m.PipeLatMs,
-		TFusePipe: s.Stages[workloads.StageTFuse].PipeLatMs,
-		EnergyJ:   m.EnergyJ,
-	}, nil
+	}, rows
 }
 
 // TemporalDepthTable renders the queue-depth sweep.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -126,6 +127,17 @@ func TestTableIShape(t *testing.T) {
 		if row.DeltaEnergyPct >= 0 {
 			t.Errorf("%s should save energy (paper -1.1%%/-6.2%%)", row.Name)
 		}
+	}
+}
+
+// TestTableICancelled: a cancelled context stops Table I before its
+// first pin and surfaces as context.Canceled.
+func TestTableICancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := TableI(ctx, sweep.New(2), workloads.DefaultConfig(), 85)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

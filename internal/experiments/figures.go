@@ -8,11 +8,11 @@ import (
 	"sort"
 	"strings"
 
-	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dataflow"
 	"mcmnpu/internal/dnn"
 	"mcmnpu/internal/report"
+	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sched"
 	"mcmnpu/internal/workloads"
 )
@@ -180,18 +180,12 @@ type StageMapping struct {
 // Fig5to8 schedules the full pipeline on the 6x6 package and reports the
 // per-stage mappings of Figures 5-8.
 func Fig5to8(cfg workloads.Config) ([]StageMapping, *sched.Schedule, error) {
-	p, err := workloads.Perception(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := chiplet.Simba36(dataflow.OS)
-	s, err := sched.Build(p, m, schedOptions())
+	s, _, err := layerwise(scenario.Spec{Name: "fig5to8", Workload: cfg}, layerCache)
 	if err != nil {
 		return nil, nil, err
 	}
 	var out []StageMapping
-	for i := range p.Stages {
-		ss := s.Stages[i]
+	for _, ss := range s.Stages {
 		sm := StageMapping{
 			Stage:     ss.Name,
 			E2EMs:     ss.E2EMs,

@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dataflow"
-	"mcmnpu/internal/nop"
 	"mcmnpu/internal/pareto"
-	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
-	"mcmnpu/internal/sched"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
@@ -45,26 +41,40 @@ type FrontierSweepRow struct {
 // frontierPlan is the frontier grid scenario: the full pipeline on
 // each DefaultMeshSizes k x k mesh under both dataflows, then the
 // non-dominated set over (pipeline latency, per-frame energy, total
-// PEs). Infeasible points are reported but excluded from the frontier.
-func frontierPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []FrontierSweepRow, error) {
-	p, err := workloads.Perception(cfg)
-	if err != nil {
-		return sweep.GridPlan{}, nil, err
-	}
+// PEs). A point that cannot be prepared is reported infeasible and
+// excluded from the frontier; the frontier fold happens afterwards in
+// markFrontier, over the completed rows in point order.
+func frontierPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []FrontierSweepRow) {
 	pts := frontierPoints()
 	rows := make([]FrontierSweepRow, len(pts))
 	return sweep.GridPlan{
 		Points: len(pts),
 		Weight: func(i int) float64 { return float64(pts[i].k * pts[i].k) },
-		Run: func(_ context.Context, i int) (err error) {
-			rows[i], err = frontierPoint(p, pts[i].k, pts[i].style, engineSchedOptions(e))
-			return err
+		Run: func(_ context.Context, i int) error {
+			k, style := pts[i].k, pts[i].style
+			row := &rows[i]
+			*row = FrontierSweepRow{
+				Mesh:     fmt.Sprintf("%dx%d", k, k),
+				Dataflow: style.String(),
+				Chiplets: k * k,
+				PEs:      int64(k*k) * costmodel.SimbaProfile().PEs,
+			}
+			_, m, err := layerwise(meshSpec("frontier", cfg, k, style), e.Cache())
+			if err != nil {
+				row.Reason = err.Error()
+				return nil
+			}
+			row.PipeLatMs = m.PipeLatMs
+			row.EnergyJ = m.EnergyJ
+			row.UtilPct = m.UtilPct
+			row.Feasible = true
+			return nil
 		},
 		Finish: func() (*report.Table, error) {
 			markFrontier(rows)
 			return FrontierSweepTable(rows), nil
 		},
-	}, rows, nil
+	}, rows
 }
 
 // frontierPointSpec identifies one (mesh size, dataflow) point.
@@ -83,34 +93,6 @@ func frontierPoints() []frontierPointSpec {
 		}
 	}
 	return pts
-}
-
-// frontierPoint schedules the shared pipeline on one (mesh, dataflow)
-// point. Goroutine-safe; the frontier fold happens afterwards in
-// markFrontier, over the completed rows in point order.
-func frontierPoint(p *workloads.Pipeline, k int, style dataflow.Style, opts sched.Options) (FrontierSweepRow, error) {
-	m, err := chiplet.New(fmt.Sprintf("simba-%dx%d", k, k), k, k, nop.DefaultParams(),
-		func(nop.Coord) *costmodel.Accel { return costmodel.SimbaChiplet(style) })
-	if err != nil {
-		return FrontierSweepRow{}, err
-	}
-	row := FrontierSweepRow{
-		Mesh:     fmt.Sprintf("%dx%d", k, k),
-		Dataflow: style.String(),
-		Chiplets: m.Chiplets(),
-		PEs:      m.TotalPEs(),
-	}
-	s, err := sched.Build(p, m, opts)
-	if err != nil {
-		row.Reason = err.Error()
-		return row, nil
-	}
-	mt := pipeline.Compute(s, pipeline.Layerwise)
-	row.PipeLatMs = mt.PipeLatMs
-	row.EnergyJ = mt.EnergyJ
-	row.UtilPct = mt.UtilPct
-	row.Feasible = true
-	return row, nil
 }
 
 // markFrontier folds the feasible rows into the Pareto frontier in row

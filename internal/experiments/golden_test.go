@@ -13,7 +13,7 @@ import (
 
 // The golden tests snapshot the rendered paper-reproduction tables and
 // assert byte-for-byte equality: they lock the determinism guarantee of
-// the analytic stack (scheduler, cost model, DSE reduce) end to end —
+// the analytic stack (scheduler, cost model, DSE scan) end to end —
 // any change to a single float anywhere upstream shows up here.
 // Regenerate intentionally with:
 //

@@ -3,6 +3,9 @@ package experiments
 import (
 	"context"
 
+	"mcmnpu/internal/costmodel"
+	"mcmnpu/internal/pipeline"
+	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sched"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
@@ -17,26 +20,31 @@ import (
 // Each experiment is defined once, as a plan function that builds its
 // sweep.GridPlan and returns the typed rows the plan's points fill: the
 // grid, the CLIs and the tests all run that plan through the engine,
-// serially at one worker. Every point memoizes through the engine's own
-// cache instead of this package's global one.
+// serially at one worker. Every schedule-building design point is a
+// scenario.Spec compiled by layerwise on the engine's own cache instead
+// of this package's global one; the dse-lcstr points scan a DSE cost
+// table built on the same cache.
 
-// engineSchedOptions is schedOptions with the engine's per-engine cache
-// instead of the package-global one: grid points share memoized
-// evaluations with the engine's DSE explorations and with each other,
-// without contending with harnesses running on other engines.
-func engineSchedOptions(e *sweep.Engine) sched.Options {
-	o := sched.DefaultOptions()
-	o.Cache = e.Cache()
-	return o
+// layerwise compiles one design point through scenario.Prepare on the
+// given layer-cost cache — the spec's workload comes from scenario's
+// compiled-pipeline memo — and returns its schedule with the layerwise
+// pipelining metrics. Goroutine-safe given a concurrency-safe (or nil)
+// cache.
+func layerwise(sp scenario.Spec, cache *costmodel.Cache) (*sched.Schedule, pipeline.Metrics, error) {
+	pr, err := scenario.Prepare(sp, cache)
+	if err != nil {
+		return nil, pipeline.Metrics{}, err
+	}
+	return pr.Schedule, pipeline.Compute(pr.Schedule, pipeline.Layerwise), nil
 }
 
 // gridScenario names a plan function as a grid scenario. The typed rows
 // stay with the plan's Finish; the grid only needs the rendered table.
 func gridScenario[R any](e *sweep.Engine, name string,
-	plan func(*sweep.Engine, workloads.Config) (sweep.GridPlan, []R, error)) sweep.ShardedScenario {
+	plan func(*sweep.Engine, workloads.Config) (sweep.GridPlan, []R)) sweep.ShardedScenario {
 	return sweep.ShardedScenario{Name: name, Prepare: func(_ context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-		p, _, err := plan(e, cfg)
-		return p, err
+		p, _ := plan(e, cfg)
+		return p, nil
 	}}
 }
 

@@ -81,16 +81,16 @@ func TestShardedGridParallelEfficiency(t *testing.T) {
 // runPlan runs one plan alone through RunGridSharded at one worker — the
 // path every grid scenario takes — and returns the typed rows it
 // filled.
-func runPlan[R any](t *testing.T, plan func(*sweep.Engine, workloads.Config) (sweep.GridPlan, []R, error)) []R {
+func runPlan[R any](t *testing.T, plan func(*sweep.Engine, workloads.Config) (sweep.GridPlan, []R)) []R {
 	t.Helper()
 	eng := sweep.New(1)
 	var rows []R
 	res := eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), []sweep.ShardedScenario{{
 		Name: "plan",
 		Prepare: func(_ context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-			p, r, err := plan(eng, cfg)
+			p, r := plan(eng, cfg)
 			rows = r
-			return p, err
+			return p, nil
 		},
 	}})
 	if err := res[0].Err; err != nil {

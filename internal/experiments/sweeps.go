@@ -4,13 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"mcmnpu/internal/chiplet"
-	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dataflow"
-	"mcmnpu/internal/nop"
-	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
-	"mcmnpu/internal/sched"
+	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
@@ -36,43 +32,33 @@ var DefaultCameraCounts = []int64{4, 6, 8, 12}
 // cameraPlan is the camera-count grid scenario: the pipeline scheduled
 // for each DefaultCameraCounts entry. The FE stage carries one backbone
 // replica per camera, so the sweep stresses the throughput matcher's
-// sharding.
-func cameraPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []CameraSweepRow, error) {
+// sharding. The camera count changes the workload itself, so each point
+// compiles its own pipeline.
+func cameraPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []CameraSweepRow) {
 	counts := DefaultCameraCounts
 	rows := make([]CameraSweepRow, len(counts))
 	return sweep.GridPlan{
 		Points: len(counts),
 		Weight: func(i int) float64 { return 4.5 * float64(counts[i]) }, // 6x6 build, FE replicas scale with cameras
-		Run: func(_ context.Context, i int) (err error) {
-			rows[i], err = cameraPoint(cfg, counts[i], engineSchedOptions(e))
-			return err
+		Run: func(_ context.Context, i int) error {
+			n := counts[i]
+			sp := scenario.Spec{Name: fmt.Sprintf("cameras/%d", n), Workload: cfg}
+			sp.Workload.Cameras = n
+			_, m, err := layerwise(sp, e.Cache())
+			if err != nil {
+				return err
+			}
+			rows[i] = CameraSweepRow{
+				Cameras:   n,
+				E2EMs:     m.E2EMs,
+				PipeLatMs: m.PipeLatMs,
+				EnergyJ:   m.EnergyJ,
+				UtilPct:   m.UtilPct,
+			}
+			return nil
 		},
 		Finish: func() (*report.Table, error) { return CameraSweepTable(rows), nil },
-	}, rows, nil
-}
-
-// cameraPoint evaluates one camera-count point: the camera count
-// changes the workload itself, so each point compiles its own pipeline.
-// Goroutine-safe given a concurrency-safe (or nil) opts.Cache.
-func cameraPoint(cfg workloads.Config, n int64, opts sched.Options) (CameraSweepRow, error) {
-	c := cfg
-	c.Cameras = n
-	p, err := workloads.Perception(c)
-	if err != nil {
-		return CameraSweepRow{}, fmt.Errorf("cameras=%d: %w", n, err)
-	}
-	s, err := sched.Build(p, chiplet.Simba36(dataflow.OS), opts)
-	if err != nil {
-		return CameraSweepRow{}, fmt.Errorf("cameras=%d: %w", n, err)
-	}
-	m := pipeline.Compute(s, pipeline.Layerwise)
-	return CameraSweepRow{
-		Cameras:   n,
-		E2EMs:     m.E2EMs,
-		PipeLatMs: m.PipeLatMs,
-		EnergyJ:   m.EnergyJ,
-		UtilPct:   m.UtilPct,
-	}, nil
+	}, rows
 }
 
 // CameraSweepTable renders the sensor-suite sweep.
@@ -104,46 +90,42 @@ var DefaultMeshSizes = []int{4, 6, 8, 12}
 
 // meshPlan is the mesh-size grid scenario: the pipeline scheduled on
 // each square DefaultMeshSizes k x k mesh (k=6 reproduces Simba36, k=12
-// is a four-NPU bound).
-func meshPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []MeshSweepRow, error) {
+// is a four-NPU bound). A point that cannot be prepared marks its row
+// infeasible rather than failing the sweep.
+func meshPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []MeshSweepRow) {
 	sizes := DefaultMeshSizes
-	p, err := workloads.Perception(cfg)
-	if err != nil {
-		return sweep.GridPlan{}, nil, err
-	}
 	rows := make([]MeshSweepRow, len(sizes))
 	return sweep.GridPlan{
 		Points: len(sizes),
 		Weight: func(i int) float64 { return float64(sizes[i] * sizes[i]) },
-		Run: func(_ context.Context, i int) (err error) {
-			rows[i], err = meshPoint(p, sizes[i], engineSchedOptions(e))
-			return err
+		Run: func(_ context.Context, i int) error {
+			k := sizes[i]
+			row := &rows[i]
+			*row = MeshSweepRow{Mesh: fmt.Sprintf("%dx%d", k, k), Chiplets: k * k}
+			_, m, err := layerwise(meshSpec("mesh-size", cfg, k, dataflow.OS), e.Cache())
+			if err != nil {
+				row.Reason = err.Error()
+				return nil
+			}
+			row.PipeLatMs = m.PipeLatMs
+			row.EnergyJ = m.EnergyJ
+			row.UtilPct = m.UtilPct
+			row.Feasible = true
+			return nil
 		},
 		Finish: func() (*report.Table, error) { return MeshSweepTable(rows), nil },
-	}, rows, nil
+	}, rows
 }
 
-// meshPoint schedules the shared pipeline on one k x k mesh. A schedule
-// that cannot be built marks the row infeasible rather than erroring.
-// Goroutine-safe: sched.Build reads the pipeline, never mutates it.
-func meshPoint(p *workloads.Pipeline, k int, opts sched.Options) (MeshSweepRow, error) {
-	m, err := chiplet.New(fmt.Sprintf("simba-%dx%d", k, k), k, k, nop.DefaultParams(),
-		func(nop.Coord) *costmodel.Accel { return costmodel.SimbaChiplet(dataflow.OS) })
-	if err != nil {
-		return MeshSweepRow{}, err
+// meshSpec is the design point of a k x k mesh of 256-PE Simba
+// chiplets under one package-wide dataflow.
+func meshSpec(plan string, cfg workloads.Config, k int, style dataflow.Style) scenario.Spec {
+	return scenario.Spec{
+		Name:     fmt.Sprintf("%s/%dx%d/%v", plan, k, k, style),
+		Workload: cfg,
+		Package:  fmt.Sprintf("mesh:%dx%d", k, k),
+		Dataflow: style.String(),
 	}
-	row := MeshSweepRow{Mesh: fmt.Sprintf("%dx%d", k, k), Chiplets: m.Chiplets()}
-	s, err := sched.Build(p, m, opts)
-	if err != nil {
-		row.Reason = err.Error()
-		return row, nil
-	}
-	mt := pipeline.Compute(s, pipeline.Layerwise)
-	row.PipeLatMs = mt.PipeLatMs
-	row.EnergyJ = mt.EnergyJ
-	row.UtilPct = mt.UtilPct
-	row.Feasible = true
-	return row, nil
 }
 
 // MeshSweepTable renders the package-size sweep.

@@ -10,6 +10,7 @@ import (
 	"mcmnpu/internal/dse"
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
+	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sched"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
@@ -23,15 +24,24 @@ type TableIResult struct {
 
 // TableI runs the paper's Table I (Lcstr = 85 ms in the paper) on the
 // 9-chiplet trunks quadrant with the lane trunk at 60% context (the
-// operating point Fig 11 selects), through the engine's parallel
-// explorer.
+// operating point Fig 11 selects): the four configuration rows
+// (OS-only, WS-only, Het(2), Het(4)) are the pins 0, 9, 2 and 4, each
+// one (*dse.Space).Best scan over a cost table built once on the
+// engine's cache. The all-WS row violates the latency constraint; the
+// paper reports it anyway as a bound. The context is checked before
+// each pin.
 func TableI(ctx context.Context, e *sweep.Engine, cfg workloads.Config, lcstrMs float64) (TableIResult, error) {
 	cfg.LaneContext = 0.6
-	rows, err := e.TableI(ctx, workloads.Trunks(cfg), lcstrMs)
-	if err != nil {
-		return TableIResult{}, err
+	space := dse.NewCachedSpace(workloads.Trunks(cfg), 9, lcstrMs, e.Cache())
+	var results []dse.Result
+	for _, ws := range []int{0, 9, 2, 4} {
+		if err := ctx.Err(); err != nil {
+			return TableIResult{}, err
+		}
+		results = append(results, space.Best(ws))
 	}
-	return TableIResult{Rows: rows, Lcstr: lcstrMs}, nil
+	results[1].Name = "WS"
+	return TableIResult{Rows: dse.TableIRows(results), Lcstr: lcstrMs}, nil
 }
 
 // Table renders Table I.
@@ -55,10 +65,8 @@ var DefaultLcstrPoints = []float64{60, 70, 85, 100}
 // lcstrPlan is the dse-lcstr grid scenario: Table I's Het(2)
 // exploration re-run under each DefaultLcstrPoints constraint, showing
 // how the feasible heterogeneous frontier moves as Lcstr tightens.
-// Every point is one serial (*dse.Space).Best scan: each point already
-// holds a pool worker, and fanning its masks again would only
-// oversubscribe the pool.
-func lcstrPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []dse.Result, error) {
+// Every point is one (*dse.Space).Best scan on its pool worker.
+func lcstrPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []dse.Result) {
 	lcstrs := DefaultLcstrPoints
 	cfg.LaneContext = 0.6 // Table I's operating point (Fig 11)
 	// One cost table for all Lcstr points: the constraint only gates
@@ -82,7 +90,7 @@ func lcstrPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []dse.Res
 			}
 			return t, nil
 		},
-	}, results, nil
+	}, results
 }
 
 // Table2Row is one arrangement/pipelining-mode row of Table II.
@@ -152,24 +160,19 @@ type Fig10Result struct {
 // doubled per the paper) and reports the greedy progression.
 func Fig10(cfg workloads.Config) (Fig10Result, error) {
 	var r Fig10Result
-	single, err := workloads.Perception(cfg)
-	if err != nil {
-		return r, err
-	}
-	s1, err := sched.Build(single, chiplet.Simba36(dataflow.OS), schedOptions())
+	s1, _, err := layerwise(scenario.Spec{Name: "fig10/single", Workload: cfg}, layerCache)
 	if err != nil {
 		return r, err
 	}
 	r.SinglePipeMs = s1.PipeLatMs()
 
-	dualCfg := cfg
-	dualCfg.DetectionHeads = cfg.DetectionHeads // trunks doubled via replicas below
-	dual, err := workloads.Perception(dualCfg)
+	// The paper doubles the trunks (2 x 9 chiplets) when both NPUs are
+	// active. No Spec expresses replicated trunks, so the dual package
+	// schedules a private compilation it can modify.
+	dual, err := workloads.Perception(cfg)
 	if err != nil {
 		return r, err
 	}
-	// The paper doubles the trunks (2 x 9 chiplets) when both NPUs are
-	// active.
 	dual.Stages[workloads.StageTrunks].Replicas = 2
 	s2, err := sched.Build(dual, chiplet.DualSimba72(dataflow.OS), schedOptions())
 	if err != nil {

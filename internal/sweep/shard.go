@@ -50,8 +50,8 @@ type GridResult struct {
 
 // ShardedScenario is a grid scenario decomposed into engine-dispatchable
 // points. Prepare runs serially before the fan-out: it compiles the
-// shared read-only state every point uses (workload pipelines, DSE
-// cost tables) and returns the plan.
+// shared read-only state every point uses (e.g. a DSE cost table) and
+// returns the plan.
 type ShardedScenario struct {
 	Name    string
 	Prepare func(ctx context.Context, cfg workloads.Config) (GridPlan, error)

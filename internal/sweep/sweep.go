@@ -1,10 +1,10 @@
-// Package sweep is a parallel execution engine for the repo's two
-// sweep-shaped workloads: the §IV-C design-space exploration (fanning
-// dse candidate masks across a worker pool with a deterministic reduce)
-// and the experiment grids (camera count, temporal depth, NoP
-// bandwidth, mesh size, Lcstr tolerance — each scenario an independent
-// unit of work). Workers are bounded, honor context cancellation, and
-// never outlive the call that spawned them.
+// Package sweep is the parallel execution engine: a bounded worker pool
+// with a shared layer-cost cache. It runs the experiment grids (camera
+// count, temporal depth, NoP bandwidth, mesh size, frontier, scheduler
+// tolerance, DSE Lcstr — each point an independent unit of work), and
+// its Each fans out the scenario runner's trace windows and the pareto
+// explorer's designs. Workers are bounded, honor context cancellation,
+// and never outlive the call that spawned them.
 package sweep
 
 import (
@@ -28,11 +28,11 @@ type Engine struct {
 
 // New returns an engine with the given parallelism; workers <= 0 means
 // runtime.NumCPU(). The engine owns a layer-cost cache shared by
-// everything it runs — the DSE explorations (Explore/ExploreSpace/
-// TableI) and every scenario of a sharded grid (RunGridSharded) — so
-// repeated (layer, accel) evaluations across candidate masks, Lcstr
-// points and grid points are memoized once per engine, with no
-// cross-engine contention on a package-global store.
+// everything that runs on it — Table I's cost table and every point of
+// a sharded grid (RunGridSharded) — so repeated (layer, accel)
+// evaluations across Table I pins, Lcstr points and grid points are
+// memoized once per engine, with no cross-engine contention on a
+// package-global store.
 func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
