@@ -213,7 +213,13 @@ func BenchmarkDiscreteEventSim(b *testing.B) {
 		b.Fatal(err)
 	}
 	gen := trace.NewGenerator(7)
-	var r sim.Result
+	// One untimed run warms the simulator's pooled scratch, as in
+	// BenchmarkSimStreamBacklog, so allocs/op does not depend on
+	// whether a set-up GC emptied the pool.
+	r, err := sim.Run(s, 12, gen)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -240,6 +246,11 @@ func benchmarkSimEngine(b *testing.B, frames int,
 		b.Fatal(err)
 	}
 	gen := trace.NewGenerator(7)
+	// One untimed run warms the simulator's pooled scratch (see
+	// BenchmarkDiscreteEventSim).
+	if _, err := run(s, frames, gen); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -61,19 +61,43 @@ type segment struct {
 // exact value a fresh evaluation would — bit-for-bit, which keeps
 // cached and uncached sweeps deterministic relative to each other.
 //
-// The hot path is: two pointer-keyed sync.Map loads (layer ID, accel
-// ID — layers and accels are immutable, so a pointer resolves in one
-// load after first sighting), then one integer-keyed read in a
-// lock-striped segment selected by an FNV mix of the IDs. Stats
-// counters are purely atomic. A Cache is safe for concurrent use; the
-// zero value is not useful, use NewCache. A nil *Cache is valid and
-// simply evaluates uncached.
+// A LayerOn lookup is two pointer-keyed sync.Map loads (layer ID,
+// accel ID — layers and accels are immutable, so a pointer resolves in
+// one load after first sighting), then one integer-keyed read in a
+// lock-striped segment selected by an FNV mix of the IDs; a
+// ShardedLayerOn lookup adds a third load for the shard derivation.
+// NodeCosts serves a whole graph from two loads (accel ID, node-cost
+// vector). Stats counters are purely atomic and count per-layer
+// lookups only. A Cache is safe for concurrent use; the zero value is
+// not useful, use NewCache. A nil *Cache is valid and simply evaluates
+// uncached.
 type Cache struct {
 	in     *interner
 	segs   [cacheSegments]segment
 	hits   atomic.Uint64
 	misses atomic.Uint64
+
+	vecs     sync.Map   // vecKey -> []LayerCost (NodeCosts)
+	vecMu    sync.Mutex // guards vecNodes and the clearing of vecs
+	vecNodes int        // node entries stored in vecs, under vecMu
 }
+
+// vecKey names one node-cost vector: a graph at its current length
+// (graphs only grow, through Add, so a longer graph gets a new vector)
+// on an interned accelerator configuration.
+type vecKey struct {
+	g     *dnn.Graph
+	nodes int
+	accel uint32
+}
+
+// maxNodeCosts bounds the node entries NodeCosts keeps, over every
+// vector. The vectors pin their graphs, and a long-lived cache sees
+// fresh graphs on every request, so once storing a vector would pass
+// the bound, every vector is dropped: later calls rebuild them from
+// the per-layer entries, which changes no value. The benchmark's
+// evolve-hetero op (seed 1) keeps 1,448 node entries in 64 vectors.
+const maxNodeCosts = 1 << 14
 
 // NewCache returns an empty layer-cost cache.
 func NewCache() *Cache {
@@ -182,11 +206,58 @@ func (c *Cache) ShardedLayerOn(l *dnn.Layer, n int64, a *Accel) (LayerCost, erro
 	return c.cost(e.id, c.in.accelID(a), e.layer, a), nil
 }
 
-// GraphOn is the memoized counterpart of the package-level GraphOn.
+// NodeCosts returns the LayerOn cost of every node of g on a, indexed
+// by Node.ID, with Layer cleared. The vector is filled through LayerOn,
+// so the per-layer entries stay the only source of values, and it is
+// stored once per (graph, accelerator configuration): equal
+// accelerators behind distinct pointers share it. The slice is shared
+// between callers, who must not modify it. A nil *Cache builds a fresh
+// vector uncached.
+//
+//perf:hot — the scheduler costs unsharded units from these vectors
+func (c *Cache) NodeCosts(g *dnn.Graph, a *Accel) []LayerCost {
+	if c == nil {
+		return nodeCosts(nil, g, a)
+	}
+	k := vecKey{g: g, nodes: g.Len(), accel: c.in.accelID(a)}
+	if v, ok := c.vecs.Load(k); ok {
+		return v.([]LayerCost)
+	}
+	vec := nodeCosts(c, g, a)
+	c.vecMu.Lock()
+	defer c.vecMu.Unlock()
+	if c.vecNodes+len(vec) > maxNodeCosts {
+		c.vecs.Clear()
+		c.vecNodes = 0
+	}
+	v, loaded := c.vecs.LoadOrStore(k, vec)
+	if !loaded {
+		c.vecNodes += len(vec)
+	}
+	return v.([]LayerCost)
+}
+
+// nodeCosts builds g's node-cost vector on a through c (nil evaluates
+// uncached).
+func nodeCosts(c *Cache, g *dnn.Graph, a *Accel) []LayerCost {
+	vec := make([]LayerCost, g.Len())
+	for _, n := range g.Nodes() {
+		vec[n.ID] = c.LayerOn(n.Layer, a)
+		vec[n.ID].Layer = nil
+	}
+	return vec
+}
+
+// GraphOn is the memoized counterpart of the package-level GraphOn: the
+// graph's node-cost vector with each entry's Layer pointing at its
+// node's layer.
 func (c *Cache) GraphOn(g *dnn.Graph, a *Accel) GraphCost {
+	vec := c.NodeCosts(g, a)
 	gc := GraphCost{Accel: a, PerLayer: make([]LayerCost, 0, g.Len())}
 	for _, n := range g.Nodes() {
-		gc.add(c.LayerOn(n.Layer, a))
+		lc := vec[n.ID]
+		lc.Layer = n.Layer
+		gc.add(lc)
 	}
 	return gc
 }

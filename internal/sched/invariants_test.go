@@ -130,8 +130,9 @@ func FuzzBuildInvariants(f *testing.F) {
 // increasing ordinals, one chiplet per shard as far as the pool
 // allows; no pool repeats a chiplet, and partitioned pools cover the
 // mesh exactly once; idle counts and pipelining latencies match a
-// recount over coordinate-keyed maps, bit for bit; every stage keeps
-// the chain contract (checkChains).
+// recount over coordinate-keyed maps, bit for bit; every unit's nodes
+// are its graph's nodes at their IDs, the index its node-cost vectors
+// are read at; every stage keeps the chain contract (checkChains).
 func checkBuildInvariants(t *testing.T, s *Schedule) {
 	t.Helper()
 	m := s.MCM
@@ -149,6 +150,12 @@ func checkBuildInvariants(t *testing.T, s *Schedule) {
 		busy := make(map[nop.Coord]bool)
 		stageLoad := make(map[nop.Coord]float64)
 		for _, u := range ss.Units {
+			for _, n := range u.Nodes {
+				if u.graph == nil || n.ID >= u.graph.Len() || u.graph.Nodes()[n.ID] != n {
+					t.Errorf("stage %s unit %s: node %d (%s) is not its graph's node at that ID",
+						ss.Name, u.Label(), n.ID, n.Layer.Name)
+				}
+			}
 			if want := min(int(u.Shards), len(ss.Pool)); len(u.Chiplets) != want {
 				t.Errorf("stage %s unit %s: %d chiplets, want %d", ss.Name, u.Label(), len(u.Chiplets), want)
 			}

@@ -15,11 +15,12 @@ type Options struct {
 	// latency over the base latency before it counts as a bottleneck
 	// (the paper's tolerance coefficient).
 	Tolerance float64
-	// Cache memoizes sharded layer costs across builds (and, when
-	// shared, across the schedules of a sweep). Within one Build,
-	// Algorithm 1's repeated unit costings hit a build-scoped memo
-	// first; the cache serves first sightings and cross-build reuse.
-	// nil evaluates uncached; results are bit-identical either way.
+	// Cache memoizes layer costs, sharded layer costs and per-graph
+	// node-cost vectors across builds (and, when shared, across the
+	// schedules of a sweep). Within one Build, Algorithm 1's repeated
+	// unit costings hit a build-scoped memo first; the cache serves
+	// first sightings and cross-build reuse. nil evaluates uncached;
+	// results are bit-identical either way.
 	Cache *costmodel.Cache
 }
 

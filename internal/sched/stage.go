@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sort"
 	"strings"
 
 	"mcmnpu/internal/chiplet"
@@ -118,7 +117,7 @@ func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.
 		ss.Units = make([]*Unit, 0, st.Replicas*len(st.Graphs))
 		for r := 1; r <= st.Replicas; r++ {
 			for _, g := range st.Graphs {
-				ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Replica: r, Nodes: g.Nodes(), Shards: 1})
+				ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Replica: r, Nodes: g.Nodes(), graph: g, Shards: 1})
 			}
 		}
 	case len(st.Graphs) == 1:
@@ -126,7 +125,7 @@ func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.
 		ss.Units = make([]*Unit, 0, len(g.Nodes()))
 		for _, n := range g.Nodes() {
 			if len(ss.Units) == 0 || n.Layer.Kind.ComputeBound() {
-				ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Nodes: []*dnn.Node{n}, Shards: 1})
+				ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Nodes: []*dnn.Node{n}, graph: g, Shards: 1})
 			} else {
 				u := ss.Units[len(ss.Units)-1]
 				u.Nodes = append(u.Nodes, n)
@@ -135,7 +134,7 @@ func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.
 	default:
 		ss.Units = make([]*Unit, 0, len(st.Graphs))
 		for _, g := range st.Graphs {
-			ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Nodes: g.Nodes(), Shards: 1})
+			ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Nodes: g.Nodes(), graph: g, Shards: 1})
 		}
 	}
 	return ss
@@ -217,21 +216,18 @@ func (ss *StageSchedule) place() {
 	ss.idle = len(ss.Pool)
 	order := append(ss.scratch.order[:0], ss.Units...)
 	ss.scratch.order = order
-	sort.SliceStable(order, func(i, j int) bool {
-		return order[i].PerShardMs*float64(order[i].Shards) >
-			order[j].PerShardMs*float64(order[j].Shards)
+	slices.SortStableFunc(order, func(a, b *Unit) int {
+		return cmp.Compare(b.PerShardMs*float64(b.Shards), a.PerShardMs*float64(a.Shards))
 	})
 	for _, u := range order {
-		n := int(u.Shards)
-		if n > len(ss.Pool) {
-			n = len(ss.Pool)
-		}
-		idxs := ss.leastLoaded(loads, n)
-		//lint:allow hotpathalloc -- coords escapes as u.Chiplets, the placement's per-unit output; reusing scratch here would alias every unit's slice
-		coords := make([]nop.Coord, len(idxs))
-		for i, ix := range idxs {
+		idxs := ss.leastLoaded(loads, min(int(u.Shards), len(ss.Pool)))
+		// The placement overwrites the unit's own backing array: nothing
+		// reads a unit's previous placement after a refresh, and
+		// transfers copy coordinates by value.
+		coords := u.Chiplets[:0]
+		for _, ix := range idxs {
 			c := ss.Pool[ix]
-			coords[i] = c
+			coords = append(coords, c)
 			if o := ss.mcm.Ord(c); !busy[o] {
 				busy[o] = true
 				ss.idle--
@@ -245,25 +241,30 @@ func (ss *StageSchedule) place() {
 	}
 }
 
-// leastLoaded picks the n pool indices with minimal load, deterministic
-// by pool (row-major) order on ties: the candidate list starts in pool
-// order and the insertion sort is stable, matching the
-// sort.SliceStable behaviour it replaces.
+// leastLoaded returns the n pool indices with minimal load (loads
+// holds one per pool index, n <= len(loads)), in (load, pool index)
+// order: the first n of a stable sort of the pool by load. It keeps
+// them by bounded insertion in pool order, O(pool·n); a later index
+// displaces a kept one only on a strictly smaller load, so ties go to
+// the earlier (row-major) index.
 func (ss *StageSchedule) leastLoaded(loads []float64, n int) []int32 {
 	cands := ss.scratch.cands[:0]
-	for i := range ss.Pool {
-		cands = append(cands, int32(i))
+	for i, l := range loads {
+		if len(cands) == n {
+			if n == 0 || l >= loads[cands[n-1]] {
+				continue
+			}
+			cands = cands[:n-1]
+		}
+		j := len(cands)
+		cands = append(cands, 0)
+		for ; j > 0 && l < loads[cands[j-1]]; j-- {
+			cands[j] = cands[j-1]
+		}
+		cands[j] = int32(i)
 	}
 	ss.scratch.cands = cands
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && loads[cands[j]] < loads[cands[j-1]]; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	if n > len(cands) {
-		n = len(cands)
-	}
-	return cands[:n]
+	return cands
 }
 
 // computeMetrics derives pipe latency, E2E, energy and intra-stage NoP

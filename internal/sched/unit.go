@@ -31,6 +31,11 @@ type Unit struct {
 	Replica  int
 	Nodes    []*dnn.Node
 
+	// graph is the model graph Nodes belong to: every node n of the
+	// unit is graph.Nodes()[n.ID], so the graph's node-cost vectors
+	// cost the unit by index.
+	graph *dnn.Graph
+
 	// Shards is the data-parallel split factor (only meaningful for
 	// single-node units; multi-node units split into segments instead).
 	Shards int64
@@ -61,9 +66,9 @@ func (u *Unit) Label() string {
 // serially on one chiplet; for sharded single-node units each shard
 // holds a 1/Shards slice with weights replicated. Algorithm 1 re-costs
 // the same (unit, shard count, accelerator) on every greedy iteration:
-// within one Build those repeats hit the build's unit-cost memo, and
-// the shared cache (nil is valid and evaluates uncached) serves first
-// sightings and reuse across builds.
+// within one Build those repeats hit the build's unit-cost memo, and a
+// memo miss reads the shared cache (nil is valid and evaluates
+// uncached), which serves first sightings and reuse across builds.
 func (u *Unit) evalOn(a *costmodel.Accel, cache *costmodel.Cache, memo unitCosts) error {
 	c, err := memo.cost(u, a, cache)
 	if err != nil {
@@ -95,23 +100,40 @@ type unitCost struct {
 // never shared across goroutines and dropped before Build returns.
 // Cost is a pure function of layer, shard and accelerator values, so a
 // hit on the same accelerator pointer is exact; an equal configuration
-// behind another pointer misses into the shared cache. A nil memo
-// evaluates every call through the cache.
+// behind another pointer misses into the shared cache, where it shares
+// the node-cost vectors and sharded entries of its configuration. A nil
+// memo evaluates every call through the cache.
 type unitCosts map[unitCostKey]unitCost
 
 // cost returns u's reference cost on a at its current shard count. It
 // never reads u's derived fields: refresh overwrites u.PerShardMs with
 // the heterogeneous worst case after placement.
+//
+// An unsharded unit (every multi-node unit, and a single node before
+// it shards) sums its nodes' entries of the graph's node-cost vector
+// on a. Only a sharded unit, always a single node, looks up its shard
+// derivation. Both give the value a per-node ShardedLayerOn sum gives:
+// a 1-way shard is a copy with its layer's signature, and scaling
+// energy by 1 is exact.
 func (m unitCosts) cost(u *Unit, a *costmodel.Accel, cache *costmodel.Cache) (unitCost, error) {
 	k := unitCostKey{first: u.Nodes[0], nodes: len(u.Nodes), shards: u.Shards, accel: a}
 	if c, ok := m[k]; ok {
 		return c, nil
 	}
+	var vec []costmodel.LayerCost
+	if u.Shards == 1 {
+		vec = cache.NodeCosts(u.graph, a)
+	}
 	var c unitCost
 	for _, n := range u.Nodes {
-		lc, err := cache.ShardedLayerOn(n.Layer, u.Shards, a)
-		if err != nil {
-			return unitCost{}, fmt.Errorf("sched: unit %s: %w", u.Label(), err)
+		var lc costmodel.LayerCost
+		if vec != nil {
+			lc = vec[n.ID]
+		} else {
+			var err error
+			if lc, err = cache.ShardedLayerOn(n.Layer, u.Shards, a); err != nil {
+				return unitCost{}, fmt.Errorf("sched: unit %s: %w", u.Label(), err)
+			}
 		}
 		c.ms += lc.LatencyMs
 		c.ej += lc.EnergyJ * float64(u.Shards)
@@ -166,23 +188,23 @@ func (u *Unit) canSegment() bool { return len(u.Nodes) > 1 }
 // segment splits the unit into two pipeline segments at the balanced
 // cumulative-latency point (the paper splits FE+BFPN at the fourth
 // ResNet block this way in the dual-NPU study). The per-layer split
-// latencies come from the cache (nil evaluates uncached); the two
-// halves are costed on a through the memo, like any other unit.
+// latencies come from the graph's node-cost vector on a (a nil cache
+// builds it uncached); the two halves are costed on a through the
+// memo, like any other unit.
 func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache, memo unitCosts) (*Unit, *Unit, error) {
 	if !u.canSegment() {
 		return nil, nil, fmt.Errorf("sched: unit %s cannot segment", u.Label())
 	}
-	lat := make([]float64, len(u.Nodes))
+	vec := cache.NodeCosts(u.graph, a)
 	var total float64
-	for i, n := range u.Nodes {
-		lat[i] = cache.LayerOn(n.Layer, a).LatencyMs
-		total += lat[i]
+	for _, n := range u.Nodes {
+		total += vec[n.ID].LatencyMs
 	}
 	var acc float64
 	cut := 1
 	bestDiff := total
-	for i := 0; i < len(u.Nodes)-1; i++ {
-		acc += lat[i]
+	for i, n := range u.Nodes[:len(u.Nodes)-1] {
+		acc += vec[n.ID].LatencyMs
 		diff := abs64(acc - (total - acc))
 		if diff < bestDiff {
 			bestDiff = diff
@@ -190,9 +212,9 @@ func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache, memo unitCost
 		}
 	}
 	first := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
-		Nodes: u.Nodes[:cut], Shards: 1}
+		Nodes: u.Nodes[:cut], graph: u.graph, Shards: 1}
 	second := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
-		Nodes: u.Nodes[cut:], Shards: 1}
+		Nodes: u.Nodes[cut:], graph: u.graph, Shards: 1}
 	if err := first.evalOn(a, cache, memo); err != nil {
 		return nil, nil, err
 	}
