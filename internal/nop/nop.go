@@ -9,7 +9,10 @@
 // 100 GB/s/chiplet link bandwidth, 35 ns/hop, 2.04 pJ/bit.
 package nop
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Coord is a chiplet position on the package mesh.
 type Coord struct{ X, Y int }
@@ -70,32 +73,28 @@ func (p Params) TransferEnergyJ(bytes int64, hops int) float64 {
 // Link is a directed mesh link between adjacent chiplets.
 type Link struct{ From, To Coord }
 
-// Route returns the XY route (X first, then Y) from a to b as a sequence
-// of links; empty for a == b.
-func Route(a, b Coord) []Link {
-	var links []Link
-	cur := a
-	for cur.X != b.X {
-		next := cur
-		if b.X > cur.X {
-			next.X++
-		} else {
-			next.X--
+// Route yields the links of the XY route (X first, then Y) from a to
+// b, in order; none for a == b.
+func Route(a, b Coord) iter.Seq[Link] {
+	return func(yield func(Link) bool) {
+		for cur := a; cur != b; {
+			next := cur
+			switch {
+			case b.X > cur.X:
+				next.X++
+			case b.X < cur.X:
+				next.X--
+			case b.Y > cur.Y:
+				next.Y++
+			default:
+				next.Y--
+			}
+			if !yield(Link{cur, next}) {
+				return
+			}
+			cur = next
 		}
-		links = append(links, Link{cur, next})
-		cur = next
 	}
-	for cur.Y != b.Y {
-		next := cur
-		if b.Y > cur.Y {
-			next.Y++
-		} else {
-			next.Y--
-		}
-		links = append(links, Link{cur, next})
-		cur = next
-	}
-	return links
 }
 
 // Transfer is one point-to-point NoP movement.

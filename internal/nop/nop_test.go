@@ -2,6 +2,7 @@ package nop
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -64,7 +65,7 @@ func TestTransferEnergy(t *testing.T) {
 }
 
 func TestRoute(t *testing.T) {
-	links := Route(Coord{0, 0}, Coord{2, 1})
+	links := slices.Collect(Route(Coord{0, 0}, Coord{2, 1}))
 	if len(links) != 3 {
 		t.Fatalf("route length = %d, want 3", len(links))
 	}
@@ -75,7 +76,7 @@ func TestRoute(t *testing.T) {
 	if links[2].To != (Coord{2, 1}) {
 		t.Errorf("route should end at destination: %+v", links[2])
 	}
-	if len(Route(Coord{3, 3}, Coord{3, 3})) != 0 {
+	if len(slices.Collect(Route(Coord{3, 3}, Coord{3, 3}))) != 0 {
 		t.Error("self route should be empty")
 	}
 }
@@ -112,7 +113,7 @@ func TestRouteLengthProperty(t *testing.T) {
 	f := func(ax, ay, bx, by uint8) bool {
 		a := Coord{int(ax % 10), int(ay % 10)}
 		b := Coord{int(bx % 10), int(by % 10)}
-		return len(Route(a, b)) == Hops(a, b)
+		return len(slices.Collect(Route(a, b))) == Hops(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

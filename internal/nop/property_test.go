@@ -1,6 +1,9 @@
 package nop
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Property tests for the interconnect model: Hops is a metric on the
 // mesh, routes realize exactly that metric, and the latency/energy
@@ -47,7 +50,7 @@ func TestRouteRealizesHops(t *testing.T) {
 	coords := gridCoords(3)
 	for _, a := range coords {
 		for _, b := range coords {
-			links := Route(a, b)
+			links := slices.Collect(Route(a, b))
 			if len(links) != Hops(a, b) {
 				t.Fatalf("Route(%v,%v) has %d links; Hops = %d", a, b, len(links), Hops(a, b))
 			}

@@ -2,11 +2,14 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/dataflow"
 	"mcmnpu/internal/nop"
+	"mcmnpu/internal/workloads"
 )
 
 // simbaMesh builds a w x h mesh of the paper's chiplet.
@@ -82,6 +85,99 @@ func TestThreeStageSurplusDrained(t *testing.T) {
 	}
 }
 
+// stageState is a deep copy of everything refresh, applyImprovement
+// and placement write to a stage: the units list, each unit's shard
+// count, placement and costs, the stage's pool, metrics, idle count
+// and the pool's busy flags.
+type stageState struct {
+	Units              []*Unit
+	Shards             []int64
+	Chiplets           [][]nop.Coord
+	PerShardMs, Energy []float64
+	MACs               []int64
+	Pool               []nop.Coord
+	Busy               []bool
+	PipeLatMs, EnergyJ float64
+	StageMACs          int64
+	Idle               int
+}
+
+func captureStage(ss *StageSchedule) stageState {
+	st := stageState{Units: slices.Clone(ss.Units), Pool: slices.Clone(ss.Pool),
+		PipeLatMs: ss.PipeLatMs, EnergyJ: ss.EnergyJ, StageMACs: ss.MACs, Idle: ss.idle}
+	for _, u := range ss.Units {
+		st.Shards = append(st.Shards, u.Shards)
+		st.Chiplets = append(st.Chiplets, slices.Clone(u.Chiplets))
+		st.PerShardMs = append(st.PerShardMs, u.PerShardMs)
+		st.Energy = append(st.Energy, u.EnergyJ)
+		st.MACs = append(st.MACs, u.MACs)
+	}
+	for _, c := range ss.Pool {
+		st.Busy = append(st.Busy, ss.scratch.busy[ss.mcm.Ord(c)])
+	}
+	return st
+}
+
+// TestStageRestore checks the rollback of a rejected greedy step. On a
+// solved schedule, still holding its build scratch, it applies to each
+// unit of each stage its next shard or segment step, refreshes, and
+// restores the snapshot taken before the step. The stage must then
+// equal a deep copy taken before the step, and still equal it after a
+// fresh refresh: the restore is exactly what the second refresh it
+// replaces would compute. The packages cover partitioned pools, a
+// mixed-type pool (heterogeneous probes), pools every stage shares
+// (2x3) and a surplus pool (three stages on 4x4).
+func TestStageRestore(t *testing.T) {
+	cases := []struct {
+		name string
+		p    *workloads.Pipeline
+		m    *chiplet.MCM
+	}{
+		{"simba36", perception(t), chiplet.Simba36(dataflow.OS)},
+		{"mixed-6x6", perception(t), mixedMesh(t, 6, 6)},
+		{"shared-2x3", perception(t), simbaMesh(t, 2, 3)},
+		{"three-stage-4x4", perception(t).FirstThreeStages(), simbaMesh(t, 4, 4)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newSchedule(tc.p, tc.m, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.solve(); err != nil {
+				t.Fatal(err)
+			}
+			steps := 0
+			for _, ss := range s.Stages {
+				for _, u := range slices.Clone(ss.Units) {
+					want := captureStage(ss)
+					ss.snapshot(&s.snap)
+					if _, _, ok := s.applyImprovement(ss, u); !ok {
+						continue
+					}
+					steps++
+					if err := ss.refresh(); err != nil {
+						t.Fatalf("stage %s, step on %s: %v", ss.Name, u.Label(), err)
+					}
+					ss.restore(&s.snap)
+					if got := captureStage(ss); !reflect.DeepEqual(got, want) {
+						t.Errorf("stage %s, step on %s: restored state differs from the state before the step", ss.Name, u.Label())
+					}
+					if err := ss.refresh(); err != nil {
+						t.Fatalf("stage %s, refresh after restoring %s: %v", ss.Name, u.Label(), err)
+					}
+					if got := captureStage(ss); !reflect.DeepEqual(got, want) {
+						t.Errorf("stage %s, step on %s: a fresh refresh after the restore differs from the state before the step", ss.Name, u.Label())
+					}
+				}
+			}
+			if steps == 0 {
+				t.Fatal("no unit could take a step")
+			}
+		})
+	}
+}
+
 // FuzzBuildInvariants builds the perception pipeline on a fuzzed
 // package, W and H in 1..8 with a library type per chiplet (none: the
 // paper's chiplet everywhere), OS or WS, on 3 or 4 stages, and checks
@@ -94,6 +190,13 @@ func FuzzBuildInvariants(f *testing.F) {
 	f.Add(uint8(3), uint8(3), true, false, []byte{0, 1, 2, 3})   // mixed 4x4
 	f.Add(uint8(7), uint8(7), false, true, []byte{3, 3, 0, 2})   // 8x8, 3 stages
 	f.Add(uint8(4), uint8(4), true, true, []byte{2, 0, 0, 1, 3}) // uneven 5x5 split
+	f.Add(uint8(1), uint8(2), false, false, []byte{3, 1, 2})     // mixed 2x3: shared pools
+	f.Add(uint8(3), uint8(3), false, true, []byte{2, 0, 3, 1})   // mixed 4x4, 3 stages: surplus pool
+	// mixedMesh(6, 6): TypeNames indices of simba, eco, big, bwopt,
+	// shifted by one per row.
+	f.Add(uint8(5), uint8(5), false, false, []byte{
+		0, 2, 1, 3, 0, 2, 3, 0, 2, 1, 3, 0, 1, 3, 0, 2, 1, 3,
+		2, 1, 3, 0, 2, 1, 0, 2, 1, 3, 0, 2, 3, 0, 2, 1, 3, 0})
 	full := perception(f)
 	three := full.FirstThreeStages()
 	names := chiplet.TypeNames()
@@ -128,16 +231,21 @@ func FuzzBuildInvariants(f *testing.F) {
 // checkBuildInvariants asserts the structural contract of a built
 // schedule: every unit sits in its own stage's pool on strictly
 // increasing ordinals, one chiplet per shard as far as the pool
-// allows; no pool repeats a chiplet, and partitioned pools cover the
-// mesh exactly once; idle counts and pipelining latencies match a
-// recount over coordinate-keyed maps, bit for bit; every unit's nodes
-// are its graph's nodes at their IDs, the index its node-cost vectors
-// are read at; every stage keeps the chain contract (checkChains).
+// allows; no pool repeats a chiplet, and partitioned pools are
+// pairwise disjoint and cover the mesh exactly once; idle counts and
+// pipelining latencies match a recount over coordinate-keyed maps, bit
+// for bit, and on partitioned packages the schedule's pipelining
+// latency is the largest stage's (the identity record relies on);
+// every stage's metrics match a recount from the final placement
+// (checkStageMetrics); every unit's nodes are its graph's nodes at
+// their IDs, the index its node-cost vectors are read at; every stage
+// keeps the chain contract (checkChains).
 func checkBuildInvariants(t *testing.T, s *Schedule) {
 	t.Helper()
 	m := s.MCM
 	covered := make(map[nop.Coord]int)
 	load := make(map[nop.Coord]float64)
+	var stageMax float64
 	for i, ss := range s.Stages {
 		if c, ok := repeated(ss.Pool); ok {
 			t.Errorf("stage %s pool holds %v twice: %v", ss.Name, c, ss.Pool)
@@ -186,6 +294,10 @@ func checkBuildInvariants(t *testing.T, s *Schedule) {
 		if want := maxLoad(stageLoad); ss.PipeLatMs != want {
 			t.Errorf("stage %s: PipeLatMs %v, recount %v", ss.Name, ss.PipeLatMs, want)
 		}
+		if i < len(s.Pipeline.Stages) {
+			stageMax = maxf(stageMax, ss.PipeLatMs)
+		}
+		checkStageMetrics(t, s, ss)
 		checkChains(t, ss)
 	}
 	if want := maxLoad(load); s.PipeLatMs() != want {
@@ -194,6 +306,9 @@ func checkBuildInvariants(t *testing.T, s *Schedule) {
 	if s.shared {
 		return
 	}
+	if s.PipeLatMs() != stageMax {
+		t.Errorf("partitioned package: PipeLatMs %v, largest stage PipeLatMs %v", s.PipeLatMs(), stageMax)
+	}
 	for _, c := range m.Coords() {
 		if covered[c] != 1 {
 			t.Errorf("chiplet %v is in %d pools, want 1", c, covered[c])
@@ -201,6 +316,54 @@ func checkBuildInvariants(t *testing.T, s *Schedule) {
 	}
 	if len(covered) != m.Chiplets() {
 		t.Errorf("pools cover %d positions of a %d-chiplet mesh", len(covered), m.Chiplets())
+	}
+}
+
+// checkStageMetrics recounts a stage's energy, MACs, E2E and
+// intra-stage NoP traffic from its final placement, through the
+// exported chain and fan-out contract, and asserts the stage's fields
+// match bit for bit: none of them may be left stale by a path that
+// computes them lazily. Sums run in the order the scheduler's do, which
+// fixes their last bits.
+func checkStageMetrics(t *testing.T, s *Schedule, ss *StageSchedule) {
+	t.Helper()
+	var energy float64
+	var macs int64
+	for _, u := range ss.Units {
+		energy += u.EnergyJ
+		macs += u.MACs
+	}
+	var transfers []nop.Transfer
+	var e2e float64
+	for chain := range ss.Chains() {
+		var ms float64
+		for k, u := range chain {
+			if k > 0 {
+				transfers = AppendFanOut(transfers, chain[k-1], u)
+				ms += s.TransferMs(chain[k-1], u)
+			}
+			ms += u.PerShardMs
+		}
+		e2e = maxf(e2e, ms)
+	}
+	e2e = maxf(e2e, ss.PipeLatMs)
+	var nopMs, nopJ float64
+	for _, tr := range transfers {
+		c := s.MCM.NoP.Eval(tr)
+		nopMs += c.LatencyMs
+		nopJ += c.EnergyJ
+	}
+	if ss.EnergyJ != energy || ss.MACs != macs {
+		t.Errorf("stage %s: EnergyJ/MACs %v/%d, recount %v/%d", ss.Name, ss.EnergyJ, ss.MACs, energy, macs)
+	}
+	if ss.E2EMs != e2e {
+		t.Errorf("stage %s: E2EMs %v, recount %v", ss.Name, ss.E2EMs, e2e)
+	}
+	if !slices.Equal(ss.Transfers, transfers) {
+		t.Errorf("stage %s: %d transfers differ from the %d of a recount", ss.Name, len(ss.Transfers), len(transfers))
+	}
+	if ss.NoPLatMs != nopMs || ss.NoPEnergyJ != nopJ {
+		t.Errorf("stage %s: NoP %v ms / %v J, recount %v ms / %v J", ss.Name, ss.NoPLatMs, ss.NoPEnergyJ, nopMs, nopJ)
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
@@ -58,12 +59,17 @@ type Schedule struct {
 	// InterStage transfers connect consecutive stages' boundary units.
 	InterStage []nop.Transfer
 
-	// load is record's per-ordinal scratch (see pipeLat), owned by the
-	// Build that fills Steps and dropped before it returns.
+	// load is record's per-ordinal scratch (see pipeLat) on shared
+	// packages, owned by the Build that fills Steps and dropped before it
+	// returns; nil on partitioned ones, whose stage PipeLatMs suffice.
 	load []float64
 	// shared marks a package too small to partition: every stage's pool
 	// is the whole mesh, so borrowing a chiplet cannot add capacity.
 	shared bool
+	// snap holds the stage state a greedy step may be rolled back to
+	// (relieve, useIdleChiplets), reused across steps and dropped with
+	// the rest of the build's scratch.
+	snap stageSnapshot
 }
 
 // Build runs Algorithm 1: quadrant allocation, initial per-layer
@@ -74,6 +80,18 @@ type Schedule struct {
 //
 //perf:hot — runs once per sweep candidate; its improvement loops dominate sweep time
 func Build(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule, error) {
+	s, err := newSchedule(p, m, opts)
+	if err != nil {
+		return nil, err
+	}
+	out, err := s.solve()
+	s.release()
+	return out, err
+}
+
+// newSchedule allocates the stage pools and decomposes every stage into
+// its initial units, with the build-scoped scratch solve works in.
+func newSchedule(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule, error) {
 	pools, shared, err := allocatePools(m, len(p.Stages))
 	if err != nil {
 		return nil, err
@@ -81,7 +99,10 @@ func Build(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule, erro
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = 0.05
 	}
-	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, load: make([]float64, m.Chiplets()), shared: shared}
+	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, shared: shared}
+	if shared {
+		s.load = make([]float64, m.Chiplets())
+	}
 	costs := make(unitCosts)
 	for i, st := range p.Stages {
 		s.Stages = append(s.Stages, newStageSchedule(i, st, pools[i], m, opts.Cache, costs))
@@ -93,9 +114,7 @@ func Build(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule, erro
 		s.Stages = append(s.Stages, newStageSchedule(len(p.Stages),
 			workloads.Stage{Name: "surplus"}, pools[len(p.Stages)], m, opts.Cache, costs))
 	}
-	out, err := s.solve()
-	s.release()
-	return out, err
+	return s, nil
 }
 
 // solve runs the greedy throughput-matching loops on freshly
@@ -136,6 +155,9 @@ func (s *Schedule) solve() (*Schedule, error) {
 	if err := s.refreshAll(); err != nil {
 		return nil, err
 	}
+	for _, ss := range s.Stages {
+		ss.computeMetrics()
+	}
 	s.buildInterStage()
 	return s, nil
 }
@@ -144,12 +166,17 @@ func (s *Schedule) solve() (*Schedule, error) {
 // throughput is matched, stages that still own idle chiplets keep
 // sharding their end-to-end-dominant units — it costs nothing and
 // shortens the stage critical path (Fig 6 shards the spatial FFN from
-// 4-fold to 8-fold this way).
+// 4-fold to 8-fold this way). It is the one greedy loop that reads
+// E2EMs, so it runs computeMetrics on entering a stage with idle
+// chiplets and after each refresh.
 func (s *Schedule) useIdleChiplets() {
 	skip := make(map[*Unit]bool)
 	for i := range s.Pipeline.Stages {
 		ss := s.Stages[i]
 		clear(skip)
+		if ss.idle > 0 {
+			ss.computeMetrics()
+		}
 		for guard := 0; guard < 4*len(ss.Pool); guard++ {
 			if ss.idle == 0 {
 				break
@@ -163,21 +190,24 @@ func (s *Schedule) useIdleChiplets() {
 				continue
 			}
 			beforeE2E := ss.E2EMs
-			beforeShards := u.Shards
-			if _, ok := s.applyImprovement(ss, u); !ok {
+			ss.snapshot(&s.snap)
+			if _, _, ok := s.applyImprovement(ss, u); !ok {
 				skip[u] = true
 				continue
 			}
-			if err := ss.refresh(); err != nil || ss.E2EMs >= beforeE2E-1e-9 {
-				u.Shards = beforeShards
-				if err2 := ss.refresh(); err2 != nil {
-					return
+			if err := ss.refresh(); err == nil {
+				ss.computeMetrics()
+				if ss.E2EMs < beforeE2E-1e-9 {
+					//lint:allow hotpathalloc -- one trace row per accepted sharding step, retained in Steps: the label is the product
+					s.record(fmt.Sprintf("idle-shard %s", u.Label()), ss.Name)
+					continue
 				}
-				skip[u] = true
-				continue
 			}
-			//lint:allow hotpathalloc -- one trace row per accepted sharding step, retained in Steps: the label is the product
-			s.record(fmt.Sprintf("idle-shard %s", u.Label()), ss.Name)
+			// Restore the E2E too; the rejected step's transfers stay
+			// until the next computeMetrics, and nothing reads them before.
+			ss.restore(&s.snap)
+			ss.E2EMs = beforeE2E
+			skip[u] = true
 		}
 	}
 }
@@ -283,17 +313,16 @@ func (s *Schedule) relieve(ss *StageSchedule, skip map[*Unit]bool) bool {
 		}
 		before := ss.PipeLatMs
 		beforeUnit := u.PerShardMs
-		prevUnits := append([]*Unit(nil), ss.Units...)
-		prevShards := u.Shards
-		newUnits, applied := s.applyImprovement(ss, u)
+		ss.snapshot(&s.snap)
+		first, second, applied := s.applyImprovement(ss, u)
 		if !applied {
 			skip[u] = true
 			continue
 		}
 		if err := ss.refresh(); err == nil {
-			unitAfter := 0.0
-			for _, nu := range newUnits {
-				unitAfter = maxf(unitAfter, nu.PerShardMs)
+			unitAfter := first.PerShardMs
+			if second != nil {
+				unitAfter = maxf(unitAfter, second.PerShardMs)
 			}
 			// Accept when the stage didn't regress and either the stage
 			// bottleneck or the targeted unit got faster (with replicated
@@ -307,39 +336,35 @@ func (s *Schedule) relieve(ss *StageSchedule, skip map[*Unit]bool) bool {
 			}
 		}
 		// Regression (pool saturated for this unit): roll back.
-		ss.Units = prevUnits
-		u.Shards = prevShards
-		if err := ss.refresh(); err != nil {
-			return false
-		}
+		ss.restore(&s.snap)
 		skip[u] = true
 	}
 }
 
 // applyImprovement shards a single-layer unit one efficient step further
 // or splits a multi-layer unit into two pipeline segments. It returns
-// the units carrying the work afterwards.
-func (s *Schedule) applyImprovement(ss *StageSchedule, u *Unit) ([]*Unit, bool) {
+// the units carrying the work afterwards: u and nil after sharding, the
+// two segments after a split. A rejected step is undone by restoring a
+// snapshot, which also puts back the units list it splices in place.
+func (s *Schedule) applyImprovement(ss *StageSchedule, u *Unit) (first, second *Unit, ok bool) {
 	if u.canSegment() {
 		a := s.MCM.At(ss.Pool[0])
 		first, second, err := u.segment(a, ss.cache, ss.costs)
 		if err != nil {
-			return nil, false
+			return nil, nil, false
 		}
-		for i, v := range ss.Units {
-			if v == u {
-				ss.Units = append(ss.Units[:i], append([]*Unit{first, second}, ss.Units[i+1:]...)...)
-				return []*Unit{first, second}, true
-			}
+		if i := slices.Index(ss.Units, u); i >= 0 {
+			ss.Units = slices.Replace(ss.Units, i, i+1, first, second)
+			return first, second, true
 		}
-		return nil, false
+		return nil, nil, false
 	}
 	next := u.nextShards(len(ss.Pool))
 	if next <= u.Shards {
-		return nil, false
+		return nil, nil, false
 	}
 	u.Shards = next
-	return []*Unit{u}, true
+	return u, nil, true
 }
 
 // improveBase tries to reduce the base stage's pipelining latency when
@@ -380,7 +405,7 @@ func (s *Schedule) improveBase(skip map[*Unit]bool) bool {
 	clearStageSkips(skip, base.Index)
 	before := base.PipeLatMs
 	for _, u := range splittable {
-		if _, ok := s.applyImprovement(base, u); !ok {
+		if _, _, ok := s.applyImprovement(base, u); !ok {
 			skip[u] = true
 		}
 	}
@@ -445,22 +470,34 @@ func (s *Schedule) idleChiplets() int {
 	return n
 }
 
-// record appends a trace step with the current global state.
+// record appends a trace step with the current global state. On a
+// partitioned package each chiplet lies in one stage's pool, so the
+// largest stage PipeLatMs is PipeLatMs bit for bit, without the
+// per-chiplet pass over every stage that shared pools need.
 func (s *Schedule) record(action, stage string) {
+	var pipe float64
+	if s.shared {
+		pipe = s.pipeLat(s.load)
+	} else {
+		for _, ss := range s.Stages[:len(s.Pipeline.Stages)] {
+			pipe = maxf(pipe, ss.PipeLatMs)
+		}
+	}
 	s.Steps = append(s.Steps, Step{
 		Action:       action,
 		Stage:        stage,
-		PipeLatMs:    s.pipeLat(s.load),
+		PipeLatMs:    pipe,
 		BaseMs:       s.BaseMs,
 		ChipletsFree: s.idleChiplets(),
 	})
 }
 
 // release drops the build-scoped scratch — record's load slice, the
-// stages' unit-cost memo and working state — so a retained schedule
-// pins none of it.
+// step snapshot, the stages' unit-cost memo and working state — so a
+// retained schedule pins none of it.
 func (s *Schedule) release() {
 	s.load = nil
+	s.snap = stageSnapshot{}
 	for _, ss := range s.Stages {
 		ss.costs = nil
 		ss.scratch = stageScratch{}

@@ -22,7 +22,11 @@ type StageSchedule struct {
 	Pool  []nop.Coord
 	Units []*Unit
 
-	// Derived metrics (recomputed by refresh).
+	// Derived metrics. refresh recomputes PipeLatMs, EnergyJ and MACs,
+	// the fields the greedy loop reads. computeMetrics derives E2EMs,
+	// NoPLatMs, NoPEnergyJ and Transfers from the placement, only where
+	// they are read: in useIdleChiplets, and for every stage once Build's
+	// final refresh has placed it.
 	PipeLatMs  float64 // max per-chiplet busy time (layerwise pipelining)
 	E2EMs      float64 // critical-path latency through the stage, incl NoP
 	EnergyJ    float64 // compute energy (NoP accounted separately)
@@ -43,7 +47,7 @@ type StageSchedule struct {
 }
 
 type stageScratch struct {
-	load   []float64 // per-ordinal load (computeMetrics), all zero between calls
+	load   []float64 // per-ordinal load (refresh), all zero between calls
 	busy   []bool    // per-ordinal: a unit is placed there (place)
 	order  []*Unit
 	loads  []float64 // per-pool-index packed load (place)
@@ -141,7 +145,10 @@ func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.
 }
 
 // refresh re-evaluates unit costs, re-places units onto the pool (LPT),
-// and recomputes the stage metrics.
+// and recomputes PipeLatMs, EnergyJ and MACs. It leaves the chain
+// metrics (E2EMs, Transfers, NoP) to computeMetrics. Its result is a
+// function of the units, their shard counts and the pool alone, which
+// restore relies on.
 //
 //perf:hot — called per improvement iteration per stage; uses stageScratch, not fresh slices
 func (ss *StageSchedule) refresh() error {
@@ -167,22 +174,26 @@ func (ss *StageSchedule) refresh() error {
 	// chiplet in the reference's equivalence class (most pools are
 	// homogeneous meshes of distinct-but-identical Accel objects) would
 	// probe to exactly u.PerShardMs — the cost model reads values, not
-	// identities — so only genuinely different configurations probe.
-	// Probes go through the build's unit-cost memo, which returns the
-	// reference cost on that accelerator, never the worst case this
-	// loop writes back: typed packages share one accel instance per
-	// type, so a unit spread over k chiplets of one non-reference type
-	// is costed once per build, not k times per refresh.
+	// identities — so only genuinely different configurations probe,
+	// once per run of same-class chiplets (a unit's chiplets are in
+	// row-major order). Probes go through the build's unit-cost memo,
+	// which returns the reference cost on that accelerator, never the
+	// worst case this loop writes back: typed packages share one accel
+	// instance per type, so a unit spread over k chiplets of one
+	// non-reference type is costed once per build, not k times per
+	// refresh.
 	for _, u := range ss.Units {
-		worst := 0.0
+		worst, ms, class := 0.0, u.PerShardMs, refClass
 		for _, c := range u.Chiplets {
-			ms := u.PerShardMs
-			if ss.mcm.Class(ss.mcm.Ord(c)) != refClass {
-				pc, err := ss.costs.cost(u, ss.mcm.At(c), ss.cache)
-				if err != nil {
-					return err
+			if cl := ss.mcm.Class(ss.mcm.Ord(c)); cl != class {
+				class, ms = cl, u.PerShardMs
+				if cl != refClass {
+					pc, err := ss.costs.cost(u, ss.mcm.At(c), ss.cache)
+					if err != nil {
+						return err
+					}
+					ms = pc.ms
 				}
-				ms = pc.ms
 			}
 			worst = maxf(worst, ms)
 		}
@@ -190,7 +201,14 @@ func (ss *StageSchedule) refresh() error {
 			u.PerShardMs = worst
 		}
 	}
-	ss.computeMetrics()
+	ss.EnergyJ = 0
+	ss.MACs = 0
+	for _, u := range ss.Units {
+		ss.EnergyJ += u.EnergyJ
+		ss.MACs += u.MACs
+	}
+	addLoads(ss.scratch.load, ss.mcm, ss.Units)
+	ss.PipeLatMs = drainMaxLoad(ss.scratch.load, ss.mcm, ss.Units, 0)
 	return nil
 }
 
@@ -267,18 +285,9 @@ func (ss *StageSchedule) leastLoaded(loads []float64, n int) []int32 {
 	return cands
 }
 
-// computeMetrics derives pipe latency, E2E, energy and intra-stage NoP
-// traffic from the current placement.
+// computeMetrics derives E2E and the intra-stage NoP traffic from the
+// current placement and PipeLatMs, so it runs after refresh.
 func (ss *StageSchedule) computeMetrics() {
-	ss.EnergyJ = 0
-	ss.MACs = 0
-	for _, u := range ss.Units {
-		ss.EnergyJ += u.EnergyJ
-		ss.MACs += u.MACs
-	}
-	addLoads(ss.scratch.load, ss.mcm, ss.Units)
-	ss.PipeLatMs = drainMaxLoad(ss.scratch.load, ss.mcm, ss.Units, 0)
-
 	// E2E of the stage: the longest instance chain (replicas and trunk
 	// models run concurrently when they own disjoint chiplets), floored
 	// by the stage's busiest chiplet (instances forced onto a shared
@@ -335,6 +344,64 @@ func drainMaxLoad(load []float64, m *chiplet.MCM, units []*Unit, v float64) floa
 		}
 	}
 	return v
+}
+
+// stageSnapshot is a stage's greedy state before a step: what refresh
+// writes, and the units list applyImprovement splices. A rejected step
+// is undone by restoring it instead of refreshing again, with the same
+// result. refresh is a function of the units, their shard counts and
+// the pool, and since the stage's last refresh its pool can only have
+// lost idle chiplets (borrowChiplet): placement never picked those,
+// and never Pool[0], the reference accelerator, which the heaviest
+// unit always takes.
+type stageSnapshot struct {
+	units  []*Unit
+	states []unitState // per unit of units
+	coords []nop.Coord // every unit's Chiplets, concatenated
+
+	pipeLatMs, energyJ float64
+	macs               int64
+	idle               int
+}
+
+// unitState is the part of a unit refresh and applyImprovement write.
+type unitState struct {
+	shards, macs   int64
+	perShardMs, ej float64
+	chiplets       int
+}
+
+// snapshot saves the stage's greedy state into sn, reusing its storage.
+func (ss *StageSchedule) snapshot(sn *stageSnapshot) {
+	sn.units = append(sn.units[:0], ss.Units...)
+	sn.states, sn.coords = sn.states[:0], sn.coords[:0]
+	for _, u := range ss.Units {
+		sn.states = append(sn.states, unitState{shards: u.Shards, macs: u.MACs,
+			perShardMs: u.PerShardMs, ej: u.EnergyJ, chiplets: len(u.Chiplets)})
+		sn.coords = append(sn.coords, u.Chiplets...)
+	}
+	sn.pipeLatMs, sn.energyJ, sn.macs, sn.idle = ss.PipeLatMs, ss.EnergyJ, ss.MACs, ss.idle
+}
+
+// restore puts back the state snapshot saved, on the same pool, and
+// rebuilds the pool's busy flags from the restored placement.
+func (ss *StageSchedule) restore(sn *stageSnapshot) {
+	ss.Units = append(ss.Units[:0], sn.units...)
+	busy := ss.scratch.busy
+	for _, c := range ss.Pool {
+		busy[ss.mcm.Ord(c)] = false
+	}
+	coords := sn.coords
+	for i, u := range ss.Units {
+		st := sn.states[i]
+		u.Shards, u.MACs, u.PerShardMs, u.EnergyJ = st.shards, st.macs, st.perShardMs, st.ej
+		u.Chiplets = append(u.Chiplets[:0], coords[:st.chiplets]...)
+		coords = coords[st.chiplets:]
+		for _, c := range u.Chiplets {
+			busy[ss.mcm.Ord(c)] = true
+		}
+	}
+	ss.PipeLatMs, ss.EnergyJ, ss.MACs, ss.idle = sn.pipeLatMs, sn.energyJ, sn.macs, sn.idle
 }
 
 // bottleneckUnit returns the unit with the largest per-shard latency

@@ -146,11 +146,14 @@ var raceEnabled bool
 // TestBuildAllocations guards the allocations of one Build on a warm
 // cache, on the paper's 6x6/OS package and on BenchmarkSchedulerHetero's
 // mixed-type 6x6 package. Placement writes each unit's chiplets into
-// the unit's own slice and unsharded units cost from shared node-cost
-// vectors, so the count no longer grows with refreshes and probes: the
-// same builds made 565 and 3,834 allocations when placement allocated a
-// slice per unit per refresh and the per-layer lookups were costed one
-// by one. The mixed package reads 688 or 689: Go's swiss-table maps
+// the unit's own slice, unsharded units cost from shared node-cost
+// vectors, a rejected greedy step is undone from a snapshot the
+// schedule reuses, and a step splices the units list in place, so the
+// count does not grow with refreshes, probes or rollbacks: the same
+// builds made 565 and 3,834 allocations when each refresh and probe
+// allocated, and 328 and 689 when each step copied the units list,
+// built a slice of the units it changed and was undone by a second
+// refresh. The mixed package reads 412 or 413: Go's swiss-table maps
 // seed their hashes per map, which moves a growth by one allocation.
 // The race detector's instrumentation allocates more, so the test
 // skips under -race.
@@ -163,8 +166,8 @@ func TestBuildAllocations(t *testing.T) {
 		m         *chiplet.MCM
 		maxAllocs float64
 	}{
-		{"simba36", chiplet.Simba36(dataflow.OS), 328},
-		{"mixed-6x6", mixedMesh(t, 6, 6), 689},
+		{"simba36", chiplet.Simba36(dataflow.OS), 304},
+		{"mixed-6x6", mixedMesh(t, 6, 6), 413},
 	}
 	p := perception(t)
 	for _, tc := range cases {

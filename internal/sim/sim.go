@@ -188,7 +188,7 @@ func Prepare(s *sched.Schedule) (*Graph, error) {
 			succs[dep] = append(succs[dep], int32(i))
 			fanOut = sched.AppendFanOut(fanOut[:0], tpls[dep].unit, t.unit)
 			for _, tr := range fanOut {
-				for _, l := range nop.Route(tr.Src, tr.Dst) {
+				for l := range nop.Route(tr.Src, tr.Dst) {
 					linkBytes[l] += tr.Bytes
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,5 +90,37 @@ func TestTemplateGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("templates drifted from %s: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+// raceEnabled reports a -race build (race_test.go sets it).
+var raceEnabled bool
+
+// TestPrepareAllocations guards the allocations of one Prepare of the
+// urban-8cam registry schedule. Route yields a dependency transfer's
+// links instead of building a slice per transfer, so the count follows
+// the template's tasks and edges: the same Prepare made 310 allocations
+// when each transfer's route was a fresh slice. The race detector's
+// instrumentation allocates more, so the test skips under -race.
+func TestPrepareAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const maxAllocs = 210
+	schedules, err := registrySchedules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(scenario.Registry(), func(sp scenario.Spec) bool { return sp.Name == "urban-8cam" })
+	if i < 0 {
+		t.Fatal("urban-8cam is not in the registry")
+	}
+	prepare := func() {
+		if _, err := sim.Prepare(schedules[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(10, prepare); got > maxAllocs {
+		t.Errorf("Prepare of urban-8cam allocates %v times, want <= %v", got, maxAllocs)
 	}
 }
