@@ -68,9 +68,11 @@ type segment struct {
 // ShardedLayerOn lookup adds a third load for the shard derivation.
 // NodeCosts serves a whole graph from two loads (accel ID, node-cost
 // vector). Stats counters are purely atomic and count per-layer
-// lookups only. A Cache is safe for concurrent use; the zero value is
-// not useful, use NewCache. A nil *Cache is valid and simply evaluates
-// uncached.
+// lookups only. Misses equal stored entries at any worker count: a
+// lookup that loses the race to store its key counts as a hit. NodeCosts
+// builds each vector once, so its lookups count once. A Cache is safe
+// for concurrent use; the zero value is not useful, use NewCache. A nil
+// *Cache is valid and simply evaluates uncached.
 type Cache struct {
 	in     *interner
 	segs   [cacheSegments]segment
@@ -178,12 +180,21 @@ func (c *Cache) cost(lid, aid uint32, l *dnn.Layer, a *Accel) LayerCost {
 		v.Layer = l
 		return v
 	}
-	c.misses.Add(1)
 	v = LayerOn(l, a)
 	v.Layer = nil // normalize: the entry is shared across equivalent layers
 	seg.mu.Lock()
-	seg.m[key] = v
-	seg.mu.Unlock()
+	if _, ok := seg.m[key]; ok {
+		// Another goroutine stored the key since the read: count this
+		// lookup as the hit it would have been in a serial run, so
+		// misses equal stored entries at any worker count. Both
+		// evaluations are the same pure LayerOn.
+		seg.mu.Unlock()
+		c.hits.Add(1)
+	} else {
+		seg.m[key] = v
+		seg.mu.Unlock()
+		c.misses.Add(1)
+	}
 	v.Layer = l
 	return v
 }
@@ -223,18 +234,21 @@ func (c *Cache) NodeCosts(g *dnn.Graph, a *Accel) []LayerCost {
 	if v, ok := c.vecs.Load(k); ok {
 		return v.([]LayerCost)
 	}
-	vec := nodeCosts(c, g, a)
+	// Build under vecMu, after a second look: each vector is built once,
+	// so its per-layer lookups count once, as in a serial run.
 	c.vecMu.Lock()
 	defer c.vecMu.Unlock()
+	if v, ok := c.vecs.Load(k); ok {
+		return v.([]LayerCost)
+	}
+	vec := nodeCosts(c, g, a)
 	if c.vecNodes+len(vec) > maxNodeCosts {
 		c.vecs.Clear()
 		c.vecNodes = 0
 	}
-	v, loaded := c.vecs.LoadOrStore(k, vec)
-	if !loaded {
-		c.vecNodes += len(vec)
-	}
-	return v.([]LayerCost)
+	c.vecs.Store(k, vec)
+	c.vecNodes += len(vec)
+	return vec
 }
 
 // nodeCosts builds g's node-cost vector on a through c (nil evaluates

@@ -202,6 +202,33 @@ func TestCacheShardedConcurrentHammer(t *testing.T) {
 	}
 }
 
+// TestCacheConcurrentMissCountsOnce: goroutines that miss one fresh key
+// at the same moment may each evaluate it, but only the one that stores
+// the entry counts a miss; the others count the hits a serial run would.
+func TestCacheConcurrentMissCountsOnce(t *testing.T) {
+	c := NewCache()
+	l, a := cacheTestLayers()[0], SimbaChiplet(dataflow.OS)
+	want := LayerOn(l, a)
+	const callers = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if got := c.LayerOn(l, a); !reflect.DeepEqual(got, want) {
+				t.Errorf("LayerOn = %+v, want %+v", got, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if s := c.Stats(); s.Misses != 1 || s.Entries != 1 || s.Hits != callers-1 {
+		t.Errorf("stats = %+v, want 1 miss, 1 entry and %d hits", s, callers-1)
+	}
+}
+
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache()
 	layers := cacheTestLayers()

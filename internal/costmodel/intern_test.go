@@ -150,7 +150,8 @@ func TestNodeCostsBounded(t *testing.T) {
 }
 
 // TestNodeCostsConcurrent: callers racing on one (graph, accelerator)
-// all get the one stored vector.
+// all get the one stored vector, built once, so the counters read as
+// after one serial call.
 func TestNodeCostsConcurrent(t *testing.T) {
 	c := NewCache()
 	g := lineGraph("g", 16)
@@ -174,5 +175,10 @@ func TestNodeCostsConcurrent(t *testing.T) {
 		if &v[0] != &stored[0] {
 			t.Errorf("caller %d got its own vector", i)
 		}
+	}
+	serial := NewCache()
+	serial.NodeCosts(g, a)
+	if got, want := c.Stats(), serial.Stats(); got != want {
+		t.Errorf("stats after %d racing callers = %+v, want one serial call's %+v", callers, got, want)
 	}
 }

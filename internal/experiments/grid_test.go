@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
@@ -27,21 +28,29 @@ func renderResults(t *testing.T, results []sweep.GridResult) string {
 	return sb.String()
 }
 
-func runSharded(t *testing.T, workers int) string {
+// runSharded runs the grid on a fresh engine and returns its rendered
+// output and the engine's cost-cache counters.
+func runSharded(t *testing.T, workers int) (string, costmodel.CacheStats) {
 	t.Helper()
 	eng := sweep.New(workers)
-	return renderResults(t, eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), ShardedGrid(eng)))
+	out := renderResults(t, eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), ShardedGrid(eng)))
+	return out, eng.Cache().Stats()
 }
 
 // TestShardedGridSerialParallelIdentical: bit-for-bit identical output
 // at every worker count — the determinism contract the sharded
-// dispatch must keep. Runs under `make race`, so the worker fan-out is
-// also checked for data races.
+// dispatch must keep — and the serial run's exact cost-cache counts.
+// Runs under `make race`, so the worker fan-out is also checked for
+// data races.
 func TestShardedGridSerialParallelIdentical(t *testing.T) {
-	want := runSharded(t, 1)
+	want, wantStats := runSharded(t, 1)
 	for _, workers := range []int{2, 8, 32} {
-		if got := runSharded(t, workers); got != want {
+		got, stats := runSharded(t, workers)
+		if got != want {
 			t.Errorf("workers=%d output diverged from serial:\n got:\n%s\nwant:\n%s", workers, got, want)
+		}
+		if stats != wantStats {
+			t.Errorf("workers=%d cost-cache stats %+v, serial %+v", workers, stats, wantStats)
 		}
 	}
 }

@@ -165,8 +165,7 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 		if i == nw-1 {
 			n = frames - win*(nw-1)
 		}
-		gen := b.Spec.Generator(b.Spec.Seed + windowSeedStride*uint64(i+1))
-		r, err := g.Run(n, gen)
+		r, err := g.Run(n, b.Spec.WindowGenerator(i))
 		if err != nil {
 			return fmt.Errorf("scenario %s window %d: %w", b.Spec.Name, i, err)
 		}

@@ -308,6 +308,12 @@ func (s Spec) Generator(seed uint64) *trace.Generator {
 	return g
 }
 
+// WindowGenerator builds the generator of the runner's trace window i
+// (from 0).
+func (s Spec) WindowGenerator(i int) *trace.Generator {
+	return s.Generator(s.Seed + windowSeedStride*uint64(i+1))
+}
+
 // ParseSpec decodes and validates a JSON scenario spec, applying
 // defaults to unset fields. Unknown JSON fields and trailing content
 // after the spec object are rejected so typos and botched merges in

@@ -85,5 +85,5 @@ func RunGreedy(s *sched.Schedule, frames int, gen *trace.Generator) (Result, err
 		remaining--
 	}
 
-	return g.summarize(frames, arrivals, end, busy), nil
+	return g.summarize(frames, T, arrivals, end, busy), nil
 }

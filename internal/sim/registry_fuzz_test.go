@@ -89,3 +89,42 @@ func FuzzRunMatchesGreedy(f *testing.F) {
 		}
 	})
 }
+
+// TestRunMatchesGreedyAtWindowSize holds the two engines together on
+// one 64-frame window of every registry scenario, generated as the
+// scenario runner generates window 0: the window size the streaming
+// benchmark runs, where an overloaded schedule (ws-dataflow-8cam)
+// builds the deepest wait queues. FuzzRunMatchesGreedy folds frames
+// into [1, 24], short of that backlog. The race detector slows the
+// quadratic reference enough that a -race run keeps two scenarios,
+// ws-dataflow-8cam among them.
+func TestRunMatchesGreedyAtWindowSize(t *testing.T) {
+	const frames = 64
+	schedules, err := registrySchedules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range scenario.Registry() {
+		if raceEnabled && sp.Name != "ws-dataflow-8cam" && sp.Name != "urban-8cam" {
+			continue
+		}
+		t.Run(sp.Name, func(t *testing.T) {
+			g, err := sim.Prepare(schedules[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := sp.WindowGenerator(0)
+			ev, err := g.Run(frames, gen)
+			if err != nil {
+				t.Fatalf("event-driven: %v", err)
+			}
+			gr, err := sim.RunGreedy(schedules[i], frames, gen)
+			if err != nil {
+				t.Fatalf("greedy: %v", err)
+			}
+			if !reflect.DeepEqual(ev, gr) {
+				t.Errorf("engines diverged\nevent-driven: %+v\ngreedy:       %+v", ev, gr)
+			}
+		})
+	}
+}

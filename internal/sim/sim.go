@@ -19,7 +19,13 @@
 // the global minimum and results are bit-for-bit those of RunGreedy
 // (same task order, same floating-point accumulation order).
 // TestEventDrivenMatchesGreedy and FuzzRunMatchesGreedy hold the two
-// engines together.
+// engines together, and TestRunMatchesGreedyAtWindowSize does at the
+// depth of a 64-frame streaming window's backlog.
+//
+// A step handles the heap's root in place: most steps push at least
+// one entry (a successor, a parked task's representative, a re-keyed
+// representative), and the first push takes the root's slot with one
+// sift-down. Only a step that pushes nothing removes the root.
 //
 // Two devices keep the heap small under backlog:
 //
@@ -33,10 +39,11 @@
 //   - Wait queues. A task found blocked by a busy chiplet — when it
 //     becomes schedulable, or when its entry pops with a start that
 //     moved past the key — is parked on the chiplet that now sets its
-//     start. Each chiplet keeps its parked seqs in a min-heap, because
-//     waiters do not arrive in seq order, and one live representative
-//     entry in the global heap: (the chiplet's free time at push, its
-//     smallest parked seq). When the chiplet is granted, only the
+//     start. Each chiplet keeps its parked tasks as bare seqs (a
+//     waiter's start is its chiplet's) in a min-heap, because waiters
+//     do not arrive in seq order, and one live representative entry in
+//     the global heap: (the chiplet's free time at push, its smallest
+//     parked seq). When the chiplet is granted, only the
 //     representative is re-keyed, not every waiter. A representative
 //     that pops at the chiplet's free time hands its task the same test
 //     as a task's own entry: run it if its start equals the key, else
@@ -49,15 +56,19 @@
 // with CSR dependency/successor lists, gangs as chiplet ordinals
 // (chiplet.MCM.Ord) and the per-frame busiest NoP link — and Run
 // instantiates `frames` copies of it arithmetically: global task seq =
-// frame*T + template index, which reproduces the original frame-major
-// construction order exactly. The event loop itself runs on pooled
-// flat arrays (no per-task objects, no map lookups, no interface boxing
-// in the heap), so a streaming run allocates almost nothing beyond its
-// Result.
+// frame<<shift | template index, where 2^shift is the least power of
+// two at least the template size T. That is the order of frame*T +
+// index, the original frame-major construction order, and a shift and
+// a mask split a seq without dividing; the per-task scratch holds
+// 2^shift slots per frame, fewer than 2*T. The event loop itself runs
+// on pooled flat arrays (no per-task objects, no map lookups, no
+// interface boxing in the heap), so a streaming run allocates almost
+// nothing beyond its Result.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -220,33 +231,40 @@ type startEvent struct {
 	ci    int32
 }
 
+// before orders events by (start, seq). The seq tie-break reproduces
+// the greedy scan's lowest-index-wins rule.
+func (e startEvent) before(o startEvent) bool {
+	if e.start != o.start {
+		return e.start < o.start
+	}
+	return e.seq < o.seq
+}
+
 // eventHeap is a typed binary min-heap of startEvents ordered by
 // (start, seq) — container/heap's algorithm without the interface
-// boxing. The seq tie-break reproduces the greedy scan's
-// lowest-index-wins rule. Entries can share a (start, seq) only when a
-// chiplet re-pushes a representative equal to a superseded one still in
-// the heap; such twins are interchangeable.
+// boxing, moving a hole instead of swapping entries. Entries can share
+// a (start, seq) only when a chiplet re-pushes a representative equal
+// to a superseded one still in the heap; such twins are
+// interchangeable.
 type eventHeap []startEvent
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].start != h[j].start {
-		return h[i].start < h[j].start
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) up(j int) {
+func (h *eventHeap) push(e startEvent) {
+	*h = append(*h, e)
+	s := *h
+	j := len(s) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if !h.less(j, i) {
+		if !e.before(s[i]) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		s[j] = s[i]
 		j = i
 	}
+	s[j] = e
 }
 
-func (h eventHeap) down(i int) {
+// fill places e in the hole at i, moving smaller children up into it.
+func (h eventHeap) fill(i int, e startEvent) {
 	n := len(h)
 	for {
 		l := 2*i + 1
@@ -254,30 +272,74 @@ func (h eventHeap) down(i int) {
 			break
 		}
 		j := l
-		if r := l + 1; r < n && h.less(r, l) {
+		if r := l + 1; r < n && h[r].before(h[l]) {
 			j = r
 		}
-		if !h.less(j, i) {
+		if !h[j].before(e) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
+	}
+	h[i] = e
+}
+
+// dropRoot removes the minimum.
+func (h *eventHeap) dropRoot() {
+	s := *h
+	n := len(s) - 1
+	*h = s[:n]
+	if n > 0 {
+		s[:n].fill(0, s[n])
 	}
 }
 
-func (h *eventHeap) push(e startEvent) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
+// seqHeap is a binary min-heap of bare task seqs: one chiplet's wait
+// queue. Waiters do not arrive in seq order.
+type seqHeap []int
+
+func (q *seqHeap) push(seq int) {
+	*q = append(*q, seq)
+	s := *q
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if seq >= s[i] {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = seq
 }
 
-func (h *eventHeap) popMin() startEvent {
-	old := *h
-	n := len(old) - 1
-	min := old[0]
-	old[0], old[n] = old[n], old[0]
-	*h = old[:n]
-	(*h).down(0)
-	return min
+// dropMin removes the smallest seq.
+func (q *seqHeap) dropMin() {
+	s := *q
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	*q = s
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && s[r] < s[l] {
+			j = r
+		}
+		if last <= s[j] {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = last
 }
 
 // runScratch is the pooled flat working state of one Run: everything
@@ -290,22 +352,25 @@ type runScratch struct {
 	free    []float64
 	busy    []float64
 	h       eventHeap
+	// held is set while a step processes h's root in place: the step's
+	// first push takes the root's slot, and a step that pushes nothing
+	// removes the root.
+	held bool
 
 	// sufMin[f] is the earliest set-ready time among frames >= f.
 	sufMin []float64
 
-	// Per-chiplet wait queues. Parked entries leave start at 0, so a
-	// queue orders by seq alone. repSeq[c] is the seq of chiplet c's live
-	// representative in h (-1: none; between steps, exactly when wq[c] is
-	// empty) and repKey[c] its key.
-	wq     []eventHeap
+	// Per-chiplet wait queues of parked seqs. repSeq[c] is the seq of
+	// chiplet c's live representative in h (-1: none; between steps,
+	// exactly when wq[c] is empty) and repKey[c] its key.
+	wq     []seqHeap
 	repKey []float64
 	repSeq []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
 
-// grab sizes the scratch for n tasks in the given frames over m
+// grab sizes the scratch for n task slots in the given frames over m
 // chiplets. Only the per-chiplet state needs resetting: waiting is
 // written when a frame is released, ready/end entries before any read
 // (dependency counters gate every read behind the writer), and sufMin
@@ -328,7 +393,7 @@ func (sc *runScratch) grab(n, frames, m int) {
 		sc.busy = make([]float64, m)
 		sc.repKey = make([]float64, m)
 		sc.repSeq = make([]int, m)
-		sc.wq = make([]eventHeap, m)
+		sc.wq = make([]seqHeap, m)
 	}
 	sc.free = sc.free[:m]
 	sc.busy = sc.busy[:m]
@@ -342,13 +407,25 @@ func (sc *runScratch) grab(n, frames, m int) {
 		sc.wq[i] = sc.wq[i][:0]
 	}
 	sc.h = sc.h[:0]
+	sc.held = false
+}
+
+// push adds e to the event heap, into the root's slot if a step still
+// holds it: one sift-down in place of a pop and a push.
+func (sc *runScratch) push(e startEvent) {
+	if sc.held {
+		sc.held = false
+		sc.h.fill(0, e)
+		return
+	}
+	sc.h.push(e)
 }
 
 // pushRep pushes a fresh representative for chiplet c's non-empty wait
 // queue, superseding any earlier one.
 func (sc *runScratch) pushRep(c int32) {
-	sc.repKey[c], sc.repSeq[c] = sc.free[c], sc.wq[c][0].seq
-	sc.h.push(startEvent{start: sc.repKey[c], seq: sc.repSeq[c], ci: c})
+	sc.repKey[c], sc.repSeq[c] = sc.free[c], sc.wq[c][0]
+	sc.push(startEvent{start: sc.repKey[c], seq: sc.repSeq[c], ci: c})
 }
 
 // Run streams `frames` frame sets (arriving per the trace generator)
@@ -364,11 +441,14 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 	}
 	arrivals := gen.FrameSets(frames)
 
+	// Task seqs are frame<<shift | template index: the frame-major order
+	// of frame*T + index, split with a shift and a mask.
 	T := len(g.defs)
-	n := frames * T
+	shift := bits.Len(uint(T - 1))
+	mask := 1<<shift - 1
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
-	sc.grab(n, frames, g.s.MCM.Chiplets())
+	sc.grab(frames<<shift, frames, g.s.MCM.Chiplets())
 
 	sc.sufMin[frames-1] = arrivals[frames-1].ReadyMs
 	for f := frames - 2; f >= 0; f-- {
@@ -400,7 +480,7 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 				break
 			}
 		}
-		sc.wq[p].push(startEvent{seq: seq})
+		sc.wq[p].push(seq)
 		if sc.repSeq[p] < 0 || seq < sc.repSeq[p] {
 			sc.pushRep(p)
 		}
@@ -412,16 +492,21 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 		if start := startOf(seq, li); start > sc.ready[seq] {
 			park(seq, g.gangList[d.gangOff:d.gangEnd], start)
 		} else {
-			sc.h.push(startEvent{start: start, seq: seq, ci: -1})
+			sc.push(startEvent{start: start, seq: seq, ci: -1})
 		}
 	}
 
-	next, remaining := 0, n
+	next, remaining := 0, frames*T
 	for {
+		if sc.held {
+			// The last step pushed nothing: its root is still there.
+			sc.held = false
+			sc.h.dropRoot()
+		}
 		// Release frames in order while one of them could hold the next
 		// event.
 		for next < frames && (len(sc.h) == 0 || sc.sufMin[next] <= sc.h[0].start) {
-			off := next * T
+			off := next << shift
 			for li := range g.defs {
 				d := &g.defs[li]
 				sc.waiting[off+li] = d.depEnd - d.depOff
@@ -436,7 +521,9 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 			break
 		}
 
-		ev := sc.h.popMin()
+		// The step works on the heap's root in place (see push).
+		ev := sc.h[0]
+		sc.held = true
 		c := ev.ci
 		if c >= 0 {
 			if ev.start != sc.repKey[c] || ev.seq != sc.repSeq[c] {
@@ -448,12 +535,12 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 				sc.pushRep(c)
 				continue
 			}
-			sc.wq[c].popMin() // ev.seq, the queue's smallest
+			sc.wq[c].dropMin() // ev.seq, the queue's smallest
 			sc.repSeq[c] = -1
 		}
 
 		seq := ev.seq
-		li := seq % T
+		li := seq & mask
 		d := &g.defs[li]
 		gang := g.gangList[d.gangOff:d.gangEnd]
 		if cur := startOf(seq, li); cur > ev.start {
@@ -474,7 +561,7 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 				sc.waiting[gs]--
 				if sc.waiting[gs] == 0 {
 					sd := &g.defs[si]
-					ready := arrivals[gs/T].ReadyMs
+					ready := arrivals[seq>>shift].ReadyMs
 					for k := sd.depOff; k < sd.depEnd; k++ {
 						if e := sc.end[base+int(g.depList[k])] + g.depExtra[k]; e > ready {
 							ready = e
@@ -495,7 +582,7 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 		return Result{}, fmt.Errorf("sim: deadlock with %d tasks remaining", remaining)
 	}
 
-	return g.summarize(frames, arrivals, sc.end, sc.busy), nil
+	return g.summarize(frames, 1<<shift, arrivals, sc.end, sc.busy), nil
 }
 
 // Run compiles the schedule and streams `frames` frame sets through it;
@@ -515,17 +602,17 @@ func Run(s *sched.Schedule, frames int, gen *trace.Generator) (Result, error) {
 // summarize assembles the Result shared by both engines from the flat
 // end-time and per-ordinal busy arrays: summary metrics plus the
 // whole-run busiest-link accounting (the per-frame load times the
-// frame count).
-func (g *Graph) summarize(frames int, arrivals []trace.SetArrival, end, busy []float64) Result {
+// frame count). Frame f's tasks sit at end[f*stride:], in template
+// order.
+func (g *Graph) summarize(frames, stride int, arrivals []trace.SetArrival, end, busy []float64) Result {
 	r := Result{Frames: frames}
-	T := len(g.defs)
 
 	completions := make([]float64, frames)
 	r.FrameLatenciesMs = make([]float64, 0, frames)
 	for f := 0; f < frames; f++ {
 		var e float64
 		for _, li := range g.lastTmpl {
-			if v := end[f*T+int(li)]; v > e {
+			if v := end[f*stride+int(li)]; v > e {
 				e = v
 			}
 		}

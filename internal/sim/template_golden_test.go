@@ -124,3 +124,35 @@ func TestPrepareAllocations(t *testing.T) {
 		t.Errorf("Prepare of urban-8cam allocates %v times, want <= %v", got, maxAllocs)
 	}
 }
+
+// TestRunAllocations guards the allocations of one warm 64-frame window
+// of Graph.Run on every registry scenario: the event loop runs on the
+// pooled scratch, so what remains is the window's arrivals
+// (trace.Generator.FrameSets, 5) and its Result (summarize, 2).
+// AllocsPerRun's own warm-up run fills the pool. Skipped under -race,
+// like TestPrepareAllocations.
+func TestRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const maxAllocs = 7
+	schedules, err := registrySchedules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range scenario.Registry() {
+		g, err := sim.Prepare(schedules[i])
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		gen := sp.WindowGenerator(0)
+		run := func() {
+			if _, err := g.Run(64, gen); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(10, run); got > maxAllocs {
+			t.Errorf("Run of a 64-frame %s window allocates %v times, want <= %v", sp.Name, got, maxAllocs)
+		}
+	}
+}
