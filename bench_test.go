@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"mcmnpu/internal/api"
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dataflow"
@@ -373,6 +374,29 @@ func BenchmarkDSEExploreSerial(b *testing.B) {
 	printTable("dse-serial", func() {
 		fmt.Printf("serial DSE: %d combos, best EDP %.2f\n\n", r.Combos, r.EDP)
 	})
+}
+
+// BenchmarkServiceDSE is one /v1/dse request through a warm
+// api.Service on sweep.New(1): its first request, before the timer,
+// built the Table I space and scored the four pins, so every iteration
+// is a new lcstr_ms's four Best scans over the kept scores, the table
+// render and the envelope. BenchmarkDSEExploreSerial stays the cold
+// scan.
+func BenchmarkServiceDSE(b *testing.B) {
+	ctx := context.Background()
+	svc := api.NewService(sweep.New(1))
+	if _, err := svc.DSE(ctx, &api.DSERequest{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	n := 0
+	for b.Loop() {
+		lcstr := 60 + float64(n%100000)*1e-3 // 100,000 distinct values in [60, 160)
+		n++
+		if _, err := svc.DSE(ctx, &api.DSERequest{LcstrMs: lcstr}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSweepGridSerial runs the default experiment grid one

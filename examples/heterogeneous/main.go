@@ -11,7 +11,6 @@ import (
 	"log"
 	"os"
 
-	"mcmnpu/internal/dse"
 	"mcmnpu/internal/experiments"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
@@ -22,8 +21,10 @@ func main() {
 	cfg.LaneContext = 0.6 // the operating point Fig 11 selects
 	eng := sweep.New(0)
 
-	// Full Table I (OS / WS / Het(2) / Het(4)).
-	t1, err := experiments.TableI(context.Background(), eng, cfg, 85)
+	// Full Table I (OS / WS / Het(2) / Het(4)). The space scores each
+	// WS-count pin once; the sweep below reuses those scores.
+	space := experiments.TableISpace(eng, cfg, 85)
+	t1, err := experiments.TableIOn(context.Background(), space)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +32,6 @@ func main() {
 
 	// Sweep every WS count to see where the EDP optimum sits.
 	fmt.Println("\nWS-chiplet sweep (9-chiplet quadrant, Lcstr 85 ms):")
-	space := dse.NewCachedSpace(workloads.Trunks(cfg), 9, 85, eng.Cache())
 	bestEDP, bestN := 0.0, 0
 	for n := 0; n <= 6; n++ {
 		r := space.Best(n)

@@ -461,6 +461,60 @@ func TestConcurrentClientsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestConcurrentDSEMatchesFreshService: concurrent /v1/dse requests
+// with distinct constraints all explore views of the one Table I space
+// the server's Service keeps, racing on its lazily scored pins (run
+// under -race by make race). Each table must be byte-identical to the
+// one a fresh Service computes for the same request.
+func TestConcurrentDSEMatchesFreshService(t *testing.T) {
+	// 60.597 and 60.598 straddle the feasibility boundary of the OS,
+	// Het(2) and Het(4) rows (a 63.6274 ms pipe over the 5% tolerance).
+	lcstrs := []float64{5, 60, 60.597, 60.598, 70, 85, 100, 150}
+	_, hs := newTestServer(t, ServerConfig{HighWatermark: 16})
+	var wg sync.WaitGroup
+	errs := make(chan error, len(lcstrs))
+	for _, l := range lcstrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fresh, err := NewService(nil).DSE(context.Background(), &DSERequest{LcstrMs: l})
+			if err != nil {
+				errs <- err
+				return
+			}
+			resp, err := http.Post(hs.URL+"/v1/dse", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"lcstr_ms":%v}`, l)))
+			if err != nil {
+				errs <- err
+				return
+			}
+			payload, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				errs <- err
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("lcstr %v: status %d: %s", l, resp.StatusCode, payload)
+				return
+			}
+			var full DSEResponse
+			if err := json.Unmarshal(payload, &full); err != nil {
+				errs <- err
+				return
+			}
+			if got, want := full.TableData.JSON(), fresh.TableData.JSON(); got != want {
+				errs <- fmt.Errorf("lcstr %v: shared-space table differs from a fresh service's:\n got: %s\nwant: %s", l, got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func mustSpecs(t *testing.T, names ...string) []scenario.Spec {
 	t.Helper()
 	specs := make([]scenario.Spec, len(names))

@@ -2,16 +2,19 @@
 // engines and wraps every outcome in the RunResult envelope. It is the
 // single execution path behind both the HTTP daemon and the one-shot
 // CLIs: a server holds one Service for its whole lifetime (keeping the
-// interned cost tables and the engine's layer-cost cache warm across
-// requests), while a CLI builds one per invocation.
+// interned cost tables, the engine's layer-cost cache and the scored
+// Table I space warm across requests), while a CLI builds one per
+// invocation.
 package api
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
+	"mcmnpu/internal/dse"
 	"mcmnpu/internal/experiments"
 	"mcmnpu/internal/pareto"
 	"mcmnpu/internal/report"
@@ -171,10 +174,19 @@ func (r *ParetoResponse) TextFooter() string {
 }
 
 // Service executes api requests. Its engine fans work across a pool
-// and memoizes layer costs in its cache across requests.
+// and memoizes layer costs in its cache across requests. It also keeps
+// the Table I exploration space, built on the engine's cache by its
+// first DSE request: every DSE request explores a WithLcstr view of
+// that one space, so each pin's candidates are scored once per Service,
+// not once per request. The space is one cost table and at most one
+// score per candidate mask and pin; it does not grow with the number
+// of requests.
 type Service struct {
 	engine  *sweep.Engine
 	version string
+
+	tableIOnce sync.Once
+	tableI     *dse.Space
 }
 
 // NewService wraps an engine (nil = sweep.New(1), a serial run) under
@@ -284,13 +296,17 @@ func toGridResult(r sweep.GridResult) GridScenarioResult {
 	return g
 }
 
-// DSE runs the Table I design-space exploration.
+// DSE runs the Table I design-space exploration under the request's
+// latency constraint, on the service's Table I space.
 func (s *Service) DSE(ctx context.Context, req *DSERequest) (*DSEResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res, err := experiments.TableI(ctx, s.engine, workloads.DefaultConfig(), req.lcstr())
+	s.tableIOnce.Do(func() {
+		s.tableI = experiments.TableISpace(s.engine, workloads.DefaultConfig(), DefaultLcstrMs)
+	})
+	res, err := experiments.TableIOn(ctx, s.tableI.WithLcstr(req.lcstr()))
 	if err != nil {
 		return nil, err
 	}

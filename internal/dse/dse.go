@@ -13,6 +13,12 @@
 // winning configurations assign the detection-trunk convolution networks
 // to the WS chiplets — reproducing the paper's observation that DET_TR
 // achieves ~35% energy reduction on WS silicon.
+//
+// Only the feasibility test reads Lcstr: a configuration's pipe, energy,
+// E2E and EDP do not depend on it. So a Space scores each pin's
+// candidates once, on the pin's first Best, and every view of the space
+// under another constraint (WithLcstr) re-applies only that test to the
+// kept scores.
 package dse
 
 import (
@@ -22,6 +28,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dataflow"
@@ -87,10 +94,13 @@ type Result struct {
 // Space is a prepared exploration space: the nets of a trunk quadrant
 // plus the OS/WS accelerator models and the latency constraint, with
 // every net layer's cost on both styles precomputed into an
-// index-addressed table at construction. The configuration fields are
-// immutable after NewCachedSpace, so one Space may be shared by
-// concurrent goroutines (the dse-lcstr grid scans its points' WithLcstr
-// views of one space on the engine's workers).
+// index-addressed table at construction. The configuration fields and
+// the cost table are immutable after NewCachedSpace. The only mutable
+// state is the per-pin score memo, which Best fills once per pin under
+// a sync.Once, so one Space and its WithLcstr views may be shared by
+// concurrent goroutines (the dse-lcstr grid scans its points' views of
+// one space on the engine's workers, and a Service answers every DSE
+// request from one space).
 type Space struct {
 	Nets     []Net
 	Chiplets int
@@ -107,6 +117,15 @@ type Space struct {
 	layerOff []int // net i -> first row of its layers in tab
 	netModel []int // net i -> dense model index
 	nModels  int
+
+	// byStyle[col] holds every layer's latency on style col in
+	// descending order, each with its net's mask bit: the LPT order of
+	// any mask's layers on that style is a subsequence of it.
+	byStyle [2][]packEntry
+
+	// pins[ws] memoizes the scores of pin ws's candidates. WithLcstr
+	// views copy the slice header, so they share one memo.
+	pins []pinScores
 }
 
 // Table column indices for the two dataflow styles.
@@ -115,13 +134,38 @@ const (
 	wsCol = 1
 )
 
+// packEntry is one layer's latency on a style and its net's mask bit.
+type packEntry struct {
+	ms  float64
+	bit int // 1 << net index
+}
+
+// pinScores is one pin's memo: the scores of its candidates, in
+// candidate order, computed by the first Best of the pin.
+type pinScores struct {
+	once   sync.Once
+	scores []score
+}
+
+// score is one candidate mask's evaluation on a pin. None of it depends
+// on the latency constraint; Best derives Feasible per view.
+type score struct {
+	mask   int
+	packs  bool // false when a style has layers but no chiplets
+	e2e    float64
+	pipe   float64
+	energy float64
+	edp    float64
+}
+
 // NewCachedSpace prepares the exploration space for a pool of
 // `chiplets` accelerators under the latency constraint lcstrMs. The
-// layer-cost cache lets multiple spaces (e.g. the pins of a Table I
-// run, or every scenario of a sweep grid) share memoized evaluations;
-// a nil cache evaluates uncached. Either way every (layer, style) pair
-// is evaluated at most once here, at construction — the 2^n candidate
-// masks of an exploration read the precomputed table.
+// layer-cost cache lets multiple spaces (e.g. every scenario of a sweep
+// grid) share memoized evaluations; a nil cache evaluates uncached.
+// Either way every (layer, style) pair is evaluated at most once here,
+// at construction, and each style's latencies are sorted once for LPT
+// packing — the 2^n candidate masks of an exploration read the
+// precomputed table.
 func NewCachedSpace(trunks []*dnn.Graph, chiplets int, lcstrMs float64, c *costmodel.Cache) *Space {
 	s := &Space{
 		Nets:     NetsOf(trunks),
@@ -130,6 +174,7 @@ func NewCachedSpace(trunks []*dnn.Graph, chiplets int, lcstrMs float64, c *costm
 		osAccel:  costmodel.SimbaChiplet(dataflow.OS),
 		wsAccel:  costmodel.SimbaChiplet(dataflow.WS),
 		cache:    c,
+		pins:     make([]pinScores, chiplets+1),
 	}
 	var layers []*dnn.Layer
 	modelIdx := map[string]int{}
@@ -145,14 +190,24 @@ func NewCachedSpace(trunks []*dnn.Graph, chiplets int, lcstrMs float64, c *costm
 	}
 	s.nModels = len(modelIdx)
 	s.tab = c.NewTable(layers, []*costmodel.Accel{s.osAccel, s.wsAccel})
+	for col := range s.byStyle {
+		entries := make([]packEntry, 0, len(layers))
+		for i, net := range s.Nets {
+			for j := range net.Layers {
+				entries = append(entries, packEntry{ms: s.tab.Cost(s.layerOff[i]+j, col).LatencyMs, bit: 1 << i})
+			}
+		}
+		slices.SortFunc(entries, func(a, b packEntry) int { return cmp.Compare(b.ms, a.ms) })
+		s.byStyle[col] = entries
+	}
 	return s
 }
 
 // WithLcstr returns a view of the space under a different latency
-// constraint, sharing the precomputed cost table (the constraint only
-// enters the feasibility check, never the costs). The Lcstr sweep
-// builds its per-point spaces this way instead of re-evaluating every
-// layer per point.
+// constraint, sharing the precomputed cost table and the score memo
+// (the constraint only enters the feasibility check, never the
+// scores). The Lcstr sweep and the DSE service explore their
+// constraints this way instead of re-scoring every mask per point.
 func (s *Space) WithLcstr(lcstrMs float64) *Space {
 	v := *s
 	v.LcstrMs = lcstrMs
@@ -164,10 +219,13 @@ func (s *Space) WithLcstr(lcstrMs float64) *Space {
 // wsCount == 0 forces every net onto OS (mask 0), and wsCount ==
 // Chiplets forces every net onto WS (the full mask) — enumerating the
 // other 2^n-1 masks would only skip them one by one. Otherwise every
-// subset of nets is a candidate (2^n; n <= ~10).
+// subset of nets is a candidate (2^n; n <= ~10). A wsCount outside
+// [0, Chiplets] is no pin of the space and has no candidates.
 func (s *Space) Candidates(wsCount int) []int {
 	n := len(s.Nets)
 	switch {
+	case wsCount < 0 || wsCount > s.Chiplets:
+		return nil
 	case wsCount == 0:
 		return []int{0}
 	case wsCount == s.Chiplets:
@@ -184,32 +242,64 @@ func (s *Space) Candidates(wsCount int) []int {
 // Best exhaustively searches the style assignment of nets for the
 // space's chiplets, wsCount of them WS, under the space's latency
 // constraint (with the scheduler's 5% tolerance), and returns the
-// best-scoring configuration. It is one in-order scan over the
-// candidates under the strict Better, so the first of tied
-// configurations wins. Scoring a mask reuses one scratch and allocates
-// nothing once the buffers warm up; only a new incumbent copies its
-// WS net names.
+// best-scoring configuration. The first Best of a pin on a space (or
+// any of its views) scores every candidate once; every Best of that
+// pin is then one in-order scan over the scores under the strict
+// Better, so the first of tied configurations wins. Only the winner's
+// WS net names are copied out. A wsCount outside [0, Chiplets] returns
+// the result of a pin where nothing packs: EDP +Inf, infeasible, no
+// combos.
 func (s *Space) Best(wsCount int) Result {
-	candidates := s.Candidates(wsCount)
-	var (
-		scr   evalScratch
-		r     Result
-		found bool
-	)
+	scores := s.scores(wsCount)
+	limit := s.LcstrMs * 1.05        // the scheduler's tolerance
 	best := Result{EDP: math.Inf(1)} // returned as is when no mask packs
-	for _, mask := range candidates {
-		if !s.evalInto(&r, &scr, wsCount, mask) {
+	win := -1
+	for i, sc := range scores {
+		if !sc.packs {
 			continue
 		}
-		if !found || Better(r, best) {
-			best, found = r, true
-			best.WSNets = slices.Clone(r.WSNets) // r's names alias the scratch
+		r := Result{E2EMs: sc.e2e, PipeLatMs: sc.pipe, EnergyJ: sc.energy, EDP: sc.edp, Feasible: sc.pipe <= limit}
+		if win < 0 || Better(r, best) {
+			best, win = r, i
 		}
+	}
+	if win >= 0 {
+		best.WSNets = s.wsNets(scores[win].mask)
 	}
 	best.Name = configName(wsCount)
 	best.WSCount = wsCount
-	best.Combos = len(candidates)
+	best.Combos = len(scores)
 	return best
+}
+
+// scores returns pin wsCount's candidate scores, in candidate order,
+// computing them on the pin's first call; none outside [0, Chiplets].
+func (s *Space) scores(wsCount int) []score {
+	if wsCount < 0 || wsCount > s.Chiplets {
+		return nil
+	}
+	p := &s.pins[wsCount]
+	p.once.Do(func() {
+		masks := s.Candidates(wsCount)
+		p.scores = make([]score, len(masks))
+		var scr evalScratch
+		for i, mask := range masks {
+			s.evalInto(&p.scores[i], &scr, wsCount, mask)
+		}
+	})
+	return p.scores
+}
+
+// wsNets lists the names of the nets mask puts on WS, in net order
+// (nil when none).
+func (s *Space) wsNets(mask int) []string {
+	var names []string
+	for i, net := range s.Nets {
+		if mask&(1<<i) != 0 {
+			names = append(names, net.Name)
+		}
+	}
+	return names
 }
 
 // Better reports whether a beats b: feasible configurations first, then
@@ -232,127 +322,95 @@ func configName(wsCount int) string {
 }
 
 // evalScratch is the reusable working state of one evaluation loop:
-// the per-style latency lists handed to the LPT packer, the per-model
-// chain accumulators, and the packer's load bins. One scan owns one
-// scratch, so scoring a mask allocates nothing after the buffers warm
-// up.
+// the per-model chain accumulators and the packer's load bins. One
+// scan owns one scratch, so scoring a mask allocates nothing after the
+// buffers warm up.
 type evalScratch struct {
-	osMs   []float64
-	wsMs   []float64
-	chain  []float64
-	loads  []float64
-	wsNets []string
+	chain []float64
+	loads []float64
 }
 
 // evalInto packs the layers of each net onto its style's chiplets (LPT)
-// and scores the configuration into r. Returns false when a style has
-// assigned layers but no chiplets (infeasible packing). Layer costs
-// are pure table reads; the accumulation order (nets in order, layers
-// in order) matches the original cache-backed evaluation exactly, so
-// results are bit-for-bit identical.
-//
-// r.WSNets aliases scr's buffer (nil when empty) — callers keeping r
-// beyond the next evalInto call on the same scratch must copy it.
-func (s *Space) evalInto(r *Result, scr *evalScratch, wsCount, mask int) bool {
-	limit := s.LcstrMs * 1.05 // the scheduler's tolerance
-	osChips, wsChips := s.Chiplets-wsCount, wsCount
-
-	scr.osMs = scr.osMs[:0]
-	scr.wsMs = scr.wsMs[:0]
-	scr.wsNets = scr.wsNets[:0]
+// and scores the configuration into sc; sc.packs is false when a style
+// has assigned layers but no chiplets. Layer costs are pure table
+// reads; the accumulation order (nets in order, layers in order)
+// matches the original cache-backed evaluation exactly, so results are
+// bit-for-bit identical.
+func (s *Space) evalInto(sc *score, scr *evalScratch, wsCount, mask int) {
 	if cap(scr.chain) < s.nModels {
 		scr.chain = make([]float64, s.nModels)
 	}
-	scr.chain = scr.chain[:s.nModels]
-	for i := range scr.chain {
-		scr.chain[i] = 0
+	if cap(scr.loads) < s.Chiplets {
+		scr.loads = make([]float64, s.Chiplets)
 	}
+	chain := scr.chain[:s.nModels]
+	clear(chain)
 
 	var energy float64
 	for i, net := range s.Nets {
-		onWS := mask&(1<<i) != 0
 		col := osCol
-		if onWS {
+		if mask&(1<<i) != 0 {
 			col = wsCol
-			scr.wsNets = append(scr.wsNets, net.Name)
 		}
 		off, mi := s.layerOff[i], s.netModel[i]
 		for j := range net.Layers {
 			c := s.tab.Cost(off+j, col)
 			energy += c.EnergyJ
-			scr.chain[mi] += c.LatencyMs
-			if onWS {
-				scr.wsMs = append(scr.wsMs, c.LatencyMs)
-			} else {
-				scr.osMs = append(scr.osMs, c.LatencyMs)
-			}
+			chain[mi] += c.LatencyMs
 		}
 	}
 
-	osMax, osOK := packLPT(scr.osMs, osChips, scr)
-	wsMax, wsOK := packLPT(scr.wsMs, wsChips, scr)
+	osMax, osOK := s.pack(osCol, mask, s.Chiplets-wsCount, scr.loads)
+	wsMax, wsOK := s.pack(wsCol, mask, wsCount, scr.loads)
 	if !osOK || !wsOK {
-		return false
+		*sc = score{mask: mask}
+		return
 	}
 	pipe := math.Max(osMax, wsMax)
 
 	var e2e float64
-	for _, ms := range scr.chain {
+	for _, ms := range chain {
 		if ms > e2e {
 			e2e = ms
 		}
 	}
-	*r = Result{
-		E2EMs:     e2e,
-		PipeLatMs: pipe,
-		EnergyJ:   energy,
-		EDP:       energy * pipe,
-		Feasible:  pipe <= limit,
-		WSNets:    scr.wsNets,
-	}
-	if len(r.WSNets) == 0 {
-		r.WSNets = nil
-	}
-	return true
+	*sc = score{mask: mask, packs: true, e2e: e2e, pipe: pipe, energy: energy, edp: energy * pipe}
 }
 
-// packLPT is longest-processing-time-first packing of the latency list
-// onto `chips` bins, returning the busiest bin. The sort is in place
-// (the list is scratch) and descending; equal floats are
-// indistinguishable, so the packed order — and therefore the
-// busiest-bin value — does not depend on the sort's stability.
-// slices.SortFunc, unlike sort.Slice, sorts without allocating.
-func packLPT(ms []float64, chips int, scr *evalScratch) (float64, bool) {
-	if len(ms) == 0 {
-		return 0, true
-	}
-	if chips <= 0 {
-		return math.Inf(1), false
-	}
-	if cap(scr.loads) < chips {
-		scr.loads = make([]float64, chips)
-	}
-	loads := scr.loads[:chips]
-	for i := range loads {
-		loads[i] = 0
-	}
-	slices.SortFunc(ms, func(a, b float64) int { return cmp.Compare(b, a) })
-	for _, v := range ms {
+// pack is longest-processing-time-first packing of the layers mask
+// puts on style col onto `chips` bins (each layer to the first
+// least-loaded bin), returning the busiest bin; false when the style
+// has layers but no chiplets. The layers arrive already in LPT order:
+// byStyle[col] is sorted descending once, at construction, and the
+// mask's layers are a subsequence of it, hence descending too. Equal
+// latencies are indistinguishable, so the busiest bin depends only on
+// that value sequence, not on how the sort ordered ties.
+func (s *Space) pack(col, mask, chips int, loads []float64) (float64, bool) {
+	onWS := col == wsCol
+	loads = loads[:chips]
+	clear(loads)
+	for _, e := range s.byStyle[col] {
+		if (mask&e.bit != 0) != onWS {
+			continue
+		}
+		if chips <= 0 {
+			return math.Inf(1), false
+		}
 		k := 0
 		for j := 1; j < chips; j++ {
 			if loads[j] < loads[k] {
 				k = j
 			}
 		}
-		loads[k] += v
+		loads[k] += e.ms
 	}
-	max := 0.0
+	busiest := 0.0
 	for _, l := range loads {
-		if l > max {
-			max = l
+		if l > busiest {
+			busiest = l
 		}
 	}
-	return max, true
+	return busiest, true
 }
 
 // TableIRow pairs a configuration result with its deltas vs the OS-only

@@ -22,26 +22,37 @@ type TableIResult struct {
 	Lcstr float64
 }
 
-// TableI runs the paper's Table I (Lcstr = 85 ms in the paper) on the
+// TableISpace is Table I's exploration space under lcstrMs: the
 // 9-chiplet trunks quadrant with the lane trunk at 60% context (the
-// operating point Fig 11 selects): the four configuration rows
-// (OS-only, WS-only, Het(2), Het(4)) are the pins 0, 9, 2 and 4, each
-// one (*dse.Space).Best scan over a cost table built once on the
-// engine's cache. The all-WS row violates the latency constraint; the
-// paper reports it anyway as a bound. The context is checked before
-// each pin.
-func TableI(ctx context.Context, e *sweep.Engine, cfg workloads.Config, lcstrMs float64) (TableIResult, error) {
+// operating point Fig 11 selects), its cost table built on the engine's
+// cache. Its WithLcstr views share the cost table and the per-pin
+// scores, so a caller that explores many constraints builds it once.
+func TableISpace(e *sweep.Engine, cfg workloads.Config, lcstrMs float64) *dse.Space {
 	cfg.LaneContext = 0.6
-	space := dse.NewCachedSpace(workloads.Trunks(cfg), 9, lcstrMs, e.Cache())
+	return dse.NewCachedSpace(workloads.Trunks(cfg), 9, lcstrMs, e.Cache())
+}
+
+// TableI runs the paper's Table I (Lcstr = 85 ms in the paper): Table
+// I over a fresh TableISpace.
+func TableI(ctx context.Context, e *sweep.Engine, cfg workloads.Config, lcstrMs float64) (TableIResult, error) {
+	return TableIOn(ctx, TableISpace(e, cfg, lcstrMs))
+}
+
+// TableIOn runs Table I over space under its LcstrMs: the four
+// configuration rows (OS-only, WS-only, Het(2), Het(4)) are the pins 0,
+// Chiplets, 2 and 4, each one (*dse.Space).Best. The all-WS row
+// violates the latency constraint; the paper reports it anyway as a
+// bound. The context is checked before each pin.
+func TableIOn(ctx context.Context, space *dse.Space) (TableIResult, error) {
 	var results []dse.Result
-	for _, ws := range []int{0, 9, 2, 4} {
+	for _, ws := range []int{0, space.Chiplets, 2, 4} {
 		if err := ctx.Err(); err != nil {
 			return TableIResult{}, err
 		}
 		results = append(results, space.Best(ws))
 	}
 	results[1].Name = "WS"
-	return TableIResult{Rows: dse.TableIRows(results), Lcstr: lcstrMs}, nil
+	return TableIResult{Rows: dse.TableIRows(results), Lcstr: space.LcstrMs}, nil
 }
 
 // Table renders Table I.
@@ -65,13 +76,13 @@ var DefaultLcstrPoints = []float64{60, 70, 85, 100}
 // lcstrPlan is the dse-lcstr grid scenario: Table I's Het(2)
 // exploration re-run under each DefaultLcstrPoints constraint, showing
 // how the feasible heterogeneous frontier moves as Lcstr tightens.
-// Every point is one (*dse.Space).Best scan on its pool worker.
+// Every point is one (*dse.Space).Best scan on its pool worker, over a
+// view of one TableISpace: the constraint only gates feasibility, never
+// costs, so the first point to run scores the Het(2) pin for all of
+// them.
 func lcstrPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []dse.Result) {
 	lcstrs := DefaultLcstrPoints
-	cfg.LaneContext = 0.6 // Table I's operating point (Fig 11)
-	// One cost table for all Lcstr points: the constraint only gates
-	// feasibility, never costs.
-	base := dse.NewCachedSpace(workloads.Trunks(cfg), 9, lcstrs[0], e.Cache())
+	base := TableISpace(e, cfg, lcstrs[0])
 	results := make([]dse.Result, len(lcstrs))
 	return sweep.GridPlan{
 		Points: len(lcstrs),

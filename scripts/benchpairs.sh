@@ -11,8 +11,11 @@
 # the benchmark from its own sources. Every run's result line goes to
 # parent.jsonl or change.jsonl in .bench_build/pairs/WORKLOAD-seedSEED/,
 # emptied first, and the script stops at the first run that is not
-# correct. At the end it prints the parent's own quartiles, then
-# bench/summarize.py's comparison of the change against the parent.
+# correct. After the pairs, one traced pass (--trace 1) per side from
+# the same export writes parent-trace.jsonl and change-trace.jsonl
+# there. At the end it prints the parent's own quartiles, then
+# bench/summarize.py's comparison of the change against the parent, for
+# the timed pairs and for the traced passes' per-layer metrics.
 set -euo pipefail
 
 if [ $# -ne 4 ] || ! [[ $3 =~ ^[1-9][0-9]*$ ]]; then
@@ -33,36 +36,55 @@ git archive "$commit" | tar -x -C "$parent"
 
 out=.bench_build/pairs/$workload-seed$seed
 mkdir -p "$out"
-: >"$out/parent.jsonl"
-: >"$out/change.jsonl"
+for f in parent change parent-trace change-trace; do
+	: >"$out/$f.jsonl"
+done
 
-# run SIDE DIR PAIR: one bench run from DIR, appended to SIDE.jsonl.
+# run FILE DIR TRACE WHAT: one bench run from DIR with --trace TRACE,
+# appended to FILE.jsonl; WHAT names the run if it is not correct.
 run() {
 	local line
 	# A run whose outputs fail their checks exits 1 but still ends with
 	# its result line; the check below stops on it.
 	line=$(cd "$2" && bash bench/bench.sh --workload "$workload" --seed "$seed" \
-		--seconds "$seconds" --trace 0 | tail -n 1) || true
+		--seconds "$seconds" --trace "$3" | tail -n 1) || true
 	if ! python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1])["correct"] else 1)' "$line" 2>/dev/null; then
-		echo "benchpairs: the $1 run of pair $3 is not correct; stopping:" >&2
+		echo "benchpairs: $4 is not correct; stopping:" >&2
 		echo "$line" >&2
 		exit 1
 	fi
 	printf '{"workload":"%s","result":%s}\n' "$workload" "$line" >>"$out/$1.jsonl"
 }
 
+# nonzero FILE: FILE's result lines without their zero-valued metrics.
+# A traced pass reports 0 for every layer its workload never reaches,
+# and bench/summarize.py divides by a metric's median.
+nonzero() {
+	python3 -c 'import json, sys
+for line in open(sys.argv[1]):
+    run = json.loads(line)
+    metrics = run["result"]["metrics"]
+    run["result"]["metrics"] = {k: m for k, m in metrics.items() if m["value"] != 0}
+    print(json.dumps(run))' "$1"
+}
+
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2)); then
-		run parent "$parent" "$i"
-		run change . "$i"
+		run parent "$parent" 0 "the parent run of pair $i"
+		run change . 0 "the change run of pair $i"
 	else
-		run change . "$i"
-		run parent "$parent" "$i"
+		run change . 0 "the change run of pair $i"
+		run parent "$parent" 0 "the parent run of pair $i"
 	fi
 	echo "benchpairs: pair $i of $pairs done" >&2
 done
+run parent-trace "$parent" 1 "the parent's traced pass"
+run change-trace . 1 "the change's traced pass"
+echo "benchpairs: traced passes done" >&2
 
 echo "# parent ($commit) alone: $out/parent.jsonl"
 python3 bench/summarize.py "$out/parent.jsonl"
 echo "# change against parent: $out/change.jsonl"
 python3 bench/summarize.py "$out/change.jsonl" --against "$out/parent.jsonl"
+echo "# traced pass, change against parent: $out/change-trace.jsonl"
+python3 bench/summarize.py <(nonzero "$out/change-trace.jsonl") --against <(nonzero "$out/parent-trace.jsonl")
