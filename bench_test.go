@@ -399,6 +399,28 @@ func BenchmarkServiceDSE(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceRun is one /v1/run request of the serve-mixed shape
+// (urban-8cam, 64 frames in windows of 16) through a warm api.Service
+// on sweep.New(1): its first request, before the timer, prepared the
+// design the Service keeps for urban-8cam and compiled its simulation
+// graph, so every iteration streams a new seed's four windows through
+// them, aggregates and builds the envelope.
+func BenchmarkServiceRun(b *testing.B) {
+	ctx := context.Background()
+	svc := api.NewService(sweep.New(1))
+	req := api.RunScenarioRequest{Scenarios: []string{"urban-8cam"}, Frames: 64, WindowFrames: 16}
+	if _, err := svc.RunScenario(ctx, &req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		req.Seed++
+		if _, err := svc.RunScenario(ctx, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSweepGridSerial runs the default experiment grid one
 // scenario at a time.
 func BenchmarkSweepGridSerial(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -414,10 +415,13 @@ func TestStreamingSweep(t *testing.T) {
 // clients hammering one server get results bit-for-bit identical to a
 // serial in-process run.
 func TestConcurrentClientsMatchSerial(t *testing.T) {
-	serial, err := scenario.RunAll(context.Background(),
-		mustSpecs(t, "urban-8cam"), scenario.RunOptions{Frames: 8, WindowFrames: 4})
-	if err != nil {
-		t.Fatal(err)
+	var serial []scenario.Result
+	for _, sp := range mustSpecs(t, "urban-8cam") {
+		r, err := scenario.Run(context.Background(), sp, scenario.RunOptions{Frames: 8, WindowFrames: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial = append(serial, r)
 	}
 	want := scenario.ResultsTable(serial).JSON()
 
@@ -512,6 +516,136 @@ func TestConcurrentDSEMatchesFreshService(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestConcurrentRunMatchesFreshService: concurrent /v1/run requests
+// with distinct seeds, frame budgets and windows stream through the
+// designs one server's Service keeps for two registry scenarios,
+// racing on their first build and graph compile (run under -race by
+// make race), beside an inline copy of one of them, which is never
+// kept. Each reply's results must be byte-identical to the ones a
+// fresh Service computes for the same request.
+func TestConcurrentRunMatchesFreshService(t *testing.T) {
+	urban, err := scenario.Lookup("urban-8cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, err := json.Marshal(urban)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := []string{
+		`{"scenarios":["urban-8cam"],"frames":8,"window_frames":4,"seed":11}`,
+		`{"scenarios":["urban-8cam"],"frames":12,"window_frames":5,"seed":12}`,
+		`{"scenarios":["urban-8cam"],"frames":6}`,
+		`{"scenarios":["highway-5cam"],"frames":8,"window_frames":4,"seed":14}`,
+		`{"scenarios":["highway-5cam"],"frames":10,"window_frames":3,"seed":15}`,
+		`{"scenarios":["highway-5cam","urban-8cam"],"frames":4,"window_frames":2,"seed":16}`,
+		fmt.Sprintf(`{"spec":%s,"frames":8,"window_frames":4,"seed":17}`, inline),
+		fmt.Sprintf(`{"spec":%s,"frames":9,"window_frames":16}`, inline),
+	}
+	want := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		var req RunScenarioRequest
+		if err := Decode([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewService(nil).RunScenario(context.Background(), &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.Marshal(fresh.Results); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, hs := newTestServer(t, ServerConfig{HighWatermark: 16})
+	var wg sync.WaitGroup
+	errs := make(chan error, len(bodies))
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(hs.URL+"/v1/run", "application/json", strings.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			payload, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				errs <- err
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("body %d: status %d: %s", i, resp.StatusCode, payload)
+				return
+			}
+			var got struct {
+				Results json.RawMessage `json:"results"`
+			}
+			if err := json.Unmarshal(payload, &got); err != nil {
+				errs <- err
+				return
+			}
+			if !bytes.Equal(got.Results, want[i]) {
+				errs <- fmt.Errorf("body %d: kept-design results differ from a fresh service's:\n got: %s\nwant: %s", i, got.Results, want[i])
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestKeptDesignReadsNoLayerCosts: a warm Service streams a registry
+// scenario's later runs through the design its first run built. They
+// read no layer costs, so the envelope's cost_cache counters stay where
+// the first run left them, and each run's results equal a fresh
+// Service's, whatever seed the first run brought. An inline copy of
+// the scenario is prepared anew: it reads the cache, and under the same
+// seed it streams the same results as the kept design.
+func TestKeptDesignReadsNoLayerCosts(t *testing.T) {
+	run := func(svc *Service, req RunScenarioRequest) *RunScenarioResponse {
+		t.Helper()
+		resp, err := svc.RunScenario(context.Background(), &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	svc := NewService(nil)
+	var first CacheCounters
+	var last *RunScenarioResponse
+	for i, seed := range []uint64{5, 0, 6} {
+		req := RunScenarioRequest{Scenarios: []string{"urban-8cam"}, Frames: 8, WindowFrames: 4, Seed: seed}
+		last = run(svc, req)
+		if fresh := run(NewService(nil), req); !slices.Equal(last.Results, fresh.Results) {
+			t.Errorf("run %d (seed %d): kept design %+v, fresh service %+v", i+1, seed, last.Results, fresh.Results)
+		}
+		if i == 0 {
+			first = last.CostCache
+			if first.Misses == 0 {
+				t.Fatalf("first run read no layer costs: %+v", first)
+			}
+		} else if last.CostCache != first {
+			t.Errorf("run %d (seed %d) moved the cost cache: %+v, want %+v", i+1, seed, last.CostCache, first)
+		}
+	}
+
+	urban, err := scenario.Lookup("urban-8cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := run(svc, RunScenarioRequest{Spec: &urban, Frames: 8, WindowFrames: 4, Seed: 6})
+	if inline.CostCache.Hits <= first.Hits {
+		t.Errorf("inline spec read no layer costs (%+v after %+v): it must not reuse the kept design", inline.CostCache, first)
+	}
+	if !slices.Equal(inline.Results, last.Results) {
+		t.Errorf("inline copy %+v, kept design %+v under the same seed", inline.Results, last.Results)
 	}
 }
 

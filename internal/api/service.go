@@ -2,9 +2,9 @@
 // engines and wraps every outcome in the RunResult envelope. It is the
 // single execution path behind both the HTTP daemon and the one-shot
 // CLIs: a server holds one Service for its whole lifetime (keeping the
-// interned cost tables, the engine's layer-cost cache and the scored
-// Table I space warm across requests), while a CLI builds one per
-// invocation.
+// interned cost tables, the engine's layer-cost cache, the scored
+// Table I space and the registry scenarios' prepared designs warm
+// across requests), while a CLI builds one per invocation.
 package api
 
 import (
@@ -175,18 +175,41 @@ func (r *ParetoResponse) TextFooter() string {
 
 // Service executes api requests. Its engine fans work across a pool
 // and memoizes layer costs in its cache across requests. It also keeps
-// the Table I exploration space, built on the engine's cache by its
-// first DSE request: every DSE request explores a WithLcstr view of
-// that one space, so each pin's candidates are scored once per Service,
-// not once per request. The space is one cost table and at most one
-// score per candidate mask and pin; it does not grow with the number
-// of requests.
+// two kinds of designs, each built on the engine's cache by the first
+// request that needs it, so their cost does not recur per request:
+//
+//   - the Table I exploration space, built by the first DSE request:
+//     every DSE request explores a WithLcstr view of that one space, so
+//     each pin's candidates are scored once per Service. The space is
+//     one cost table and at most one score per candidate mask and pin.
+//   - one prepared design (compiled spec, Algorithm 1 schedule and,
+//     after its first run, the simulation graph) per registry
+//     scenario, built by the first run request naming it: a schedule
+//     does not depend on the seed, frames or window a request varies,
+//     so every later run of the scenario streams through the kept
+//     design. Inline specs are prepared per request and never kept.
+//
+// Neither grows with the number of requests: the Service holds at most
+// one design per registry scenario.
 type Service struct {
 	engine  *sweep.Engine
 	version string
 
 	tableIOnce sync.Once
 	tableI     *dse.Space
+
+	// designs holds one entry per registry scenario, made by
+	// NewService; the map itself is never written afterwards.
+	designs map[string]*keptDesign
+}
+
+// keptDesign is a registry scenario's prepared design, built from its
+// registry spec once, by the scenario's first run request.
+type keptDesign struct {
+	spec scenario.Spec
+	once sync.Once
+	prep *scenario.Prepared
+	err  error
 }
 
 // NewService wraps an engine (nil = sweep.New(1), a serial run) under
@@ -195,7 +218,12 @@ func NewService(e *sweep.Engine) *Service {
 	if e == nil {
 		e = sweep.New(1)
 	}
-	return &Service{engine: e, version: BuildVersion()}
+	reg := scenario.Registry()
+	designs := make(map[string]*keptDesign, len(reg))
+	for _, sp := range reg {
+		designs[sp.Name] = &keptDesign{spec: sp}
+	}
+	return &Service{engine: e, version: BuildVersion(), designs: designs}
 }
 
 // Engine returns the service's engine.
@@ -226,8 +254,11 @@ func (s *Service) envelope(req Request, start time.Time) RunResult {
 	}
 }
 
-// RunScenario streams the request's scenarios through the multi-frame
-// runner.
+// RunScenario streams the request's scenarios, in order, through the
+// multi-frame runner with the request's frames, window and seed. A
+// registry scenario streams through the design the Service keeps for
+// it; an inline spec is prepared for this request alone. The first
+// failure aborts the request.
 func (s *Service) RunScenario(ctx context.Context, req *RunScenarioRequest) (*RunScenarioResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -237,12 +268,38 @@ func (s *Service) RunScenario(ctx context.Context, req *RunScenarioRequest) (*Ru
 		return nil, err
 	}
 	start := time.Now()
-	opts := scenario.RunOptions{Frames: req.Frames, WindowFrames: req.WindowFrames, Engine: s.engine}
-	results, err := scenario.RunAll(ctx, specs, opts)
-	if err != nil {
-		return nil, err
+	opts := scenario.RunOptions{Frames: req.Frames, WindowFrames: req.WindowFrames, Seed: req.Seed, Engine: s.engine}
+	results := make([]scenario.Result, 0, len(specs))
+	for _, sp := range specs {
+		var p *scenario.Prepared
+		if req.Spec != nil {
+			p, err = scenario.Prepare(sp, s.engine.Cache())
+		} else {
+			p, err = s.kept(sp.Name)
+		}
+		if err != nil {
+			return nil, err
+		}
+		r, err := p.Run(ctx, opts)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, r)
 	}
 	return &RunScenarioResponse{RunResult: s.envelope(req, start), Results: results}, nil
+}
+
+// kept returns the design the Service keeps for the named registry
+// scenario, preparing it from the registry spec (with the registry's
+// seed; each run brings the request's) on the first call for that
+// name. Concurrent first calls prepare it once.
+func (s *Service) kept(name string) (*scenario.Prepared, error) {
+	d, ok := s.designs[name]
+	if !ok {
+		return nil, fmt.Errorf("api: no registry scenario %q", name)
+	}
+	d.once.Do(func() { d.prep, d.err = scenario.Prepare(d.spec, s.engine.Cache()) })
+	return d.prep, d.err
 }
 
 // GridSweep runs the sharded experiment grid.

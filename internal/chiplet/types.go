@@ -10,6 +10,7 @@ package chiplet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,37 +26,42 @@ type ChipType struct {
 	Profile costmodel.ChipProfile
 }
 
-// BuiltinTypes returns the type library in canonical order. "simba" is
-// the paper's calibrated chiplet; the others bracket it on the
-// density/efficiency/bandwidth axes so a heterogeneous search has real
-// trade-offs to exploit.
+// builtinTypes is the type library in canonical order, built once.
+// "simba" is the paper's calibrated chiplet; the others bracket it on
+// the density/efficiency/bandwidth axes so a heterogeneous search has
+// real trade-offs to exploit. Read it in place; BuiltinTypes hands out
+// copies.
+var builtinTypes = []ChipType{
+	{Name: "simba", Profile: costmodel.SimbaProfile()},
+	// big: double-density die (512 PEs, 4 MiB GLB). More of the layer
+	// fits on one chiplet, but the denser datapath pays more energy per
+	// MAC and the port widens only fractionally.
+	{Name: "big", Profile: costmodel.ChipProfile{
+		Name: "big", PEs: 512, ArrayH: 16, ArrayW: 32, FreqGHz: 2.0,
+		GLBReadBW: 24, PsumBW: 8, DRAMBW: 16, GLBBytes: 4 << 20,
+		VectorLanes: 32, MACpJ: 0.34,
+	}},
+	// eco: half-size efficiency die (128 PEs at 1.6 GHz) with the
+	// lowest per-MAC energy in the library.
+	{Name: "eco", Profile: costmodel.ChipProfile{
+		Name: "eco", PEs: 128, ArrayH: 16, ArrayW: 8, FreqGHz: 1.6,
+		GLBReadBW: 16, PsumBW: 8, DRAMBW: 16, GLBBytes: 1 << 20,
+		VectorLanes: 8, MACpJ: 0.22,
+	}},
+	// bwopt: simba-sized array behind a double-width GLB port — trades
+	// per-MAC energy for streaming bandwidth, the knob the paper's
+	// Table II says monolithic dies lack.
+	{Name: "bwopt", Profile: costmodel.ChipProfile{
+		Name: "bwopt", PEs: 256, ArrayH: 16, ArrayW: 16, FreqGHz: 2.0,
+		GLBReadBW: 41.2, PsumBW: 16, DRAMBW: 16, GLBBytes: 3 << 20,
+		VectorLanes: 16, MACpJ: 0.36,
+	}},
+}
+
+// BuiltinTypes returns a copy of the type library in canonical order,
+// so callers cannot change the library.
 func BuiltinTypes() []ChipType {
-	return []ChipType{
-		{Name: "simba", Profile: costmodel.SimbaProfile()},
-		// big: double-density die (512 PEs, 4 MiB GLB). More of the
-		// layer fits on one chiplet, but the denser datapath pays more
-		// energy per MAC and the port widens only fractionally.
-		{Name: "big", Profile: costmodel.ChipProfile{
-			Name: "big", PEs: 512, ArrayH: 16, ArrayW: 32, FreqGHz: 2.0,
-			GLBReadBW: 24, PsumBW: 8, DRAMBW: 16, GLBBytes: 4 << 20,
-			VectorLanes: 32, MACpJ: 0.34,
-		}},
-		// eco: half-size efficiency die (128 PEs at 1.6 GHz) with the
-		// lowest per-MAC energy in the library.
-		{Name: "eco", Profile: costmodel.ChipProfile{
-			Name: "eco", PEs: 128, ArrayH: 16, ArrayW: 8, FreqGHz: 1.6,
-			GLBReadBW: 16, PsumBW: 8, DRAMBW: 16, GLBBytes: 1 << 20,
-			VectorLanes: 8, MACpJ: 0.22,
-		}},
-		// bwopt: simba-sized array behind a double-width GLB port —
-		// trades per-MAC energy for streaming bandwidth, the knob the
-		// paper's Table II says monolithic dies lack.
-		{Name: "bwopt", Profile: costmodel.ChipProfile{
-			Name: "bwopt", PEs: 256, ArrayH: 16, ArrayW: 16, FreqGHz: 2.0,
-			GLBReadBW: 41.2, PsumBW: 16, DRAMBW: 16, GLBBytes: 3 << 20,
-			VectorLanes: 16, MACpJ: 0.36,
-		}},
-	}
+	return slices.Clone(builtinTypes)
 }
 
 // typeAccels holds the shared accelerator instance per (type, style),
@@ -64,7 +70,7 @@ func BuiltinTypes() []ChipType {
 // cost cache's pointer-keyed intern maps from growing per candidate.
 var typeAccels = func() map[string]*costmodel.Accel {
 	m := make(map[string]*costmodel.Accel)
-	for _, t := range BuiltinTypes() {
+	for _, t := range builtinTypes {
 		for _, st := range []dataflow.Style{dataflow.OS, dataflow.WS} {
 			m[t.Name+"/"+st.String()] = t.Profile.Chiplet(st)
 		}
@@ -74,7 +80,7 @@ var typeAccels = func() map[string]*costmodel.Accel {
 
 // LookupType returns the library entry with the given name.
 func LookupType(name string) (ChipType, error) {
-	for _, t := range BuiltinTypes() {
+	for _, t := range builtinTypes {
 		if t.Name == name {
 			return t, nil
 		}
@@ -85,9 +91,8 @@ func LookupType(name string) (ChipType, error) {
 
 // TypeNames returns the library's type names in canonical order.
 func TypeNames() []string {
-	types := BuiltinTypes()
-	out := make([]string, len(types))
-	for i, t := range types {
+	out := make([]string, len(builtinTypes))
+	for i, t := range builtinTypes {
 		out[i] = t.Name
 	}
 	return out

@@ -94,6 +94,36 @@ func TestExpandTypes(t *testing.T) {
 	}
 }
 
+// TestExpandTypesAllocatesOnlyItsResult: type lookups read the library
+// in place, so expanding an 8-token assignment over 36 chiplets
+// allocates the result slice and nothing else.
+func TestExpandTypesAllocatesOnlyItsResult(t *testing.T) {
+	tokens := []string{"big*4", "eco*6", "simba*5", "bwopt*3", "big*2", "eco*8", "simba*4", "bwopt*4"}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ExpandTypes(tokens, 36); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("ExpandTypes allocated %v times per call, want 1", allocs)
+	}
+}
+
+// TestBuiltinTypesIsACopy: a caller that edits the returned library
+// changes neither later lookups nor later copies.
+func TestBuiltinTypesIsACopy(t *testing.T) {
+	types := BuiltinTypes()
+	want := types[0]
+	types[0].Name = "edited"
+	types[0].Profile.PEs = 1
+	if got, err := LookupType(want.Name); err != nil || got != want {
+		t.Errorf("LookupType(%q) = %+v, %v after editing a copy; want %+v", want.Name, got, err, want)
+	}
+	if again := BuiltinTypes(); again[0] != want {
+		t.Errorf("BuiltinTypes()[0] = %+v after editing a copy; want %+v", again[0], want)
+	}
+}
+
 func TestCompressTypesRoundTrip(t *testing.T) {
 	cases := [][]string{
 		nil,

@@ -92,23 +92,19 @@ type Result struct {
 }
 
 // Space is a prepared exploration space: the nets of a trunk quadrant
-// plus the OS/WS accelerator models and the latency constraint, with
-// every net layer's cost on both styles precomputed into an
-// index-addressed table at construction. The configuration fields and
-// the cost table are immutable after NewCachedSpace. The only mutable
-// state is the per-pin score memo, which Best fills once per pin under
-// a sync.Once, so one Space and its WithLcstr views may be shared by
-// concurrent goroutines (the dse-lcstr grid scans its points' views of
-// one space on the engine's workers, and a Service answers every DSE
-// request from one space).
+// and the latency constraint, with every net layer's cost on the Simba
+// chiplet under both styles precomputed into an index-addressed table
+// at construction. The configuration fields and the cost table are
+// immutable after NewCachedSpace. The only mutable state is the
+// per-pin score memo, which Best fills once per pin under a sync.Once,
+// so one Space and its WithLcstr views may be shared by concurrent
+// goroutines (the dse-lcstr grid scans its points' views of one space
+// on the engine's workers, and a Service answers every DSE request
+// from one space).
 type Space struct {
 	Nets     []Net
 	Chiplets int
 	LcstrMs  float64
-
-	osAccel *costmodel.Accel
-	wsAccel *costmodel.Accel
-	cache   *costmodel.Cache
 
 	// Index-addressed cost table: row layerOff[i]+j is the j-th layer
 	// of net i; column 0 is OS, column 1 WS. Evaluating a candidate
@@ -171,9 +167,6 @@ func NewCachedSpace(trunks []*dnn.Graph, chiplets int, lcstrMs float64, c *costm
 		Nets:     NetsOf(trunks),
 		Chiplets: chiplets,
 		LcstrMs:  lcstrMs,
-		osAccel:  costmodel.SimbaChiplet(dataflow.OS),
-		wsAccel:  costmodel.SimbaChiplet(dataflow.WS),
-		cache:    c,
 		pins:     make([]pinScores, chiplets+1),
 	}
 	var layers []*dnn.Layer
@@ -189,7 +182,8 @@ func NewCachedSpace(trunks []*dnn.Graph, chiplets int, lcstrMs float64, c *costm
 		s.netModel = append(s.netModel, mi)
 	}
 	s.nModels = len(modelIdx)
-	s.tab = c.NewTable(layers, []*costmodel.Accel{s.osAccel, s.wsAccel})
+	osAccel, wsAccel := costmodel.SimbaChiplet(dataflow.OS), costmodel.SimbaChiplet(dataflow.WS)
+	s.tab = c.NewTable(layers, []*costmodel.Accel{osAccel, wsAccel})
 	for col := range s.byStyle {
 		entries := make([]packEntry, 0, len(layers))
 		for i, net := range s.Nets {

@@ -37,6 +37,11 @@ type RunOptions struct {
 	// definition: the same (frames, window) pair always aggregates the
 	// same per-window simulations.
 	WindowFrames int
+	// Seed overrides the spec's trace seed when nonzero. Only the
+	// window generators read it, never the schedule, so one prepared
+	// scenario streams any seed: a run with Seed s equals a run of the
+	// spec with its Seed set to s.
+	Seed uint64
 	// Engine fans the windows across its worker pool and shares its
 	// layer-cost cache with the scheduler; nil is the serial engine,
 	// sweep.New(1). The result is bit-for-bit identical at any worker
@@ -93,9 +98,19 @@ type Result struct {
 // serial work happens in Prepare, so callers that already need the
 // schedule for analysis (the pareto explorer's lower-bound phase) can
 // build it inside a worker pool and stream later without rebuilding.
+// The first Run compiles the schedule's simulation graph and every
+// later Run reuses it; Prepare leaves that to Run, so a design that is
+// never streamed never compiles one. Run writes nothing else, so one
+// Prepared may be kept and run by concurrent callers with any frames,
+// window and seed (api.Service keeps one per registry scenario). The
+// bundle and schedule must not be modified once it has run.
 type Prepared struct {
 	Bundle   Bundle
 	Schedule *sched.Schedule
+
+	compile  sync.Once
+	graph    *sim.Graph
+	graphErr error
 }
 
 // Prepare compiles the spec and builds its schedule with the given
@@ -128,14 +143,19 @@ func Run(ctx context.Context, sp Spec, opts RunOptions) (Result, error) {
 }
 
 // Run streams the frame budget of a prepared scenario through the
-// simulator in trace windows fanned across opts.Engine. The schedule is
-// reused as built; opts.Engine only affects window dispatch here, not
-// costs.
+// simulator in trace windows fanned across opts.Engine, with the trace
+// seed opts.Seed overrides. The schedule is reused as built and its
+// simulation graph compiled once per Prepared; opts.Engine only
+// affects window dispatch here, not costs. Run is safe for concurrent
+// use.
 //
 //perf:hot — streams every frame window; per-window state is reused, not reallocated
 func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 	opts = opts.withEngine()
 	b, s := pr.Bundle, pr.Schedule
+	if opts.Seed != 0 {
+		b.Spec.Seed = opts.Seed // b is this run's copy, not the kept bundle
+	}
 	frames := b.Spec.Frames
 	if opts.Frames > 0 {
 		frames = opts.Frames
@@ -150,13 +170,14 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 
 	m := pipeline.Compute(s, pipeline.Layerwise)
 
-	// The schedule compiles to a simulation graph once; the windows
-	// share the immutable graph and only instantiate per-window frame
-	// state.
-	g, err := sim.Prepare(s)
-	if err != nil {
-		return Result{}, fmt.Errorf("scenario %s: %w", b.Spec.Name, err)
+	// The schedule compiles to a simulation graph once per Prepared;
+	// the windows of every run share the immutable graph and only
+	// instantiate per-window frame state.
+	pr.compile.Do(func() { pr.graph, pr.graphErr = sim.Prepare(s) })
+	if pr.graphErr != nil {
+		return Result{}, fmt.Errorf("scenario %s: %w", b.Spec.Name, pr.graphErr)
 	}
+	g := pr.graph
 
 	nw := (frames + win - 1) / win
 	windows := make([]sim.Result, nw)
@@ -282,22 +303,6 @@ func compileWorkload(cfg workloads.Config) (*workloads.Pipeline, error) {
 		workloadMemo.m[cfg] = p
 	}
 	return p, nil
-}
-
-// RunAll streams every spec through Run in order, sharing opts and the
-// engine's worker pool and cache across scenarios. The first failure
-// aborts the batch.
-func RunAll(ctx context.Context, specs []Spec, opts RunOptions) ([]Result, error) {
-	opts = opts.withEngine()
-	out := make([]Result, 0, len(specs))
-	for _, sp := range specs {
-		r, err := Run(ctx, sp, opts)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // percentile returns the nearest-rank percentile of a sorted sample

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"mcmnpu/internal/sweep"
@@ -122,25 +123,102 @@ func TestDeadlineCounting(t *testing.T) {
 	}
 }
 
-func TestRunAllOrderAndCancel(t *testing.T) {
+// TestRunOrderAndCancel streams a batch the way api.Service does, one
+// Run per spec in order: each result names its own spec, and a
+// cancelled context aborts every run.
+func TestRunOrderAndCancel(t *testing.T) {
 	specs := Filter("mono")
-	rs, err := RunAll(context.Background(), specs, fastOpts)
-	if err != nil {
-		t.Fatal(err)
+	if len(specs) < 2 {
+		t.Fatalf("want a batch of several specs, got %d", len(specs))
 	}
-	if len(rs) != len(specs) {
-		t.Fatalf("got %d results for %d specs", len(rs), len(specs))
-	}
-	for i, r := range rs {
-		if r.Scenario != specs[i].Name {
-			t.Errorf("result %d = %s; want %s (order must be preserved)", i, r.Scenario, specs[i].Name)
+	for _, sp := range specs {
+		r, err := Run(context.Background(), sp, fastOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Scenario != sp.Name {
+			t.Errorf("result %s for spec %s", r.Scenario, sp.Name)
 		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunAll(ctx, specs, fastOpts); err == nil {
-		t.Error("cancelled context should abort the batch")
+	for _, sp := range specs {
+		if _, err := Run(ctx, sp, fastOpts); err == nil {
+			t.Errorf("%s: cancelled context should abort the run", sp.Name)
+		}
+	}
+}
+
+// TestConcurrentRunsMatchSerial holds one kept Prepared to fresh
+// serial runs: concurrent Runs with distinct seeds, frame budgets and
+// windows, racing on the lazily compiled simulation graph (run it
+// under -race), must each equal a serial Run of the spec with that
+// seed written into it.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	sp, err := Lookup("urban-8cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sweep.New(2)
+	runs := []RunOptions{
+		{Frames: 8, WindowFrames: 4},
+		{Frames: 8, WindowFrames: 4, Seed: 7},
+		{Frames: 12, WindowFrames: 5, Seed: 7},
+		{Frames: 6, WindowFrames: 16, Seed: 99},
+		{Frames: 9, WindowFrames: 2, Seed: 3, Engine: eng},
+		{Frames: 16, WindowFrames: 8, Seed: 1 << 40, Engine: eng},
+		{Frames: 5, WindowFrames: 3, Seed: 12345},
+		{Frames: 8, WindowFrames: 4, Seed: 2, Engine: eng},
+	}
+	want := make([]Result, len(runs))
+	for i, o := range runs {
+		seeded := sp
+		if o.Seed != 0 {
+			seeded.Seed = o.Seed
+		}
+		serial := o
+		serial.Seed, serial.Engine = 0, nil
+		if want[i], err = Run(context.Background(), seeded, serial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0] == want[1] {
+		t.Fatal("seed override changed nothing; the test cannot tell seeds apart")
+	}
+
+	kept, err := Prepare(sp, eng.Cache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]Result, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, o := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = kept.Run(context.Background(), o)
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("run %d (%+v): kept design diverged from a serial run:\n got %+v\nwant %+v",
+				i, runs[i], got[i], want[i])
+		}
+	}
+	// A later serial run of the kept design reuses its graph and still
+	// matches.
+	again, err := kept.Run(context.Background(), runs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != want[2] {
+		t.Errorf("rerun of the kept design drifted:\n got %+v\nwant %+v", again, want[2])
 	}
 }
 

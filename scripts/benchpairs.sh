@@ -11,12 +11,18 @@
 # the benchmark from its own sources. Every run's result line goes to
 # parent.jsonl or change.jsonl in .bench_build/pairs/WORKLOAD-seedSEED/,
 # emptied first, and the script stops at the first run that is not
-# correct. After the pairs, one traced pass (--trace 1) per side from
-# the same export writes parent-trace.jsonl and change-trace.jsonl
-# there. At the end it prints the parent's own quartiles, then
-# bench/summarize.py's comparison of the change against the parent, for
-# the timed pairs and for the traced passes' per-layer metrics.
+# correct. After the pairs, TRACED traced passes (--trace 1) per side
+# from the same export, again alternating which side runs first, write
+# parent-trace.jsonl and change-trace.jsonl there. One traced pass per
+# side cannot tell a layer's change from its pass-to-pass swing, so the
+# per-layer comparison is of the passes' medians. At the end it prints
+# the parent's own quartiles, then bench/summarize.py's comparison of
+# the change against the parent, for the timed pairs and for the traced
+# passes' per-layer metrics.
 set -euo pipefail
+
+# TRACED is the number of traced passes per side.
+readonly TRACED=3
 
 if [ $# -ne 4 ] || ! [[ $3 =~ ^[1-9][0-9]*$ ]]; then
 	echo "usage: bash scripts/benchpairs.sh PARENT_REV WORKLOAD PAIRS SEED" >&2
@@ -56,15 +62,17 @@ run() {
 	printf '{"workload":"%s","result":%s}\n' "$workload" "$line" >>"$out/$1.jsonl"
 }
 
-# nonzero FILE: FILE's result lines without their zero-valued metrics.
-# A traced pass reports 0 for every layer its workload never reaches,
-# and bench/summarize.py divides by a metric's median.
+# nonzero FILE: FILE's result lines without the metrics that read 0 in
+# any of them. A traced pass reports 0 for every layer its workload
+# never reaches, and bench/summarize.py divides by a metric's median.
+# Dropping a metric from every line keeps line i of each file pass i.
 nonzero() {
 	python3 -c 'import json, sys
-for line in open(sys.argv[1]):
-    run = json.loads(line)
+runs = [json.loads(line) for line in open(sys.argv[1])]
+zero = {k for run in runs for k, m in run["result"]["metrics"].items() if m["value"] == 0}
+for run in runs:
     metrics = run["result"]["metrics"]
-    run["result"]["metrics"] = {k: m for k, m in metrics.items() if m["value"] != 0}
+    run["result"]["metrics"] = {k: m for k, m in metrics.items() if k not in zero}
     print(json.dumps(run))' "$1"
 }
 
@@ -78,13 +86,20 @@ for ((i = 1; i <= pairs; i++)); do
 	fi
 	echo "benchpairs: pair $i of $pairs done" >&2
 done
-run parent-trace "$parent" 1 "the parent's traced pass"
-run change-trace . 1 "the change's traced pass"
-echo "benchpairs: traced passes done" >&2
+for ((i = 1; i <= TRACED; i++)); do
+	if ((i % 2)); then
+		run parent-trace "$parent" 1 "the parent's traced pass $i"
+		run change-trace . 1 "the change's traced pass $i"
+	else
+		run change-trace . 1 "the change's traced pass $i"
+		run parent-trace "$parent" 1 "the parent's traced pass $i"
+	fi
+	echo "benchpairs: traced pass $i of $TRACED done" >&2
+done
 
 echo "# parent ($commit) alone: $out/parent.jsonl"
 python3 bench/summarize.py "$out/parent.jsonl"
 echo "# change against parent: $out/change.jsonl"
 python3 bench/summarize.py "$out/change.jsonl" --against "$out/parent.jsonl"
-echo "# traced pass, change against parent: $out/change-trace.jsonl"
+echo "# traced passes ($TRACED per side), change against parent: $out/change-trace.jsonl"
 python3 bench/summarize.py <(nonzero "$out/change-trace.jsonl") --against <(nonzero "$out/parent-trace.jsonl")
