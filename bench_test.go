@@ -8,7 +8,10 @@ package main
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -418,6 +421,46 @@ func BenchmarkServiceRun(b *testing.B) {
 		if _, err := svc.RunScenario(ctx, &req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServerRun is BenchmarkServiceRun's request as an HTTP round
+// trip: a /v1/run body of the serve-mixed shape through
+// Server.Handler() into an httptest.ResponseRecorder, on a warm
+// Service over sweep.New(1). Every iteration sends a new seed, so it
+// is decoded, resolved, keyed, missed in the result cache, streamed
+// through the kept design and cached.
+func BenchmarkServerRun(b *testing.B) {
+	h := api.NewServer(api.NewService(sweep.New(1)), api.ServerConfig{}).Handler()
+	seed := uint64(1)
+	serveRun(b, h, seed, "miss")
+	b.ReportAllocs()
+	for b.Loop() {
+		seed++
+		serveRun(b, h, seed, "miss")
+	}
+}
+
+// BenchmarkServerReplay sends BenchmarkServerRun's first body again on
+// every iteration: it is decoded, resolved and keyed, and its reply
+// comes from the result cache.
+func BenchmarkServerReplay(b *testing.B) {
+	h := api.NewServer(api.NewService(sweep.New(1)), api.ServerConfig{}).Handler()
+	serveRun(b, h, 1, "miss")
+	b.ReportAllocs()
+	for b.Loop() {
+		serveRun(b, h, 1, "hit")
+	}
+}
+
+// serveRun posts the serve-mixed /v1/run body with the given seed and
+// checks the reply's status and X-Cache header.
+func serveRun(b *testing.B, h http.Handler, seed uint64, cache string) {
+	body := fmt.Sprintf(`{"scenarios":["urban-8cam"],"frames":64,"window_frames":16,"seed":%d}`, seed)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != cache {
+		b.Fatalf("status %d, X-Cache %q, want 200 and %s: %s", rec.Code, rec.Header().Get("X-Cache"), cache, rec.Body)
 	}
 }
 

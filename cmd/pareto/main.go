@@ -36,6 +36,7 @@ import (
 	"mcmnpu/internal/api"
 	"mcmnpu/internal/prof"
 	"mcmnpu/internal/report"
+	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
 )
 
@@ -55,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		linkbw     = fs.String("linkbw", "", "candidate NoP link bandwidths in GB/s (default package default)")
 		objectives = fs.String("objectives", "", "objective subset of p99,energy,pes (default all)")
 		frames     = fs.Int("frames", 0, "frame budget override per scenario (0 = scenario default)")
-		window     = fs.Int("window", 16, "trace-window size in frames")
+		window     = fs.Int("window", scenario.DefaultWindowFrames, "trace-window size in frames")
 		workers    = fs.Int("workers", 0, "worker count for the evaluation pool (0 = NumCPU)")
 		noprune    = fs.Bool("noprune", false, "disable dominance-based early pruning")
 		top        = fs.Int("top", 0, "render the top-N frontier candidates ranked by objective product")

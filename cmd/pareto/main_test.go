@@ -163,6 +163,8 @@ func TestBadInputs(t *testing.T) {
 		{"-scenarios", "urban-8cam", "-meshes", "0x0"},
 		{"-scenarios", "urban-8cam", "-dataflows", "XY"},
 		{"-scenarios", "urban-8cam", "-linkbw", "-5"},
+		{"-scenarios", "urban-8cam", "-linkbw", "NaN"},
+		{"-scenarios", "urban-8cam", "-linkbw", "Inf", "-evolve"},
 		{"-scenarios", "urban-8cam", "-objectives", "edp"},
 		{"-scenarios", "urban-8cam", "-types", "nosuch"},
 		{"-scenarios", "urban-8cam", "-generations", "5"}, // requires -evolve

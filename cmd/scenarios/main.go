@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		all      = fs.Bool("all", false, "run every (filtered) scenario")
 		specFile = fs.String("spec", "", "run a scenario spec from a JSON file")
 		frames   = fs.Int("frames", 0, "frame budget override (0 = scenario default)")
-		window   = fs.Int("window", 16, "trace-window size in frames")
+		window   = fs.Int("window", scenario.DefaultWindowFrames, "trace-window size in frames")
 		workers  = fs.Int("workers", 0, "worker count for the window pool (0 = NumCPU)")
 		timeout  = fs.Duration("timeout", 0, "overall deadline (0 = none)")
 	)

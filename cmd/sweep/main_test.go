@@ -35,6 +35,20 @@ func TestDSEJSON(t *testing.T) {
 	}
 }
 
+// TestDSELcstrOutOfRange: a constraint outside [0, 1e5], NaN included,
+// is a usage error that runs nothing.
+func TestDSELcstrOutOfRange(t *testing.T) {
+	for _, lcstr := range []string{"NaN", "-3", "1e6"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-dse", "-lcstr", lcstr}, &out, &errOut); code != 2 {
+			t.Errorf("-lcstr %s: exit %d, want 2 (stdout: %s)", lcstr, code, out.String())
+		}
+		if !strings.Contains(errOut.String(), "out of range") {
+			t.Errorf("-lcstr %s: stderr %q", lcstr, errOut.String())
+		}
+	}
+}
+
 func TestDSEDeterministic(t *testing.T) {
 	args := []string{"-dse", "-json", "-workers", "3"}
 	var a, b, errOut strings.Builder

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,31 @@ func TestDecodeStrict(t *testing.T) {
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("%s: decode accepted invalid input", tc.name)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: JSON carries no NaN or infinity, but a
+// Go caller can (the CLIs parse flags with strconv), and a NaN slips
+// through any ordered comparison. The cache key is made before the
+// work starts and cannot encode a non-finite number, so Validate must
+// refuse one.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	withBW := func(bw float64, evolve bool) *ParetoRequest {
+		return &ParetoRequest{Scenarios: []string{"urban-8cam"}, LinkBWGBs: []float64{bw}, Evolve: evolve}
+	}
+	cases := []struct {
+		name string
+		req  Request
+	}{
+		{"dse NaN constraint", &DSERequest{LcstrMs: math.NaN()}},
+		{"pareto NaN bandwidth", withBW(math.NaN(), false)},
+		{"evolve NaN bandwidth", withBW(math.NaN(), true)},
+		{"evolve +Inf bandwidth", withBW(math.Inf(1), true)},
+	}
+	for _, tc := range cases {
+		if err := tc.req.Validate(); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: Validate returned %v, want an out-of-range error", tc.name, err)
 		}
 	}
 }

@@ -14,9 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime/debug"
-
-	"mcmnpu/internal/pareto"
-	"mcmnpu/internal/scenario"
 )
 
 // CanonicalJSON returns v's canonical serialization: v is marshaled,
@@ -93,111 +90,23 @@ type keyable struct {
 	Payload any    `json:"payload"`
 }
 
-// canonicalPayload resolves req to the defaulted form its hash covers.
-func canonicalPayload(req Request) (payload any, seed uint64, err error) {
-	switch r := req.(type) {
-	case *RunScenarioRequest:
-		specs, err := r.resolve()
-		if err != nil {
-			return nil, 0, err
-		}
-		// Fold the request-level overrides into the specs: a request
-		// that spells out a spec's own defaults hashes identically to
-		// one that omits them.
-		for i := range specs {
-			if r.Frames > 0 {
-				specs[i].Frames = r.Frames
-			}
-		}
-		window := r.WindowFrames
-		if window <= 0 {
-			window = 16 // the runner's default window
-		}
-		return struct {
-			Specs        []scenario.Spec `json:"specs"`
-			WindowFrames int             `json:"window_frames"`
-		}{specs, window}, r.Seed, nil
-	case *GridSweepRequest:
-		return struct {
-			Scenarios []string `json:"scenarios"`
-		}{r.selected()}, 0, nil
-	case *DSERequest:
-		return struct {
-			LcstrMs float64 `json:"lcstr_ms"`
-		}{r.lcstr()}, 0, nil
-	case *ParetoRequest:
-		space, opts, err := r.resolve()
-		if err != nil {
-			return nil, 0, err
-		}
-		names := make([]string, 0, len(opts.Scenarios))
-		for _, sp := range opts.Scenarios {
-			names = append(names, sp.Name)
-		}
-		if r.Evolve {
-			// An evolve request's space cannot be enumerated (it may
-			// hold 10^6+ per-chiplet assignments), so the key hashes the
-			// resolved axes plus the defaulted evolution parameters; the
-			// RNG seed rides the key's explicit seed component.
-			s := space.WithDefaults()
-			meshes := make([]string, len(s.Meshes))
-			for i, m := range s.Meshes {
-				meshes[i] = m.String()
-			}
-			return struct {
-				Evolve      bool      `json:"evolve"`
-				Meshes      []string  `json:"meshes"`
-				Dataflows   []string  `json:"dataflows"`
-				LinkBWGBs   []float64 `json:"link_bw_gbs"`
-				Types       []string  `json:"types"`
-				Scenarios   []string  `json:"scenarios"`
-				Objectives  []string  `json:"objectives"`
-				Frames      int       `json:"frames"`
-				Window      int       `json:"window_frames"`
-				Top         int       `json:"top"`
-				NoPrune     bool      `json:"no_prune"`
-				Generations int       `json:"generations"`
-				Population  int       `json:"population"`
-			}{true, meshes, s.Dataflows, s.LinkBWGBs, s.Types, names, opts.Objectives,
-				opts.Frames, opts.WindowFrames, r.Top, r.NoPrune,
-				r.generations(), r.population()}, r.seed(), nil
-		}
-		return struct {
-			Candidates []string `json:"candidates"`
-			Scenarios  []string `json:"scenarios"`
-			Objectives []string `json:"objectives"`
-			Frames     int      `json:"frames"`
-			Window     int      `json:"window_frames"`
-			Top        int      `json:"top"`
-			NoPrune    bool     `json:"no_prune"`
-		}{candidateNames(space), names, opts.Objectives,
-			opts.Frames, opts.WindowFrames, r.Top, r.NoPrune}, 0, nil
-	default:
-		return nil, 0, fmt.Errorf("api: unhashable request kind %q", req.Kind())
-	}
-}
-
-// candidateNames enumerates the resolved candidate space by unique
-// name, which pins mesh/dataflow/bandwidth defaulting into the hash.
-func candidateNames(space pareto.Space) []string {
-	cands := space.Candidates()
-	names := make([]string, len(cands))
-	for i, c := range cands {
-		names[i] = c.Name()
-	}
-	return names
-}
-
 // RequestKey computes req's full result-cache key under the given
 // build version: ResultKey over the canonical payload hash.
 func RequestKey(req Request, buildVersion string) (string, error) {
-	payload, seed, err := canonicalPayload(req)
+	_, key, err := resolveKey(req, buildVersion)
+	return key, err
+}
+
+// resolveKey resolves req once and keys its job: the one resolve and
+// the one canonical hash a request costs.
+func resolveKey(req Request, buildVersion string) (job, string, error) {
+	j, err := req.resolve()
 	if err != nil {
-		return "", err
+		return job{}, "", err
 	}
-	h, err := Hash(keyable{Kind: req.Kind(), Payload: payload})
+	h, err := Hash(keyable{Kind: j.kind, Payload: j.payload})
 	if err != nil {
-		return "", err
+		return job{}, "", err
 	}
-	return ResultKey(req.Kind(), h, seed, buildVersion), nil
+	return j, ResultKey(j.kind, h, j.seed, buildVersion), nil
 }

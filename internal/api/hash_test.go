@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcmnpu/internal/experiments"
 	"mcmnpu/internal/scenario"
 )
 
@@ -84,7 +85,7 @@ func TestRequestKeyEquivalences(t *testing.T) {
 			&RunScenarioRequest{Scenarios: []string{"urban-8cam"}, WindowFrames: 16}},
 		{"empty sweep vs full name list",
 			&GridSweepRequest{},
-			&GridSweepRequest{Scenarios: (&GridSweepRequest{}).selected()}},
+			&GridSweepRequest{Scenarios: experiments.GridScenarioNames()}},
 		{"sweep name order is canonicalized",
 			&GridSweepRequest{Scenarios: []string{"tolerance", "cameras"}},
 			&GridSweepRequest{Scenarios: []string{"cameras", "tolerance"}}},

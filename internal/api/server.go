@@ -19,7 +19,6 @@ package api
 import (
 	"container/list"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -148,7 +147,8 @@ func (s *Server) release() {
 }
 
 // compute is the shared path of every POST endpoint: admission, strict
-// decoding, result-cache lookup, execution, cache fill.
+// decoding, one resolve and one key, result-cache lookup, execution
+// under that key, cache fill.
 func (s *Server) compute(w http.ResponseWriter, r *http.Request, req Request) {
 	w.Header().Set(VersionHeader, Version)
 	if v := r.Header.Get(VersionHeader); v != "" && v != Version {
@@ -168,11 +168,11 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, req Request) {
 		writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return
 	}
-	if err := Decode(body, req); err != nil {
+	if err := decode(body, req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key, err := s.svc.Key(req)
+	j, key, err := resolveKey(req, s.svc.version)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -185,7 +185,7 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, req Request) {
 		if s.admittedHook != nil {
 			s.admittedHook()
 		}
-		s.streamSweep(w, r, sw)
+		s.streamSweep(w, r, j, key)
 		return
 	}
 
@@ -199,7 +199,7 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, req Request) {
 		s.admittedHook()
 	}
 
-	resp, err := s.dispatch(r, req)
+	resp, err := s.svc.do(r.Context(), j, key, nil)
 	if err != nil {
 		if r.Context().Err() != nil {
 			writeError(w, http.StatusServiceUnavailable, "request canceled: "+err.Error())
@@ -220,23 +220,6 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, req Request) {
 	w.Write(out)
 }
 
-// dispatch executes a decoded request on the service.
-func (s *Server) dispatch(r *http.Request, req Request) (any, error) {
-	ctx := r.Context()
-	switch rq := req.(type) {
-	case *RunScenarioRequest:
-		return s.svc.RunScenario(ctx, rq)
-	case *GridSweepRequest:
-		return s.svc.GridSweep(ctx, rq)
-	case *DSERequest:
-		return s.svc.DSE(ctx, rq)
-	case *ParetoRequest:
-		return s.svc.Pareto(ctx, rq)
-	default:
-		return nil, errors.New("api: unroutable request kind " + req.Kind())
-	}
-}
-
 // streamEvent is one NDJSON line of a streaming sweep: a per-scenario
 // progress event, then a final done event carrying the full response.
 type streamEvent struct {
@@ -246,8 +229,9 @@ type streamEvent struct {
 	Error    string              `json:"error,omitempty"`
 }
 
-// streamSweep writes chunked NDJSON progress for a grid sweep.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *GridSweepRequest) {
+// streamSweep runs a grid sweep's job under its key and writes chunked
+// NDJSON progress.
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, j job, key string) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
@@ -256,7 +240,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *GridSw
 			f.Flush()
 		}
 	}
-	resp, err := s.svc.GridSweepStream(r.Context(), req, func(g GridScenarioResult) error {
+	resp, err := s.svc.do(r.Context(), j, key, func(g GridScenarioResult) error {
 		if err := enc.Encode(streamEvent{Type: "scenario", Scenario: &g}); err != nil {
 			return err
 		}
@@ -269,7 +253,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *GridSw
 		flush()
 		return
 	}
-	enc.Encode(streamEvent{Type: "done", Response: resp})
+	enc.Encode(streamEvent{Type: "done", Response: resp.(*GridSweepResponse)})
 	flush()
 }
 

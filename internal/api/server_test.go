@@ -210,18 +210,25 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
+// TestBadRequests pins each 400 body's error to the one Decode returns
+// for the same bytes. A request with two faults reports the one its
+// kind checks first, as clients have always seen it.
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, ServerConfig{})
 	cases := []struct {
 		name string
 		path string
 		body string
+		req  Request
+		want string
 	}{
-		{"malformed json", "/v1/run", `{"scenarios":`},
-		{"unknown field", "/v1/run", `{"scenarios":["urban-8cam"],"framez":1}`},
-		{"unknown scenario", "/v1/run", `{"scenarios":["no-such"]}`},
-		{"unknown grid scenario", "/v1/sweep", `{"scenarios":["no-such"]}`},
-		{"no pareto scenarios", "/v1/pareto", `{}`},
+		{"malformed json", "/v1/run", `{"scenarios":`, new(RunScenarioRequest), "parsing run request"},
+		{"unknown field", "/v1/run", `{"scenarios":["urban-8cam"],"framez":1}`, new(RunScenarioRequest), `unknown field "framez"`},
+		{"unknown scenario", "/v1/run", `{"scenarios":["no-such"]}`, new(RunScenarioRequest), `unknown scenario "no-such"`},
+		{"unknown grid scenario", "/v1/sweep", `{"scenarios":["no-such"]}`, new(GridSweepRequest), `no scenario matches "no-such"`},
+		{"no pareto scenarios", "/v1/pareto", `{}`, new(ParetoRequest), "needs at least one scenario"},
+		{"unknown scenario before bad frames", "/v1/pareto", `{"scenarios":["no-such"],"frames":-1}`,
+			new(ParetoRequest), `unknown scenario "no-such"`},
 	}
 	for _, tc := range cases {
 		resp, payload := post(t, hs.URL+tc.path, tc.body)
@@ -233,6 +240,69 @@ func TestBadRequests(t *testing.T) {
 		}
 		if err := json.Unmarshal(payload, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body missing: %s", tc.name, payload)
+			continue
+		}
+		want := Decode([]byte(tc.body), tc.req)
+		if want == nil || e.Error != want.Error() {
+			t.Errorf("%s: error %q, Decode returns %v", tc.name, e.Error, want)
+		}
+		if !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: error %q does not report %s", tc.name, e.Error, tc.want)
+		}
+	}
+}
+
+// TestEnvelopeKeyIsCacheKey: a reply's envelope carries the key its
+// result is cached under. For every kind, a /v1 reply's key is
+// RequestKey of its body under the server's build version, on the
+// computed reply and on the cached replay, and a direct Service call's
+// key is Service.Key of its request.
+func TestEnvelopeKeyIsCacheKey(t *testing.T) {
+	ctx := context.Background()
+	srv, hs := newTestServer(t, ServerConfig{})
+	svc := srv.svc
+	cases := []struct {
+		path, body string
+		req        Request
+		call       func(Request) (response, error)
+	}{
+		{"/v1/run", smallRun, new(RunScenarioRequest), func(r Request) (response, error) {
+			return svc.RunScenario(ctx, r.(*RunScenarioRequest))
+		}},
+		{"/v1/sweep", `{"scenarios":["tolerance"]}`, new(GridSweepRequest), func(r Request) (response, error) {
+			return svc.GridSweep(ctx, r.(*GridSweepRequest))
+		}},
+		{"/v1/dse", `{"lcstr_ms":90}`, new(DSERequest), func(r Request) (response, error) {
+			return svc.DSE(ctx, r.(*DSERequest))
+		}},
+		{"/v1/pareto", `{"scenarios":["urban-8cam"],"meshes":["4x4"],"frames":8,"window_frames":4}`,
+			new(ParetoRequest), func(r Request) (response, error) {
+				return svc.Pareto(ctx, r.(*ParetoRequest))
+			}},
+	}
+	for _, tc := range cases {
+		if err := Decode([]byte(tc.body), tc.req); err != nil {
+			t.Fatal(err)
+		}
+		want, err := RequestKey(tc.req, svc.version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cache := range []string{"miss", "hit"} {
+			resp, payload := post(t, hs.URL+tc.path, tc.body)
+			if got := resp.Header.Get("X-Cache"); got != cache {
+				t.Errorf("%s: X-Cache %q, want %s", tc.path, got, cache)
+			}
+			if env := checkEnvelope(t, payload, tc.req.Kind()); env.Key != want {
+				t.Errorf("%s (%s): envelope key %s, cache key %s", tc.path, cache, env.Key, want)
+			}
+		}
+		resp, err := tc.call(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key, err := svc.Key(tc.req); err != nil || resp.head().Key != key {
+			t.Errorf("%s: direct call's envelope key %s, Service.Key %s (%v)", tc.req.Kind(), resp.head().Key, key, err)
 		}
 	}
 }

@@ -1,10 +1,11 @@
-// The Service executes validated api requests against the simulation
-// engines and wraps every outcome in the RunResult envelope. It is the
-// single execution path behind both the HTTP daemon and the one-shot
-// CLIs: a server holds one Service for its whole lifetime (keeping the
-// interned cost tables, the engine's layer-cost cache, the scored
-// Table I space and the registry scenarios' prepared designs warm
-// across requests), while a CLI builds one per invocation.
+// The Service runs the jobs api requests resolve to against the
+// simulation engines and wraps every outcome in the RunResult envelope,
+// which carries the request's cache key. It is the single execution
+// path behind both the HTTP daemon and the one-shot CLIs: a server
+// holds one Service for its whole lifetime (keeping the interned cost
+// tables, the engine's layer-cost cache, the scored Table I space and
+// the registry scenarios' prepared designs warm across requests), while
+// a CLI builds one per invocation.
 package api
 
 import (
@@ -25,9 +26,9 @@ import (
 
 // Timings is the envelope's service-time breakdown.
 type Timings struct {
-	// ComputeMs is the wall time spent executing the request (cache
-	// hits on the server skip compute entirely and replay the original
-	// envelope, timings included).
+	// ComputeMs is the wall time spent executing the request, after
+	// its key is made (cache hits on the server skip compute entirely
+	// and replay the original envelope, timings included).
 	ComputeMs float64 `json:"compute_ms"`
 }
 
@@ -49,6 +50,17 @@ type RunResult struct {
 	Timings   Timings       `json:"timings"`
 	CostCache CacheCounters `json:"cost_cache"`
 }
+
+// response is implemented by every typed response through its
+// embedded RunResult, the envelope the Service fills in once a job's
+// work is done.
+type response interface{ head() *RunResult }
+
+func (r *RunResult) head() *RunResult { return r }
+
+// progress receives each grid scenario of a streamed sweep as it
+// completes.
+type progress func(GridScenarioResult) error
 
 // RunScenarioResponse carries the streaming runner's per-scenario
 // results.
@@ -235,23 +247,39 @@ func (s *Service) Key(req Request) (string, error) {
 	return RequestKey(req, s.version)
 }
 
-// envelope assembles the common response envelope for a completed
-// request.
-func (s *Service) envelope(req Request, start time.Time) RunResult {
-	key, err := s.Key(req)
+// call is every direct Service call: req is resolved and keyed once,
+// and its job runs under that key.
+func call[T response](ctx context.Context, s *Service, req Request, emit progress) (T, error) {
+	var zero T
+	j, key, err := resolveKey(req, s.version)
 	if err != nil {
-		// Key errors surface in Validate; a validated request cannot
-		// fail here.
-		key = "unhashable"
+		return zero, err
+	}
+	resp, err := s.do(ctx, j, key, emit)
+	if err != nil {
+		return zero, err
+	}
+	return resp.(T), nil
+}
+
+// do runs a resolved job and fills in its response's envelope, which
+// carries key, the key the job's result is cached under. The clock
+// starts after the key is made, so compute_ms times the work alone.
+func (s *Service) do(ctx context.Context, j job, key string, emit progress) (response, error) {
+	start := time.Now()
+	resp, err := j.run(ctx, s, emit)
+	if err != nil {
+		return nil, err
 	}
 	st := s.engine.Cache().Stats()
-	return RunResult{
+	*resp.head() = RunResult{
 		Version:   Version,
-		Kind:      req.Kind(),
+		Kind:      j.kind,
 		Key:       key,
 		Timings:   Timings{ComputeMs: float64(time.Since(start).Microseconds()) / 1e3},
 		CostCache: CacheCounters{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries},
 	}
+	return resp, nil
 }
 
 // RunScenario streams the request's scenarios, in order, through the
@@ -260,19 +288,17 @@ func (s *Service) envelope(req Request, start time.Time) RunResult {
 // it; an inline spec is prepared for this request alone. The first
 // failure aborts the request.
 func (s *Service) RunScenario(ctx context.Context, req *RunScenarioRequest) (*RunScenarioResponse, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	specs, err := req.resolve()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	opts := scenario.RunOptions{Frames: req.Frames, WindowFrames: req.WindowFrames, Seed: req.Seed, Engine: s.engine}
+	return call[*RunScenarioResponse](ctx, s, req, nil)
+}
+
+// runScenario is a run job's work.
+func (s *Service) runScenario(ctx context.Context, specs []scenario.Spec, inline bool, opts scenario.RunOptions) (response, error) {
+	opts.Engine = s.engine
 	results := make([]scenario.Result, 0, len(specs))
 	for _, sp := range specs {
 		var p *scenario.Prepared
-		if req.Spec != nil {
+		var err error
+		if inline {
 			p, err = scenario.Prepare(sp, s.engine.Cache())
 		} else {
 			p, err = s.kept(sp.Name)
@@ -286,7 +312,7 @@ func (s *Service) RunScenario(ctx context.Context, req *RunScenarioRequest) (*Ru
 		}
 		results = append(results, r)
 	}
-	return &RunScenarioResponse{RunResult: s.envelope(req, start), Results: results}, nil
+	return &RunScenarioResponse{Results: results}, nil
 }
 
 // kept returns the design the Service keeps for the named registry
@@ -304,7 +330,7 @@ func (s *Service) kept(name string) (*scenario.Prepared, error) {
 
 // GridSweep runs the sharded experiment grid.
 func (s *Service) GridSweep(ctx context.Context, req *GridSweepRequest) (*GridSweepResponse, error) {
-	return s.gridSweep(ctx, req, nil)
+	return call[*GridSweepResponse](ctx, s, req, nil)
 }
 
 // GridSweepStream runs the grid one scenario at a time (each scenario
@@ -313,15 +339,13 @@ func (s *Service) GridSweep(ctx context.Context, req *GridSweepRequest) (*GridSw
 // response aggregates the same results; per-scenario tables are
 // bit-for-bit identical to the batch path's.
 func (s *Service) GridSweepStream(ctx context.Context, req *GridSweepRequest, emit func(GridScenarioResult) error) (*GridSweepResponse, error) {
-	return s.gridSweep(ctx, req, emit)
+	return call[*GridSweepResponse](ctx, s, req, emit)
 }
 
-func (s *Service) gridSweep(ctx context.Context, req *GridSweepRequest, emit func(GridScenarioResult) error) (*GridSweepResponse, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	selected := experiments.SelectGrid(s.engine, req.selected()...)
-	start := time.Now()
+// gridSweep is a sweep job's work over the named grid scenarios, in
+// grid order; a nil emit runs them as one batch.
+func (s *Service) gridSweep(ctx context.Context, names []string, emit progress) (response, error) {
+	selected := experiments.SelectGrid(s.engine, names...)
 	cfg := workloads.DefaultConfig()
 	var results []GridScenarioResult
 	if emit == nil {
@@ -341,7 +365,7 @@ func (s *Service) gridSweep(ctx context.Context, req *GridSweepRequest, emit fun
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
-	return &GridSweepResponse{RunResult: s.envelope(req, start), Results: results}, nil
+	return &GridSweepResponse{Results: results}, nil
 }
 
 func toGridResult(r sweep.GridResult) GridScenarioResult {
@@ -356,23 +380,19 @@ func toGridResult(r sweep.GridResult) GridScenarioResult {
 // DSE runs the Table I design-space exploration under the request's
 // latency constraint, on the service's Table I space.
 func (s *Service) DSE(ctx context.Context, req *DSERequest) (*DSEResponse, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
+	return call[*DSEResponse](ctx, s, req, nil)
+}
+
+// dse is a DSE job's work under the defaulted constraint lcstr.
+func (s *Service) dse(ctx context.Context, lcstr float64) (response, error) {
 	s.tableIOnce.Do(func() {
 		s.tableI = experiments.TableISpace(s.engine, workloads.DefaultConfig(), DefaultLcstrMs)
 	})
-	res, err := experiments.TableIOn(ctx, s.tableI.WithLcstr(req.lcstr()))
+	res, err := experiments.TableIOn(ctx, s.tableI.WithLcstr(lcstr))
 	if err != nil {
 		return nil, err
 	}
-	return &DSEResponse{
-		RunResult: s.envelope(req, start),
-		LcstrMs:   req.lcstr(),
-		Workers:   s.engine.Workers(),
-		TableData: res.Table(),
-	}, nil
+	return &DSEResponse{LcstrMs: lcstr, Workers: s.engine.Workers(), TableData: res.Table()}, nil
 }
 
 // Pareto runs the multi-objective exploration: exhaustive enumeration
@@ -380,23 +400,21 @@ func (s *Service) DSE(ctx context.Context, req *DSERequest) (*DSEResponse, error
 // asks for it (the only way to search a heterogeneous per-chiplet
 // space, which is far too large to enumerate).
 func (s *Service) Pareto(ctx context.Context, req *ParetoRequest) (*ParetoResponse, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	space, opts, err := req.resolve()
-	if err != nil {
-		return nil, err
-	}
+	return call[*ParetoResponse](ctx, s, req, nil)
+}
+
+// explore is a pareto job's work; opts carries no engine until here.
+func (s *Service) explore(ctx context.Context, space pareto.Space, opts pareto.EvolveOptions, evolve bool, top int) (response, error) {
 	opts.Engine = s.engine
-	start := time.Now()
 	var rep pareto.Report
-	if req.Evolve {
-		rep, err = pareto.Evolve(ctx, space, req.evolveOptions(opts))
+	var err error
+	if evolve {
+		rep, err = pareto.Evolve(ctx, space, opts)
 	} else {
-		rep, err = pareto.Explore(ctx, space, opts)
+		rep, err = pareto.Explore(ctx, space, opts.Options)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &ParetoResponse{RunResult: s.envelope(req, start), Top: req.Top, Report: rep}, nil
+	return &ParetoResponse{Top: top, Report: rep}, nil
 }

@@ -1,6 +1,7 @@
 // Package api is the unified request/response contract in front of the
 // simulation engines: versioned, typed request structs with one strict
-// decoding path and one Validate() per type, a common RunResult
+// decoding path and one resolve step per type (its checks, defaults
+// and canonical form, and the work it asks for), a common RunResult
 // envelope carrying timings and cache statistics, and the Service that
 // executes requests against a shared sweep.Engine. The HTTP daemon
 // (cmd/serve, server.go) and the one-shot CLIs (cmd/scenarios,
@@ -12,10 +13,13 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strings"
 
 	"mcmnpu/internal/chiplet"
@@ -35,10 +39,25 @@ const Version = "v1"
 const VersionHeader = "X-Api-Version"
 
 // Request is implemented by every request type: a stable kind tag
-// (part of the result cache key) and full validation.
+// (part of the result cache key), full validation, and the resolve
+// step that validation, the cache key and the Service all run on.
 type Request interface {
 	Kind() string
 	Validate() error
+	// resolve runs every check of the request, in the order clients
+	// see their errors, and returns the request's job.
+	resolve() (job, error)
+}
+
+// job is a request resolved once: the canonical, defaulted payload and
+// the seed its result key hashes, and the work the Service runs for
+// it. A request that spells out a default and one that omits it
+// resolve to the same payload, and so share a cache entry.
+type job struct {
+	kind    string
+	payload any
+	seed    uint64
+	run     func(ctx context.Context, s *Service, emit progress) (response, error)
 }
 
 // maxFrames bounds request-level frame overrides the same way
@@ -50,6 +69,15 @@ const maxFrames = 1 << 20
 // exactly like scenario.ParseSpec), then req.Validate() runs. req must
 // be a pointer.
 func Decode(data []byte, req Request) error {
+	if err := decode(data, req); err != nil {
+		return err
+	}
+	return req.Validate()
+}
+
+// decode is Decode without the validation, for a caller that resolves
+// the request itself.
+func decode(data []byte, req Request) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
@@ -59,7 +87,20 @@ func Decode(data []byte, req Request) error {
 	if err := dec.Decode(&extra); !errors.Is(err, io.EOF) {
 		return fmt.Errorf("api: trailing content after %s request object", req.Kind())
 	}
-	return req.Validate()
+	return nil
+}
+
+// lookup resolves registry scenario names, in order.
+func lookup(names []string) ([]scenario.Spec, error) {
+	specs := make([]scenario.Spec, len(names))
+	for i, name := range names {
+		sp, err := scenario.Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = sp
+	}
+	return specs, nil
 }
 
 // RunScenarioRequest streams one or more scenarios through the
@@ -86,47 +127,60 @@ func (r *RunScenarioRequest) Kind() string { return "run" }
 // Validate implements Request: the scenario selection must resolve and
 // the overrides must be in range.
 func (r *RunScenarioRequest) Validate() error {
-	if _, err := r.resolve(); err != nil {
-		return err
-	}
-	if r.Frames < 0 || r.Frames > maxFrames {
-		return fmt.Errorf("api: frames %d out of range [0, %d]", r.Frames, maxFrames)
-	}
-	if r.WindowFrames < 0 || r.WindowFrames > maxFrames {
-		return fmt.Errorf("api: window_frames %d out of range [0, %d]", r.WindowFrames, maxFrames)
-	}
-	return nil
+	_, err := r.resolve()
+	return err
 }
 
-// resolve expands the selection into defaulted, validated specs with
-// the seed override applied.
-func (r *RunScenarioRequest) resolve() ([]scenario.Spec, error) {
+// resolve checks the scenario selection, then the overrides. The job's
+// specs are defaulted and carry the seed and frame overrides, and its
+// window is defaulted; registry scenarios run through the designs the
+// Service keeps, an inline spec is prepared for the request alone.
+func (r *RunScenarioRequest) resolve() (job, error) {
 	if (len(r.Scenarios) == 0) == (r.Spec == nil) {
-		return nil, fmt.Errorf("api: run request needs exactly one of scenarios or spec")
+		return job{}, fmt.Errorf("api: run request needs exactly one of scenarios or spec")
 	}
 	var specs []scenario.Spec
+	var err error
 	if r.Spec != nil {
 		sp := r.Spec.WithDefaults()
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		specs = []scenario.Spec{sp}
+		specs, err = []scenario.Spec{sp}, sp.Validate()
 	} else {
-		specs = make([]scenario.Spec, len(r.Scenarios))
-		for i, name := range r.Scenarios {
-			sp, err := scenario.Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			specs[i] = sp
-		}
+		specs, err = lookup(r.Scenarios)
 	}
-	if r.Seed != 0 {
-		for i := range specs {
+	if err != nil {
+		return job{}, err
+	}
+	if r.Frames < 0 || r.Frames > maxFrames {
+		return job{}, fmt.Errorf("api: frames %d out of range [0, %d]", r.Frames, maxFrames)
+	}
+	if r.WindowFrames < 0 || r.WindowFrames > maxFrames {
+		return job{}, fmt.Errorf("api: window_frames %d out of range [0, %d]", r.WindowFrames, maxFrames)
+	}
+	for i := range specs {
+		if r.Seed != 0 {
 			specs[i].Seed = r.Seed
 		}
+		if r.Frames > 0 {
+			specs[i].Frames = r.Frames
+		}
 	}
-	return specs, nil
+	window := r.WindowFrames
+	if window <= 0 {
+		window = scenario.DefaultWindowFrames
+	}
+	inline := r.Spec != nil
+	opts := scenario.RunOptions{Frames: r.Frames, WindowFrames: window, Seed: r.Seed}
+	return job{
+		kind: r.Kind(),
+		payload: struct {
+			Specs        []scenario.Spec `json:"specs"`
+			WindowFrames int             `json:"window_frames"`
+		}{specs, window},
+		seed: r.Seed,
+		run: func(ctx context.Context, s *Service, _ progress) (response, error) {
+			return s.runScenario(ctx, specs, inline, opts)
+		},
+	}, nil
 }
 
 // GridSweepRequest runs the sharded multi-scenario experiment grid.
@@ -145,38 +199,42 @@ func (r *GridSweepRequest) Kind() string { return "sweep" }
 // Validate implements Request: every requested name must be a grid
 // scenario.
 func (r *GridSweepRequest) Validate() error {
-	have := experiments.GridScenarioNames()
-	known := make(map[string]bool, len(have))
-	for _, n := range have {
-		known[n] = true
-	}
-	for _, n := range r.Scenarios {
-		if !known[n] {
-			return fmt.Errorf("api: no scenario matches %q (have: %s)",
-				n, strings.Join(have, ", "))
-		}
-	}
-	return nil
+	_, err := r.resolve()
+	return err
 }
 
-// selected returns the resolved scenario name set in grid order (the
-// canonical form the cache key hashes).
-func (r *GridSweepRequest) selected() []string {
+// resolve checks each requested name against the grid. The job sweeps
+// the selection in grid order (the whole grid when none is named), the
+// canonical form the cache key hashes.
+func (r *GridSweepRequest) resolve() (job, error) {
 	have := experiments.GridScenarioNames()
-	if len(r.Scenarios) == 0 {
-		return have
-	}
-	want := make(map[string]bool, len(r.Scenarios))
+	picked := make([]bool, len(have))
 	for _, n := range r.Scenarios {
-		want[n] = true
+		i := slices.Index(have, n)
+		if i < 0 {
+			return job{}, fmt.Errorf("api: no scenario matches %q (have: %s)",
+				n, strings.Join(have, ", "))
+		}
+		picked[i] = true
 	}
-	var out []string
-	for _, n := range have {
-		if want[n] {
-			out = append(out, n)
+	names := have
+	if len(r.Scenarios) > 0 {
+		names = nil
+		for i, n := range have {
+			if picked[i] {
+				names = append(names, n)
+			}
 		}
 	}
-	return out
+	return job{
+		kind: r.Kind(),
+		payload: struct {
+			Scenarios []string `json:"scenarios"`
+		}{names},
+		run: func(ctx context.Context, s *Service, emit progress) (response, error) {
+			return s.gridSweep(ctx, names, emit)
+		},
+	}, nil
 }
 
 // DefaultLcstrMs is the DSE latency constraint used when a request
@@ -194,18 +252,29 @@ func (r *DSERequest) Kind() string { return "dse" }
 
 // Validate implements Request.
 func (r *DSERequest) Validate() error {
-	if r.LcstrMs < 0 || r.LcstrMs > 1e5 {
-		return fmt.Errorf("api: lcstr_ms %v out of range [0, 1e5]", r.LcstrMs)
-	}
-	return nil
+	_, err := r.resolve()
+	return err
 }
 
-// lcstr returns the defaulted constraint.
-func (r *DSERequest) lcstr() float64 {
-	if r.LcstrMs == 0 {
-		return DefaultLcstrMs
+// resolve checks the constraint's range (a NaN is out of it too); the
+// job runs Table I under the defaulted constraint.
+func (r *DSERequest) resolve() (job, error) {
+	if !(r.LcstrMs >= 0 && r.LcstrMs <= 1e5) {
+		return job{}, fmt.Errorf("api: lcstr_ms %v out of range [0, 1e5]", r.LcstrMs)
 	}
-	return r.LcstrMs
+	lcstr := r.LcstrMs
+	if lcstr == 0 {
+		lcstr = DefaultLcstrMs
+	}
+	return job{
+		kind: r.Kind(),
+		payload: struct {
+			LcstrMs float64 `json:"lcstr_ms"`
+		}{lcstr},
+		run: func(ctx context.Context, s *Service, _ progress) (response, error) {
+			return s.dse(ctx, lcstr)
+		},
+	}, nil
 }
 
 // ParetoRequest runs the multi-objective exploration.
@@ -250,132 +319,126 @@ func (r *ParetoRequest) Kind() string { return "pareto" }
 
 // Validate implements Request.
 func (r *ParetoRequest) Validate() error {
-	if _, _, err := r.resolve(); err != nil {
-		return err
-	}
-	if r.Frames < 0 || r.Frames > maxFrames {
-		return fmt.Errorf("api: frames %d out of range [0, %d]", r.Frames, maxFrames)
-	}
-	if r.WindowFrames < 0 || r.WindowFrames > maxFrames {
-		return fmt.Errorf("api: window_frames %d out of range [0, %d]", r.WindowFrames, maxFrames)
-	}
-	if r.Top < 0 {
-		return fmt.Errorf("api: top %d out of range", r.Top)
-	}
-	if !r.Evolve && (r.Generations != 0 || r.Population != 0 || r.Seed != 0) {
-		return fmt.Errorf("api: generations/population/seed require evolve")
-	}
-	if r.Generations < 0 || r.Generations > pareto.MaxGenerations {
-		return fmt.Errorf("api: generations %d out of range [0, %d]", r.Generations, pareto.MaxGenerations)
-	}
-	if r.Population == 1 || r.Population < 0 || r.Population > pareto.MaxPopulation {
-		return fmt.Errorf("api: population %d out of range [2, %d] (0 = default)", r.Population, pareto.MaxPopulation)
-	}
-	return nil
+	_, err := r.resolve()
+	return err
 }
 
-// resolve expands the request into the explorer's space and options
-// (options carry no engine; the service attaches one).
-func (r *ParetoRequest) resolve() (pareto.Space, pareto.Options, error) {
-	var space pareto.Space
-	var opts pareto.Options
-
-	specs, err := r.resolveScenarios()
-	if err != nil {
-		return space, opts, err
+// resolve checks the scenarios, the space's axes and the objectives,
+// then the run and evolution parameters. An exhaustive job's key
+// hashes the enumerated candidate names, which pins mesh, dataflow and
+// bandwidth defaulting. An evolve job's space cannot be enumerated (it
+// may hold 10^6+ per-chiplet assignments), so its key hashes the
+// defaulted axes and evolution parameters, with the RNG seed as the
+// key's seed component.
+func (r *ParetoRequest) resolve() (job, error) {
+	if len(r.Scenarios) == 0 {
+		return job{}, fmt.Errorf("api: pareto request needs at least one scenario")
 	}
+	var specs []scenario.Spec
+	var err error
+	if len(r.Scenarios) == 1 && r.Scenarios[0] == "all" {
+		specs = scenario.Registry()
+	} else if specs, err = lookup(r.Scenarios); err != nil {
+		return job{}, err
+	}
+	var space pareto.Space
 	if len(r.Meshes) > 0 {
-		m, err := pareto.ParseMeshes(strings.Join(r.Meshes, ","))
-		if err != nil {
-			return space, opts, err
+		if space.Meshes, err = pareto.ParseMeshes(strings.Join(r.Meshes, ",")); err != nil {
+			return job{}, err
 		}
-		space.Meshes = m
 	}
 	for _, df := range r.Dataflows {
-		switch df {
-		case "OS", "WS":
-			space.Dataflows = append(space.Dataflows, df)
-		default:
-			return space, opts, fmt.Errorf("api: unknown dataflow %q (want OS or WS)", df)
+		if df != "OS" && df != "WS" {
+			return job{}, fmt.Errorf("api: unknown dataflow %q (want OS or WS)", df)
 		}
 	}
+	space.Dataflows = r.Dataflows
 	for _, bw := range r.LinkBWGBs {
-		if bw <= 0 {
-			return space, opts, fmt.Errorf("api: link bandwidth %g out of range", bw)
+		if !(bw > 0) || math.IsInf(bw, 1) {
+			return job{}, fmt.Errorf("api: link bandwidth %g out of range", bw)
 		}
-		space.LinkBWGBs = append(space.LinkBWGBs, bw)
 	}
+	space.LinkBWGBs = r.LinkBWGBs
 	for _, name := range r.ChipletTypes {
 		if _, err := chiplet.LookupType(name); err != nil {
-			return space, opts, fmt.Errorf("api: %w", err)
+			return job{}, fmt.Errorf("api: %w", err)
 		}
 	}
 	space.Types = r.ChipletTypes
 	objs, err := pareto.ParseObjectives(strings.Join(r.Objectives, ","))
 	if err != nil {
-		return space, opts, err
+		return job{}, err
 	}
-	opts = pareto.Options{
-		Scenarios:    specs,
-		Objectives:   objs,
-		Frames:       r.Frames,
-		WindowFrames: r.WindowFrames,
-		NoPrune:      r.NoPrune,
+	if r.Frames < 0 || r.Frames > maxFrames {
+		return job{}, fmt.Errorf("api: frames %d out of range [0, %d]", r.Frames, maxFrames)
 	}
-	return space, opts, nil
-}
+	if r.WindowFrames < 0 || r.WindowFrames > maxFrames {
+		return job{}, fmt.Errorf("api: window_frames %d out of range [0, %d]", r.WindowFrames, maxFrames)
+	}
+	if r.Top < 0 {
+		return job{}, fmt.Errorf("api: top %d out of range", r.Top)
+	}
+	if !r.Evolve && (r.Generations != 0 || r.Population != 0 || r.Seed != 0) {
+		return job{}, fmt.Errorf("api: generations/population/seed require evolve")
+	}
+	if r.Generations < 0 || r.Generations > pareto.MaxGenerations {
+		return job{}, fmt.Errorf("api: generations %d out of range [0, %d]", r.Generations, pareto.MaxGenerations)
+	}
+	if r.Population == 1 || r.Population < 0 || r.Population > pareto.MaxPopulation {
+		return job{}, fmt.Errorf("api: population %d out of range [2, %d] (0 = default)", r.Population, pareto.MaxPopulation)
+	}
 
-// evolveOptions assembles the evolutionary explorer's options from the
-// resolved base options, leaving zero fields to the explorer's
-// defaulting.
-func (r *ParetoRequest) evolveOptions(opts pareto.Options) pareto.EvolveOptions {
-	return pareto.EvolveOptions{
-		Options:     opts,
-		Generations: r.Generations,
-		Population:  r.Population,
-		Seed:        r.Seed,
+	opts := pareto.EvolveOptions{
+		Options: pareto.Options{Scenarios: specs, Objectives: objs, Frames: r.Frames,
+			WindowFrames: r.WindowFrames, NoPrune: r.NoPrune},
+		Generations: r.Generations, Population: r.Population, Seed: r.Seed,
+	}.WithDefaults()
+	names := make([]string, len(specs))
+	for i, sp := range specs {
+		names[i] = sp.Name
 	}
-}
-
-// Defaulted evolution parameters — the canonical values the result
-// cache key hashes, so an omitted field and its explicit default share
-// a cache entry.
-
-func (r *ParetoRequest) generations() int {
-	if r.Generations == 0 {
-		return pareto.DefaultGenerations
-	}
-	return r.Generations
-}
-
-func (r *ParetoRequest) population() int {
-	if r.Population == 0 {
-		return pareto.DefaultPopulation
-	}
-	return r.Population
-}
-
-func (r *ParetoRequest) seed() uint64 {
-	if r.Seed == 0 {
-		return pareto.DefaultSeed
-	}
-	return r.Seed
-}
-
-func (r *ParetoRequest) resolveScenarios() ([]scenario.Spec, error) {
-	if len(r.Scenarios) == 0 {
-		return nil, fmt.Errorf("api: pareto request needs at least one scenario")
-	}
-	if len(r.Scenarios) == 1 && r.Scenarios[0] == "all" {
-		return scenario.Registry(), nil
-	}
-	specs := make([]scenario.Spec, len(r.Scenarios))
-	for i, name := range r.Scenarios {
-		sp, err := scenario.Lookup(name)
-		if err != nil {
-			return nil, err
+	evolve, top := r.Evolve, r.Top
+	j := job{kind: r.Kind(), run: func(ctx context.Context, s *Service, _ progress) (response, error) {
+		return s.explore(ctx, space, opts, evolve, top)
+	}}
+	if !evolve {
+		cands := space.Candidates()
+		candidates := make([]string, len(cands))
+		for i, c := range cands {
+			candidates[i] = c.Name()
 		}
-		specs[i] = sp
+		j.payload = struct {
+			Candidates []string `json:"candidates"`
+			Scenarios  []string `json:"scenarios"`
+			Objectives []string `json:"objectives"`
+			Frames     int      `json:"frames"`
+			Window     int      `json:"window_frames"`
+			Top        int      `json:"top"`
+			NoPrune    bool     `json:"no_prune"`
+		}{candidates, names, objs, r.Frames, r.WindowFrames, top, r.NoPrune}
+		return j, nil
 	}
-	return specs, nil
+	d := space.WithDefaults()
+	meshes := make([]string, len(d.Meshes))
+	for i, m := range d.Meshes {
+		meshes[i] = m.String()
+	}
+	j.payload = struct {
+		Evolve      bool      `json:"evolve"`
+		Meshes      []string  `json:"meshes"`
+		Dataflows   []string  `json:"dataflows"`
+		LinkBWGBs   []float64 `json:"link_bw_gbs"`
+		Types       []string  `json:"types"`
+		Scenarios   []string  `json:"scenarios"`
+		Objectives  []string  `json:"objectives"`
+		Frames      int       `json:"frames"`
+		Window      int       `json:"window_frames"`
+		Top         int       `json:"top"`
+		NoPrune     bool      `json:"no_prune"`
+		Generations int       `json:"generations"`
+		Population  int       `json:"population"`
+	}{true, meshes, d.Dataflows, d.LinkBWGBs, d.Types, names, objs,
+		r.Frames, r.WindowFrames, top, r.NoPrune, opts.Generations, opts.Population}
+	j.seed = opts.Seed
+	return j, nil
 }

@@ -65,6 +65,22 @@ type EvolveOptions struct {
 	Seed uint64
 }
 
+// WithDefaults returns the options with each zero evolution parameter
+// replaced by its default: the values Evolve runs with, and the ones a
+// request's cache key hashes.
+func (o EvolveOptions) WithDefaults() EvolveOptions {
+	if o.Generations == 0 {
+		o.Generations = DefaultGenerations
+	}
+	if o.Population == 0 {
+		o.Population = DefaultPopulation
+	}
+	if o.Seed == 0 {
+		o.Seed = DefaultSeed
+	}
+	return o
+}
+
 // rng is a splitmix64 stream: the minimal deterministic generator
 // (same construction as internal/trace's). All evolve randomness comes
 // from one instance consumed serially.
@@ -168,15 +184,7 @@ func Evolve(ctx context.Context, space Space, opts EvolveOptions) (Report, error
 	if err != nil {
 		return Report{}, err
 	}
-	if opts.Generations == 0 {
-		opts.Generations = DefaultGenerations
-	}
-	if opts.Population == 0 {
-		opts.Population = DefaultPopulation
-	}
-	if opts.Seed == 0 {
-		opts.Seed = DefaultSeed
-	}
+	opts = opts.WithDefaults()
 	if opts.Generations < 0 || opts.Generations > MaxGenerations {
 		return Report{}, fmt.Errorf("pareto: generations %d out of range [1, %d]", opts.Generations, MaxGenerations)
 	}

@@ -24,6 +24,10 @@ import (
 	"mcmnpu/internal/workloads"
 )
 
+// DefaultWindowFrames is a run's trace-window size when
+// RunOptions.WindowFrames is not positive.
+const DefaultWindowFrames = 16
+
 // windowSeedStride decorrelates per-window trace seeds (arbitrary odd
 // constant, same family as the trace package's domain separators).
 const windowSeedStride = 0x9e3779b97f4a7c15
@@ -32,10 +36,10 @@ const windowSeedStride = 0x9e3779b97f4a7c15
 type RunOptions struct {
 	// Frames overrides the spec's frame budget when positive.
 	Frames int
-	// WindowFrames is the trace-window size (default 16; clamped to the
-	// frame budget). The window split is part of the result's
-	// definition: the same (frames, window) pair always aggregates the
-	// same per-window simulations.
+	// WindowFrames is the trace-window size (default
+	// DefaultWindowFrames; clamped to the frame budget). The window
+	// split is part of the result's definition: the same (frames,
+	// window) pair always aggregates the same per-window simulations.
 	WindowFrames int
 	// Seed overrides the spec's trace seed when nonzero. Only the
 	// window generators read it, never the schedule, so one prepared
@@ -162,7 +166,7 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 	}
 	win := opts.WindowFrames
 	if win <= 0 {
-		win = 16
+		win = DefaultWindowFrames
 	}
 	if win > frames {
 		win = frames
