@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -73,5 +75,31 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Error("same flags, different output")
+	}
+}
+
+// TestReadmeInvocations runs every cmd/perfsim command the README
+// documents through run; each must exit 0.
+func TestReadmeInvocations(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		_, rest, ok := strings.Cut(line, "go run ./cmd/perfsim")
+		if !ok {
+			continue
+		}
+		rest, _, _ = strings.Cut(rest, "#")
+		args := strings.Fields(rest)
+		found++
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Errorf("README's perfsim %v: exit %d, stderr: %s", args, code, errOut.String())
+		}
+	}
+	if found == 0 {
+		t.Fatal("README.md documents no go run ./cmd/perfsim invocation")
 	}
 }

@@ -1,7 +1,7 @@
 // Command scenarios lists, filters and runs the named AV scenario
-// library through the streaming multi-frame runner: each scenario
-// compiles to a (workload, package, scheduler) bundle, is scheduled
-// once, and streams its frame budget through the event-driven simulator
+// library through the streaming multi-frame runner: each scenario is
+// prepared once (its package instantiated and its schedule built) and
+// streams its frame budget through the event-driven simulator
 // in trace windows fanned across a worker pool. Requests execute
 // through the internal/api service — the same typed request path the
 // cmd/serve daemon speaks — and results render as an aligned table,

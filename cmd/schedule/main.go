@@ -121,7 +121,7 @@ func specWorkload(path string) (workloads.Config, error) {
 	if sp.Package != def.Package || !strings.EqualFold(sp.Dataflow, def.Dataflow) ||
 		len(sp.ChipletTypes) > 0 ||
 		(sp.NoP != nil && *sp.NoP != nop.DefaultParams()) ||
-		(sp.Tolerance != 0 && sp.Tolerance != sched.DefaultOptions().Tolerance) {
+		(sp.Tolerance != 0 && sp.Tolerance != sched.DefaultTolerance) {
 		return workloads.Config{}, fmt.Errorf("schedule: spec %s sets package, dataflow, chiplet_types, nop or tolerance, "+
 			"which schedule does not apply; run it with cmd/scenarios -spec", sp.Name)
 	}

@@ -1,6 +1,6 @@
 // Command serve is the simulation-as-a-service daemon: a long-lived
-// HTTP/JSON process owning the interned cost-model tables, compiled
-// scenario bundles, and the sweep engine's worker pool and layer-cost
+// HTTP/JSON process owning the interned cost-model tables, prepared
+// scenario designs, and the sweep engine's worker pool and layer-cost
 // cache across requests. Endpoints (all under /v1, JSON bodies) mirror
 // the one-shot CLIs:
 //

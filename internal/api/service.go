@@ -249,13 +249,13 @@ func (s *Service) Key(req Request) (string, error) {
 
 // call is every direct Service call: req is resolved and keyed once,
 // and its job runs under that key.
-func call[T response](ctx context.Context, s *Service, req Request, emit progress) (T, error) {
+func call[T response](ctx context.Context, s *Service, req Request) (T, error) {
 	var zero T
 	j, key, err := resolveKey(req, s.version)
 	if err != nil {
 		return zero, err
 	}
-	resp, err := s.do(ctx, j, key, emit)
+	resp, err := s.do(ctx, j, key, nil)
 	if err != nil {
 		return zero, err
 	}
@@ -288,7 +288,7 @@ func (s *Service) do(ctx context.Context, j job, key string, emit progress) (res
 // it; an inline spec is prepared for this request alone. The first
 // failure aborts the request.
 func (s *Service) RunScenario(ctx context.Context, req *RunScenarioRequest) (*RunScenarioResponse, error) {
-	return call[*RunScenarioResponse](ctx, s, req, nil)
+	return call[*RunScenarioResponse](ctx, s, req)
 }
 
 // runScenario is a run job's work.
@@ -330,16 +330,7 @@ func (s *Service) kept(name string) (*scenario.Prepared, error) {
 
 // GridSweep runs the sharded experiment grid.
 func (s *Service) GridSweep(ctx context.Context, req *GridSweepRequest) (*GridSweepResponse, error) {
-	return call[*GridSweepResponse](ctx, s, req, nil)
-}
-
-// GridSweepStream runs the grid one scenario at a time (each scenario
-// still shards its points across the pool) and calls emit after every
-// completed scenario — the server's NDJSON progress path. The final
-// response aggregates the same results; per-scenario tables are
-// bit-for-bit identical to the batch path's.
-func (s *Service) GridSweepStream(ctx context.Context, req *GridSweepRequest, emit func(GridScenarioResult) error) (*GridSweepResponse, error) {
-	return call[*GridSweepResponse](ctx, s, req, emit)
+	return call[*GridSweepResponse](ctx, s, req)
 }
 
 // gridSweep is a sweep job's work over the named grid scenarios, in
@@ -380,7 +371,7 @@ func toGridResult(r sweep.GridResult) GridScenarioResult {
 // DSE runs the Table I design-space exploration under the request's
 // latency constraint, on the service's Table I space.
 func (s *Service) DSE(ctx context.Context, req *DSERequest) (*DSEResponse, error) {
-	return call[*DSEResponse](ctx, s, req, nil)
+	return call[*DSEResponse](ctx, s, req)
 }
 
 // dse is a DSE job's work under the defaulted constraint lcstr.
@@ -400,7 +391,7 @@ func (s *Service) dse(ctx context.Context, lcstr float64) (response, error) {
 // asks for it (the only way to search a heterogeneous per-chiplet
 // space, which is far too large to enumerate).
 func (s *Service) Pareto(ctx context.Context, req *ParetoRequest) (*ParetoResponse, error) {
-	return call[*ParetoResponse](ctx, s, req, nil)
+	return call[*ParetoResponse](ctx, s, req)
 }
 
 // explore is a pareto job's work; opts carries no engine until here.

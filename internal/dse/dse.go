@@ -33,6 +33,7 @@ import (
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dataflow"
 	"mcmnpu/internal/dnn"
+	"mcmnpu/internal/sched"
 )
 
 // Net is a group of layers that must share a dataflow style (one
@@ -235,7 +236,7 @@ func (s *Space) Candidates(wsCount int) []int {
 
 // Best exhaustively searches the style assignment of nets for the
 // space's chiplets, wsCount of them WS, under the space's latency
-// constraint (with the scheduler's 5% tolerance), and returns the
+// constraint (with the scheduler's default tolerance), and returns the
 // best-scoring configuration. The first Best of a pin on a space (or
 // any of its views) scores every candidate once; every Best of that
 // pin is then one in-order scan over the scores under the strict
@@ -245,7 +246,7 @@ func (s *Space) Candidates(wsCount int) []int {
 // combos.
 func (s *Space) Best(wsCount int) Result {
 	scores := s.scores(wsCount)
-	limit := s.LcstrMs * 1.05        // the scheduler's tolerance
+	limit := s.LcstrMs * (1 + sched.DefaultTolerance)
 	best := Result{EDP: math.Inf(1)} // returned as is when no mask packs
 	win := -1
 	for i, sc := range scores {

@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"mcmnpu/internal/nop"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/scenario"
+	"mcmnpu/internal/sched"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
@@ -31,10 +31,11 @@ type DataflowAblationRow struct {
 func DataflowAblation(cfg workloads.Config) ([]DataflowAblationRow, error) {
 	var rows []DataflowAblationRow
 	for _, style := range []string{"OS", "WS"} {
-		_, m, err := layerwise(scenario.Spec{Name: "dataflow/" + style, Workload: cfg, Dataflow: style}, layerCache)
+		p, err := scenario.Prepare(scenario.Spec{Name: "dataflow/" + style, Workload: cfg, Dataflow: style}, layerCache)
 		if err != nil {
 			return nil, err
 		}
+		m := p.Metrics
 		rows = append(rows, DataflowAblationRow{
 			Dataflow:  style,
 			PipeLatMs: m.PipeLatMs,
@@ -86,21 +87,21 @@ var nopPoints = []struct {
 // robust: even a 4x-degraded interconnect keeps NoP far from the
 // computational critical path.
 func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensitivityRow) {
-	rows := make([]NoPSensitivityRow, len(nopPoints))
-	return sweep.GridPlan{
-		Points: len(nopPoints),
-		Weight: func(int) float64 { return 36 },
-		Run: func(_ context.Context, i int) error {
-			pt := nopPoints[i]
-			link := nop.DefaultParams()
-			link.LinkBWGBs = pt.bw
-			link.HopLatencyNs = pt.hop
-			sp := scenario.Spec{Name: fmt.Sprintf("nop-bandwidth/%gGBs-%gns", pt.bw, pt.hop), Workload: cfg, NoP: &link}
-			_, m, err := layerwise(sp, e.Cache())
+	specs := make([]scenario.Spec, len(nopPoints))
+	for i, pt := range nopPoints {
+		link := nop.DefaultParams()
+		link.LinkBWGBs = pt.bw
+		link.HopLatencyNs = pt.hop
+		specs[i] = scenario.Spec{Name: fmt.Sprintf("nop-bandwidth/%gGBs-%gns", pt.bw, pt.hop), Workload: cfg, NoP: &link}
+	}
+	return designPlan(e, specs,
+		func(int) float64 { return 36 },
+		func(i int, p *scenario.Prepared, err error) (NoPSensitivityRow, error) {
 			if err != nil {
-				return err
+				return NoPSensitivityRow{}, err
 			}
-			rows[i] = NoPSensitivityRow{
+			pt, m := nopPoints[i], p.Metrics
+			return NoPSensitivityRow{
 				Label:      pt.label,
 				LinkBWGBs:  pt.bw,
 				HopLatNs:   pt.hop,
@@ -108,11 +109,8 @@ func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensit
 				NoPLatMs:   m.NoPLatMs,
 				NoPShare:   m.NoPLatMs / m.E2EMs,
 				NoPEnergyJ: m.NoPEnergyJ,
-			}
-			return nil
-		},
-		Finish: func() (*report.Table, error) { return NoPSensitivityTable(rows), nil },
-	}, rows
+			}, nil
+		}, NoPSensitivityTable)
 }
 
 // NoPSensitivityTable renders the NoP sweep.
@@ -143,28 +141,24 @@ var defaultTolerances = []float64{0.01, 0.05, 0.10, 0.25}
 // and NoP traffic.
 func tolerancePlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []ToleranceSweepRow) {
 	tols := defaultTolerances
-	rows := make([]ToleranceSweepRow, len(tols))
-	return sweep.GridPlan{
-		Points: len(tols),
+	specs := make([]scenario.Spec, len(tols))
+	for i, tol := range tols {
+		specs[i] = scenario.Spec{Name: fmt.Sprintf("tolerance/%g", tol), Workload: cfg, Tolerance: tol}
+	}
+	return designPlan(e, specs,
 		// Tighter tolerance means more greedy iterations.
-		Weight: func(i int) float64 { return 36 * 0.05 / tols[i] },
-		Run: func(_ context.Context, i int) error {
-			tol := tols[i]
-			sp := scenario.Spec{Name: fmt.Sprintf("tolerance/%g", tol), Workload: cfg, Tolerance: tol}
-			s, m, err := layerwise(sp, e.Cache())
+		func(i int) float64 { return 36 * sched.DefaultTolerance / tols[i] },
+		func(i int, p *scenario.Prepared, err error) (ToleranceSweepRow, error) {
 			if err != nil {
-				return err
+				return ToleranceSweepRow{}, err
 			}
-			rows[i] = ToleranceSweepRow{
-				Tolerance: tol,
-				PipeLatMs: m.PipeLatMs,
-				Steps:     len(s.Steps),
-				E2EMs:     m.E2EMs,
-			}
-			return nil
-		},
-		Finish: func() (*report.Table, error) { return ToleranceSweepTable(rows), nil },
-	}, rows
+			return ToleranceSweepRow{
+				Tolerance: tols[i],
+				PipeLatMs: p.Metrics.PipeLatMs,
+				Steps:     len(p.Schedule.Steps),
+				E2EMs:     p.Metrics.E2EMs,
+			}, nil
+		}, ToleranceSweepTable)
 }
 
 // ToleranceSweepTable renders the tolerance sweep.
@@ -194,28 +188,24 @@ var defaultTemporalDepths = []int64{4, 8, 12, 16}
 // depth changes the workload, so each point compiles its own pipeline.
 func temporalPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []TemporalDepthRow) {
 	depths := defaultTemporalDepths
-	rows := make([]TemporalDepthRow, len(depths))
-	return sweep.GridPlan{
-		Points: len(depths),
-		Weight: func(int) float64 { return 36 },
-		Run: func(_ context.Context, i int) error {
-			n := depths[i]
-			sp := scenario.Spec{Name: fmt.Sprintf("temporal-depth/%d", n), Workload: cfg}
-			sp.Workload.TemporalFrames = n
-			s, m, err := layerwise(sp, e.Cache())
+	specs := make([]scenario.Spec, len(depths))
+	for i, n := range depths {
+		specs[i] = scenario.Spec{Name: fmt.Sprintf("temporal-depth/%d", n), Workload: cfg}
+		specs[i].Workload.TemporalFrames = n
+	}
+	return designPlan(e, specs,
+		func(int) float64 { return 36 },
+		func(i int, p *scenario.Prepared, err error) (TemporalDepthRow, error) {
 			if err != nil {
-				return err
+				return TemporalDepthRow{}, err
 			}
-			rows[i] = TemporalDepthRow{
-				Frames:    n,
-				PipeLatMs: m.PipeLatMs,
-				TFusePipe: s.Stages[workloads.StageTFuse].PipeLatMs,
-				EnergyJ:   m.EnergyJ,
-			}
-			return nil
-		},
-		Finish: func() (*report.Table, error) { return TemporalDepthTable(rows), nil },
-	}, rows
+			return TemporalDepthRow{
+				Frames:    depths[i],
+				PipeLatMs: p.Metrics.PipeLatMs,
+				TFusePipe: p.Schedule.Stages[workloads.StageTFuse].PipeLatMs,
+				EnergyJ:   p.Metrics.EnergyJ,
+			}, nil
+		}, TemporalDepthTable)
 }
 
 // TemporalDepthTable renders the queue-depth sweep.

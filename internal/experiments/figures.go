@@ -39,20 +39,12 @@ type Fig3Result struct {
 
 // layerCache memoizes single-chiplet layer costs across the figure
 // harnesses: Fig 3 and Fig 4 profile overlapping layer sets on the same
-// two accelerator configs, and repeated benchmark/grid iterations
-// re-evaluate identical shapes. Costs are pure functions of (layer
-// signature, accel config), so sharing one package-level cache changes
-// no results.
+// two accelerator configs, every schedule a harness builds memoizes its
+// sharded layer evaluations alongside them, and repeated benchmark/grid
+// iterations re-evaluate identical shapes. Costs are pure functions of
+// (layer signature, accel config), so sharing one package-level cache
+// changes no results.
 var layerCache = costmodel.NewCache()
-
-// schedOptions is sched.DefaultOptions with the shared cache attached,
-// so every schedule an experiment harness builds memoizes its sharded
-// layer evaluations alongside the figure profiles.
-func schedOptions() sched.Options {
-	o := sched.DefaultOptions()
-	o.Cache = layerCache
-	return o
-}
 
 // Fig3 profiles every perception component on a single 256-PE chiplet
 // under both dataflows (the paper's Fig 3).
@@ -180,10 +172,11 @@ type StageMapping struct {
 // Fig5to8 schedules the full pipeline on the 6x6 package and reports the
 // per-stage mappings of Figures 5-8.
 func Fig5to8(cfg workloads.Config) ([]StageMapping, *sched.Schedule, error) {
-	s, _, err := layerwise(scenario.Spec{Name: "fig5to8", Workload: cfg}, layerCache)
+	p, err := scenario.Prepare(scenario.Spec{Name: "fig5to8", Workload: cfg}, layerCache)
 	if err != nil {
 		return nil, nil, err
 	}
+	s := p.Schedule
 	var out []StageMapping
 	for _, ss := range s.Stages {
 		sm := StageMapping{

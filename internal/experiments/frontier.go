@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dataflow"
 	"mcmnpu/internal/pareto"
 	"mcmnpu/internal/report"
+	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
@@ -46,35 +46,34 @@ type FrontierSweepRow struct {
 // markFrontier, over the completed rows in point order.
 func frontierPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []FrontierSweepRow) {
 	pts := frontierPoints()
-	rows := make([]FrontierSweepRow, len(pts))
-	return sweep.GridPlan{
-		Points: len(pts),
-		Weight: func(i int) float64 { return float64(pts[i].k * pts[i].k) },
-		Run: func(_ context.Context, i int) error {
+	specs := make([]scenario.Spec, len(pts))
+	for i, pt := range pts {
+		specs[i] = meshSpec("frontier", cfg, pt.k, pt.style)
+	}
+	return designPlan(e, specs,
+		func(i int) float64 { return float64(pts[i].k * pts[i].k) },
+		func(i int, p *scenario.Prepared, err error) (FrontierSweepRow, error) {
 			k, style := pts[i].k, pts[i].style
-			row := &rows[i]
-			*row = FrontierSweepRow{
+			row := FrontierSweepRow{
 				Mesh:     fmt.Sprintf("%dx%d", k, k),
 				Dataflow: style.String(),
 				Chiplets: k * k,
 				PEs:      int64(k*k) * costmodel.SimbaProfile().PEs,
 			}
-			_, m, err := layerwise(meshSpec("frontier", cfg, k, style), e.Cache())
 			if err != nil {
 				row.Reason = err.Error()
-				return nil
+				return row, nil
 			}
-			row.PipeLatMs = m.PipeLatMs
-			row.EnergyJ = m.EnergyJ
-			row.UtilPct = m.UtilPct
+			row.PipeLatMs = p.Metrics.PipeLatMs
+			row.EnergyJ = p.Metrics.EnergyJ
+			row.UtilPct = p.Metrics.UtilPct
 			row.Feasible = true
-			return nil
+			return row, nil
 		},
-		Finish: func() (*report.Table, error) {
+		func(rows []FrontierSweepRow) *report.Table {
 			markFrontier(rows)
-			return FrontierSweepTable(rows), nil
-		},
-	}, rows
+			return FrontierSweepTable(rows)
+		})
 }
 
 // frontierPointSpec identifies one (mesh size, dataflow) point.

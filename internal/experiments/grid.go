@@ -3,10 +3,8 @@ package experiments
 import (
 	"context"
 
-	"mcmnpu/internal/costmodel"
-	"mcmnpu/internal/pipeline"
+	"mcmnpu/internal/report"
 	"mcmnpu/internal/scenario"
-	"mcmnpu/internal/sched"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
@@ -20,22 +18,30 @@ import (
 // Each experiment is defined once, as a plan function that builds its
 // sweep.GridPlan and returns the typed rows the plan's points fill: the
 // grid, the CLIs and the tests all run that plan through the engine,
-// serially at one worker. Every schedule-building design point is a
-// scenario.Spec compiled by layerwise on the engine's own cache instead
-// of this package's global one; the dse-lcstr points scan a DSE cost
-// table built on the same cache.
+// serially at one worker. Every schedule-building experiment is a
+// designPlan: a list of scenario.Spec design points, each prepared on
+// the engine's own cache instead of this package's global one, and a
+// row function over the prepared designs; the dse-lcstr points scan a
+// DSE cost table built on the same cache.
 
-// layerwise compiles one design point through scenario.Prepare on the
-// given layer-cost cache — the spec's workload comes from scenario's
-// compiled-pipeline memo — and returns its schedule with the layerwise
-// pipelining metrics. Goroutine-safe given a concurrency-safe (or nil)
-// cache.
-func layerwise(sp scenario.Spec, cache *costmodel.Cache) (*sched.Schedule, pipeline.Metrics, error) {
-	pr, err := scenario.Prepare(sp, cache)
-	if err != nil {
-		return nil, pipeline.Metrics{}, err
-	}
-	return pr.Schedule, pipeline.Compute(pr.Schedule, pipeline.Layerwise), nil
+// designPlan is the grid plan of a schedule-building experiment: point
+// i prepares specs[i] on the engine's layer-cost cache, and row turns
+// the prepared design, or the error that refused it, into rows[i] (a
+// row error fails the point). finish renders the completed rows.
+func designPlan[R any](e *sweep.Engine, specs []scenario.Spec, weight func(i int) float64,
+	row func(i int, p *scenario.Prepared, err error) (R, error),
+	finish func([]R) *report.Table) (sweep.GridPlan, []R) {
+	rows := make([]R, len(specs))
+	return sweep.GridPlan{
+		Points: len(specs),
+		Weight: weight,
+		Run: func(_ context.Context, i int) error {
+			p, err := scenario.Prepare(specs[i], e.Cache())
+			rows[i], err = row(i, p, err)
+			return err
+		},
+		Finish: func() (*report.Table, error) { return finish(rows), nil },
+	}, rows
 }
 
 // gridScenario names a plan function as a grid scenario. The typed rows

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"mcmnpu/internal/dataflow"
@@ -36,29 +35,25 @@ var DefaultCameraCounts = []int64{4, 6, 8, 12}
 // compiles its own pipeline.
 func cameraPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []CameraSweepRow) {
 	counts := DefaultCameraCounts
-	rows := make([]CameraSweepRow, len(counts))
-	return sweep.GridPlan{
-		Points: len(counts),
-		Weight: func(i int) float64 { return 4.5 * float64(counts[i]) }, // 6x6 build, FE replicas scale with cameras
-		Run: func(_ context.Context, i int) error {
-			n := counts[i]
-			sp := scenario.Spec{Name: fmt.Sprintf("cameras/%d", n), Workload: cfg}
-			sp.Workload.Cameras = n
-			_, m, err := layerwise(sp, e.Cache())
+	specs := make([]scenario.Spec, len(counts))
+	for i, n := range counts {
+		specs[i] = scenario.Spec{Name: fmt.Sprintf("cameras/%d", n), Workload: cfg}
+		specs[i].Workload.Cameras = n
+	}
+	return designPlan(e, specs,
+		func(i int) float64 { return 4.5 * float64(counts[i]) }, // 6x6 build, FE replicas scale with cameras
+		func(i int, p *scenario.Prepared, err error) (CameraSweepRow, error) {
 			if err != nil {
-				return err
+				return CameraSweepRow{}, err
 			}
-			rows[i] = CameraSweepRow{
-				Cameras:   n,
-				E2EMs:     m.E2EMs,
-				PipeLatMs: m.PipeLatMs,
-				EnergyJ:   m.EnergyJ,
-				UtilPct:   m.UtilPct,
-			}
-			return nil
-		},
-		Finish: func() (*report.Table, error) { return CameraSweepTable(rows), nil },
-	}, rows
+			return CameraSweepRow{
+				Cameras:   counts[i],
+				E2EMs:     p.Metrics.E2EMs,
+				PipeLatMs: p.Metrics.PipeLatMs,
+				EnergyJ:   p.Metrics.EnergyJ,
+				UtilPct:   p.Metrics.UtilPct,
+			}, nil
+		}, CameraSweepTable)
 }
 
 // CameraSweepTable renders the sensor-suite sweep.
@@ -94,27 +89,25 @@ var DefaultMeshSizes = []int{4, 6, 8, 12}
 // infeasible rather than failing the sweep.
 func meshPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []MeshSweepRow) {
 	sizes := DefaultMeshSizes
-	rows := make([]MeshSweepRow, len(sizes))
-	return sweep.GridPlan{
-		Points: len(sizes),
-		Weight: func(i int) float64 { return float64(sizes[i] * sizes[i]) },
-		Run: func(_ context.Context, i int) error {
+	specs := make([]scenario.Spec, len(sizes))
+	for i, k := range sizes {
+		specs[i] = meshSpec("mesh-size", cfg, k, dataflow.OS)
+	}
+	return designPlan(e, specs,
+		func(i int) float64 { return float64(sizes[i] * sizes[i]) },
+		func(i int, p *scenario.Prepared, err error) (MeshSweepRow, error) {
 			k := sizes[i]
-			row := &rows[i]
-			*row = MeshSweepRow{Mesh: fmt.Sprintf("%dx%d", k, k), Chiplets: k * k}
-			_, m, err := layerwise(meshSpec("mesh-size", cfg, k, dataflow.OS), e.Cache())
+			row := MeshSweepRow{Mesh: fmt.Sprintf("%dx%d", k, k), Chiplets: k * k}
 			if err != nil {
 				row.Reason = err.Error()
-				return nil
+				return row, nil
 			}
-			row.PipeLatMs = m.PipeLatMs
-			row.EnergyJ = m.EnergyJ
-			row.UtilPct = m.UtilPct
+			row.PipeLatMs = p.Metrics.PipeLatMs
+			row.EnergyJ = p.Metrics.EnergyJ
+			row.UtilPct = p.Metrics.UtilPct
 			row.Feasible = true
-			return nil
-		},
-		Finish: func() (*report.Table, error) { return MeshSweepTable(rows), nil },
-	}, rows
+			return row, nil
+		}, MeshSweepTable)
 }
 
 // meshSpec is the design point of a k x k mesh of 256-PE Simba

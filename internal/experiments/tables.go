@@ -132,7 +132,7 @@ func Table2(cfg workloads.Config) ([]Table2Row, error) {
 	}
 	var rows []Table2Row
 	for _, a := range arrangements {
-		s, err := sched.Build(p3, a.mcm, schedOptions())
+		s, err := sched.Build(p3, a.mcm, sched.Options{Cache: layerCache})
 		if err != nil {
 			return nil, fmt.Errorf("table2 %s: %w", a.name, err)
 		}
@@ -171,11 +171,11 @@ type Fig10Result struct {
 // doubled per the paper) and reports the greedy progression.
 func Fig10(cfg workloads.Config) (Fig10Result, error) {
 	var r Fig10Result
-	s1, _, err := layerwise(scenario.Spec{Name: "fig10/single", Workload: cfg}, layerCache)
+	single, err := scenario.Prepare(scenario.Spec{Name: "fig10/single", Workload: cfg}, layerCache)
 	if err != nil {
 		return r, err
 	}
-	r.SinglePipeMs = s1.PipeLatMs()
+	r.SinglePipeMs = single.Schedule.PipeLatMs()
 
 	// The paper doubles the trunks (2 x 9 chiplets) when both NPUs are
 	// active. No Spec expresses replicated trunks, so the dual package
@@ -185,7 +185,7 @@ func Fig10(cfg workloads.Config) (Fig10Result, error) {
 		return r, err
 	}
 	dual.Stages[workloads.StageTrunks].Replicas = 2
-	s2, err := sched.Build(dual, chiplet.DualSimba72(dataflow.OS), schedOptions())
+	s2, err := sched.Build(dual, chiplet.DualSimba72(dataflow.OS), sched.Options{Cache: layerCache})
 	if err != nil {
 		return r, err
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mcmnpu/internal/costmodel"
-	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
 )
@@ -65,28 +63,30 @@ func (v *evaluator) bound(ctx context.Context, cands []Candidate) error {
 		}
 	}
 	ns := len(v.opts.Scenarios)
-	samples := make([]sample, len(todo)*ns)
+	preps := make([]*scenario.Prepared, len(todo)*ns)
+	errs := make([]error, len(preps))
 	cache := v.opts.Engine.Cache()
-	if err := v.opts.Engine.Each(ctx, len(samples), func(i int) error {
-		samples[i] = lowerBound(todo[i/ns].Apply(v.opts.Scenarios[i%ns]), cache)
+	if err := v.opts.Engine.Each(ctx, len(preps), func(i int) error {
+		preps[i], errs[i] = scenario.Prepare(todo[i/ns].Apply(v.opts.Scenarios[i%ns]), cache)
 		return nil
 	}); err != nil {
 		return err
 	}
 	for ci, c := range todo {
 		b := bounded{e: Eval{Candidate: c, Name: names[ci]}}
-		for _, s := range samples[ci*ns : (ci+1)*ns] {
-			if s.err != nil {
+		for i := ci * ns; i < (ci+1)*ns; i++ {
+			if errs[i] != nil {
 				b.e.Infeasible = true
 				if b.e.Reason == "" {
-					b.e.Reason = s.err.Error()
+					b.e.Reason = errs[i].Error()
 				}
 				continue
 			}
-			b.e.Chiplets, b.e.PEs = s.chips, s.pes
-			b.e.LBLatMs = max(b.e.LBLatMs, s.latMs)
-			b.e.LBEnergyJ = max(b.e.LBEnergyJ, s.energyJ)
-			b.preps = append(b.preps, s.prep)
+			p := preps[i]
+			b.e.Chiplets, b.e.PEs = p.Schedule.MCM.Chiplets(), p.Schedule.MCM.TotalPEs()
+			b.e.LBLatMs = max(b.e.LBLatMs, p.Metrics.E2EMs)
+			b.e.LBEnergyJ = max(b.e.LBEnergyJ, p.Metrics.EnergyJ)
+			b.preps = append(b.preps, p)
 		}
 		v.pending[names[ci]] = b
 	}
@@ -186,36 +186,4 @@ func (v *evaluator) report(evals []Eval) Report {
 		rep.Frontier = append(rep.Frontier, byName[p.Name])
 	}
 	return rep
-}
-
-// sample is one candidate x scenario analytic lower bound. It retains
-// the prepared scenario (compiled bundle + built schedule), so a
-// candidate that survives pruning streams on the schedule bound already
-// built instead of rebuilding it serially.
-type sample struct {
-	latMs   float64
-	energyJ float64
-	pes     int64
-	chips   int
-	prep    *scenario.Prepared
-	err     error
-}
-
-// lowerBound prepares one candidate-applied spec (compile + one
-// schedule build) and reads the analytic pipeline metrics. Shared with
-// the full run only through the layer-cost cache, so cached and
-// uncached phases agree bit-for-bit.
-func lowerBound(sp scenario.Spec, cache *costmodel.Cache) (s sample) {
-	prep, err := scenario.Prepare(sp, cache)
-	if err != nil {
-		s.err = err
-		return s
-	}
-	m := pipeline.Compute(prep.Schedule, pipeline.Layerwise)
-	s.latMs = m.E2EMs
-	s.energyJ = m.EnergyJ
-	s.pes = prep.Bundle.MCM.TotalPEs()
-	s.chips = prep.Bundle.MCM.Chiplets()
-	s.prep = prep
-	return s
 }

@@ -7,7 +7,7 @@ import (
 
 // FuzzParseSpec feeds arbitrary bytes through the scenario-spec parser:
 // garbage must error (never panic), and any spec the parser accepts
-// must compile into a runnable bundle.
+// must instantiate a package (no schedule is built here).
 func FuzzParseSpec(f *testing.F) {
 	for _, s := range Registry() {
 		b, err := json.Marshal(s)
@@ -40,13 +40,13 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return // rejected: fine, as long as no panic
 		}
-		// Parsed specs are defaulted+validated; they must compile.
-		b, err := sp.Compile()
+		// Parsed specs are defaulted+validated; they must instantiate.
+		_, m, err := sp.instantiate()
 		if err != nil {
-			t.Fatalf("ParseSpec accepted a spec Compile rejects: %v (%s)", err, data)
+			t.Fatalf("ParseSpec accepted a spec instantiate rejects: %v (%s)", err, data)
 		}
-		if b.MCM == nil || b.MCM.Chiplets() < 1 {
-			t.Fatalf("compiled bundle has no package: %+v", b)
+		if m == nil || m.Chiplets() < 1 {
+			t.Fatalf("instantiated spec has no package: %+v", sp)
 		}
 		// The trace generator must be constructible for any valid spec.
 		if g := sp.Generator(sp.Seed); g.Cameras < 1 || g.FPS <= 0 {

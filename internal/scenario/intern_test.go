@@ -21,11 +21,11 @@ import (
 func TestInternedTableMatchesDirect(t *testing.T) {
 	cache := costmodel.NewCache()
 	for _, sp := range Registry() {
-		b, err := sp.Compile()
+		sp, m, err := sp.instantiate()
 		if err != nil {
-			t.Fatalf("%s: compile: %v", sp.Name, err)
+			t.Fatalf("%s: instantiate: %v", sp.Name, err)
 		}
-		p, err := workloads.Perception(b.Config)
+		p, err := workloads.Perception(sp.Workload)
 		if err != nil {
 			t.Fatalf("%s: perception: %v", sp.Name, err)
 		}
@@ -41,7 +41,7 @@ func TestInternedTableMatchesDirect(t *testing.T) {
 			t.Fatalf("%s: no layers compiled", sp.Name)
 		}
 		accels := []*costmodel.Accel{
-			b.MCM.At(b.MCM.Coords()[0]),
+			m.At(m.Coords()[0]),
 			costmodel.SimbaChiplet(dataflow.OS),
 			costmodel.SimbaChiplet(dataflow.WS),
 		}

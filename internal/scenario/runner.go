@@ -97,40 +97,46 @@ type Result struct {
 	MissRatePct    float64
 }
 
-// Prepared is a compiled, scheduled scenario ready for streaming runs:
-// the spec compiled and Algorithm 1 run exactly once. All the expensive
-// serial work happens in Prepare, so callers that already need the
-// schedule for analysis (the pareto explorer's lower-bound phase) can
-// build it inside a worker pool and stream later without rebuilding.
-// The first Run compiles the schedule's simulation graph and every
-// later Run reuses it; Prepare leaves that to Run, so a design that is
+// Prepared is a design point, built once by Prepare: the defaulted
+// spec, its Algorithm 1 schedule and the schedule's layerwise
+// pipelining metrics (Table II's layerwise row). Callers that need only
+// the analytic metrics (the pareto explorer's bound phase, the
+// experiment grid) read them without streaming, and a design streamed
+// later is not rebuilt. The first Run compiles the schedule's
+// simulation graph and every later Run reuses it, so a design that is
 // never streamed never compiles one. Run writes nothing else, so one
 // Prepared may be kept and run by concurrent callers with any frames,
-// window and seed (api.Service keeps one per registry scenario). The
-// bundle and schedule must not be modified once it has run.
+// window and seed (api.Service keeps one per registry scenario). Its
+// fields must not be modified once it has run.
 type Prepared struct {
-	Bundle   Bundle
+	Spec     Spec
 	Schedule *sched.Schedule
+	Metrics  pipeline.Metrics
 
 	compile  sync.Once
 	graph    *sim.Graph
 	graphErr error
 }
 
-// Prepare compiles the spec and builds its schedule with the given
-// layer-cost cache (nil builds uncached; costs are value-identical
-// either way).
+// Prepare is the one compile step of a design point: it defaults and
+// validates the spec, instantiates its package, builds the schedule
+// with the given layer-cost cache (nil builds uncached; costs are
+// value-identical either way) and computes its layerwise metrics.
 func Prepare(sp Spec, cache *costmodel.Cache) (*Prepared, error) {
-	b, err := sp.Compile()
+	sp, m, err := sp.instantiate()
 	if err != nil {
 		return nil, err
 	}
-	b.Sched.Cache = cache
-	s, err := buildSchedule(b)
+	p, err := compileWorkload(sp.Workload)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
-	return &Prepared{Bundle: b, Schedule: s}, nil
+	// A zero tolerance is the scheduler's default.
+	s, err := sched.Build(p, m, sched.Options{Tolerance: sp.Tolerance, Cache: cache})
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
+	}
+	return &Prepared{Spec: sp, Schedule: s, Metrics: pipeline.Compute(s, pipeline.Layerwise)}, nil
 }
 
 // Run compiles the spec, builds its schedule once, and streams the frame
@@ -156,11 +162,11 @@ func Run(ctx context.Context, sp Spec, opts RunOptions) (Result, error) {
 //perf:hot — streams every frame window; per-window state is reused, not reallocated
 func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 	opts = opts.withEngine()
-	b, s := pr.Bundle, pr.Schedule
+	sp, s, m := pr.Spec, pr.Schedule, pr.Metrics
 	if opts.Seed != 0 {
-		b.Spec.Seed = opts.Seed // b is this run's copy, not the kept bundle
+		sp.Seed = opts.Seed // sp is this run's copy, not the kept spec
 	}
-	frames := b.Spec.Frames
+	frames := sp.Frames
 	if opts.Frames > 0 {
 		frames = opts.Frames
 	}
@@ -172,14 +178,12 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 		win = frames
 	}
 
-	m := pipeline.Compute(s, pipeline.Layerwise)
-
 	// The schedule compiles to a simulation graph once per Prepared;
 	// the windows of every run share the immutable graph and only
 	// instantiate per-window frame state.
 	pr.compile.Do(func() { pr.graph, pr.graphErr = sim.Prepare(s) })
 	if pr.graphErr != nil {
-		return Result{}, fmt.Errorf("scenario %s: %w", b.Spec.Name, pr.graphErr)
+		return Result{}, fmt.Errorf("scenario %s: %w", sp.Name, pr.graphErr)
 	}
 	g := pr.graph
 
@@ -190,9 +194,9 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 		if i == nw-1 {
 			n = frames - win*(nw-1)
 		}
-		r, err := g.Run(n, b.Spec.WindowGenerator(i))
+		r, err := g.Run(n, sp.WindowGenerator(i))
 		if err != nil {
-			return fmt.Errorf("scenario %s window %d: %w", b.Spec.Name, i, err)
+			return fmt.Errorf("scenario %s window %d: %w", sp.Name, i, err)
 		}
 		windows[i] = r
 		return nil
@@ -202,14 +206,14 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 	}
 
 	r := Result{
-		Scenario:   b.Spec.Name,
+		Scenario:   sp.Name,
 		Package:    s.MCM.Name,
 		Chiplets:   s.MCM.Chiplets(),
-		Dataflow:   b.Spec.Dataflow,
+		Dataflow:   sp.Dataflow,
 		Frames:     frames,
 		Windows:    nw,
-		CameraFPS:  b.Spec.CameraFPS,
-		DeadlineMs: b.Spec.DeadlineMs,
+		CameraFPS:  sp.CameraFPS,
+		DeadlineMs: sp.DeadlineMs,
 
 		PipeLatMs:       m.PipeLatMs,
 		E2EMs:           m.E2EMs,
@@ -228,7 +232,7 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 	}
 	for _, l := range latencies {
 		latSum += l
-		if l > b.Spec.DeadlineMs {
+		if l > sp.DeadlineMs {
 			r.DeadlineMisses++
 		}
 	}
@@ -245,20 +249,6 @@ func (pr *Prepared) Run(ctx context.Context, opts RunOptions) (Result, error) {
 	r.P99Ms = percentile(latencies, 0.99)
 	r.MaxMs = latencies[len(latencies)-1]
 	return r, nil
-}
-
-// buildSchedule assembles the pipeline and runs Algorithm 1 for a
-// compiled bundle.
-func buildSchedule(b Bundle) (*sched.Schedule, error) {
-	p, err := compileWorkload(b.Config)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", b.Spec.Name, err)
-	}
-	s, err := sched.Build(p, b.MCM, b.Sched)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", b.Spec.Name, err)
-	}
-	return s, nil
 }
 
 // workloadMemoCap bounds the compiled-pipeline memo. The registry plus

@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
+	"mcmnpu/internal/costmodel"
+	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/sweep"
 )
 
@@ -58,6 +61,24 @@ func TestSerialMatchesPool(t *testing.T) {
 				t.Errorf("serial and pooled results differ:\n  serial %+v\n  pooled %+v", serial, par)
 			}
 		})
+	}
+}
+
+// TestPreparedMetricsAreLayerwise: the metrics Prepare computes once
+// are the schedule's layerwise pipelining metrics, for every registry
+// scenario and a mixed-type package.
+func TestPreparedMetricsAreLayerwise(t *testing.T) {
+	specs := append(Registry(), Spec{Name: "het", Package: "mesh:2x2",
+		ChipletTypes: []string{"big", "eco", "simba", "bwopt"}})
+	cache := costmodel.NewCache()
+	for _, sp := range specs {
+		p, err := Prepare(sp, cache)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		if want := pipeline.Compute(p.Schedule, pipeline.Layerwise); !reflect.DeepEqual(p.Metrics, want) {
+			t.Errorf("%s: Prepared.Metrics = %+v\nwant layerwise %+v", sp.Name, p.Metrics, want)
+		}
 	}
 }
 

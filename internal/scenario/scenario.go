@@ -1,25 +1,26 @@
 // Package scenario is the declarative workload layer on top of the
 // analytic engines: a Spec names one complete AV perception scenario —
 // sensor suite, workload parameters, package/dataflow choice, NoP
-// parameters, trace model, frame budget — and compiles to a ready-to-run
-// (workloads.Config, *chiplet.MCM, sched.Options) bundle. A registry of
-// named scenarios (urban, highway, robotaxi, degraded rigs, baselines)
-// turns the single-operating-point paper reproduction into a
-// many-workload evaluation system; the streaming runner in runner.go
-// drives each bundle through the event-driven simulator.
+// parameters, trace model, frame budget — and Prepare compiles it to a
+// design point, a *Prepared holding the defaulted spec, its Algorithm 1
+// schedule and the schedule's layerwise pipelining metrics. A registry
+// of named scenarios (urban, highway, robotaxi, degraded rigs,
+// baselines) turns the single-operating-point paper reproduction into
+// a many-workload evaluation system; the streaming runner in runner.go
+// drives each prepared design through the event-driven simulator.
 package scenario
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/dataflow"
 	"mcmnpu/internal/nop"
-	"mcmnpu/internal/sched"
 	"mcmnpu/internal/trace"
 	"mcmnpu/internal/workloads"
 )
@@ -58,7 +59,7 @@ type Spec struct {
 	NoP *nop.Params `json:"nop,omitempty"`
 
 	// Tolerance overrides the scheduler's tolerance coefficient when
-	// positive (0 keeps sched.DefaultOptions).
+	// positive (0 keeps sched.DefaultTolerance).
 	Tolerance float64 `json:"tolerance,omitempty"`
 
 	// Trace model: camera rate, bounded arrival jitter, and the
@@ -216,40 +217,23 @@ func packageGrid(pkg string) (w, h int, ok bool) {
 	return 0, 0, false
 }
 
-// Bundle is a compiled, ready-to-run scenario: the workload
-// configuration, the instantiated chiplet package, and the scheduler
-// options for sched.Build.
-type Bundle struct {
-	Spec   Spec
-	Config workloads.Config
-	MCM    *chiplet.MCM
-	Sched  sched.Options
-}
-
-// Compile defaults, validates and instantiates the spec. The returned
-// bundle's scheduler options carry no cache; the runner (or caller)
-// attaches one.
-func (s Spec) Compile() (Bundle, error) {
-	sp := s.WithDefaults()
-	if err := sp.Validate(); err != nil {
-		return Bundle{}, err
+// instantiate defaults and validates the spec and builds its chiplet
+// package with the spec's NoP override applied. It returns the
+// defaulted spec and the package.
+func (s Spec) instantiate() (Spec, *chiplet.MCM, error) {
+	s = s.WithDefaults()
+	if err := s.Validate(); err != nil {
+		return Spec{}, nil, err
 	}
-	style, err := sp.style()
+	style, _ := s.style() // Validate checked the dataflow
+	m, err := buildMCM(s.Package, style, s.ChipletTypes)
 	if err != nil {
-		return Bundle{}, err
+		return Spec{}, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	m, err := buildMCM(sp.Package, style, sp.ChipletTypes)
-	if err != nil {
-		return Bundle{}, fmt.Errorf("scenario %s: %w", sp.Name, err)
+	if s.NoP != nil {
+		m.NoP = *s.NoP
 	}
-	if sp.NoP != nil {
-		m.NoP = *sp.NoP
-	}
-	opts := sched.DefaultOptions()
-	if sp.Tolerance > 0 {
-		opts.Tolerance = sp.Tolerance
-	}
-	return Bundle{Spec: sp, Config: sp.Workload, MCM: m, Sched: opts}, nil
+	return s, m, nil
 }
 
 func buildMCM(pkg string, style dataflow.Style, types []string) (*chiplet.MCM, error) {
@@ -338,11 +322,11 @@ func ParseSpec(data []byte) (Spec, error) {
 
 // Registry --------------------------------------------------------------
 
-// Registry returns the named scenario library in its canonical order.
-// Every entry is defaulted and validated by construction (the package
-// test compiles each one); the slice is freshly allocated so callers may
-// mutate entries.
-func Registry() []Spec {
+// registry is the named scenario library in canonical order, built
+// and defaulted once at package init. Every entry is validated by
+// construction (the package test prepares each one). Read it in place;
+// Registry, Lookup and Filter hand out clones.
+var registry = func() []Spec {
 	urban := workloads.DefaultConfig()
 
 	highway := urban
@@ -440,13 +424,33 @@ func Registry() []Spec {
 		specs[i] = specs[i].WithDefaults()
 	}
 	return specs
+}()
+
+// clone returns a copy of s that shares no slice or pointer with s.
+func (s Spec) clone() Spec {
+	s.ChipletTypes = slices.Clone(s.ChipletTypes)
+	if s.NoP != nil {
+		n := *s.NoP
+		s.NoP = &n
+	}
+	return s
+}
+
+// Registry returns the named scenario library in its canonical order,
+// freshly allocated so callers may mutate entries.
+func Registry() []Spec {
+	out := make([]Spec, len(registry))
+	for i, s := range registry {
+		out[i] = s.clone()
+	}
+	return out
 }
 
 // Lookup returns the registry scenario with the given name.
 func Lookup(name string) (Spec, error) {
-	for _, s := range Registry() {
+	for _, s := range registry {
 		if s.Name == name {
-			return s, nil
+			return s.clone(), nil
 		}
 	}
 	return Spec{}, fmt.Errorf("scenario: unknown scenario %q (have: %s)",
@@ -455,9 +459,8 @@ func Lookup(name string) (Spec, error) {
 
 // Names returns the registry scenario names in canonical order.
 func Names() []string {
-	reg := Registry()
-	out := make([]string, len(reg))
-	for i, s := range reg {
+	out := make([]string, len(registry))
+	for i, s := range registry {
 		out[i] = s.Name
 	}
 	return out
@@ -467,9 +470,9 @@ func Names() []string {
 // substring (all of them for an empty filter).
 func Filter(substr string) []Spec {
 	var out []Spec
-	for _, s := range Registry() {
+	for _, s := range registry {
 		if strings.Contains(s.Name, substr) {
-			out = append(out, s)
+			out = append(out, s.clone())
 		}
 	}
 	return out

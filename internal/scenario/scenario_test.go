@@ -16,6 +16,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// raceEnabled reports a -race build (race_test.go sets it).
+var raceEnabled bool
+
 func TestRegistryShape(t *testing.T) {
 	reg := Registry()
 	if len(reg) < 8 {
@@ -30,8 +33,8 @@ func TestRegistryShape(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("scenario %s invalid: %v", s.Name, err)
 		}
-		if _, err := s.Compile(); err != nil {
-			t.Errorf("scenario %s does not compile: %v", s.Name, err)
+		if _, _, err := s.instantiate(); err != nil {
+			t.Errorf("scenario %s does not instantiate: %v", s.Name, err)
 		}
 		if s.Description == "" {
 			t.Errorf("scenario %s has no description", s.Name)
@@ -43,6 +46,57 @@ func TestRegistryMutationIsolated(t *testing.T) {
 	Registry()[0].Name = "clobbered"
 	if Registry()[0].Name == "clobbered" {
 		t.Fatal("mutating a returned registry slice must not affect later calls")
+	}
+}
+
+// TestLookupAllocatesNothing: Lookup reads the registry table built at
+// init instead of rebuilding the library per call.
+func TestLookupAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var sp Spec
+	var err error
+	if n := testing.AllocsPerRun(100, func() { sp, err = Lookup("deep-temporal-16") }); n != 0 {
+		t.Errorf("Lookup allocates %v times per call; want 0", n)
+	}
+	if err != nil || sp.Name != "deep-temporal-16" {
+		t.Fatalf("Lookup(deep-temporal-16) = %q, %v", sp.Name, err)
+	}
+}
+
+// TestLookupReturnsCopy: editing a looked-up spec, its slices and
+// pointers included, leaves the registry table unchanged.
+func TestLookupReturnsCopy(t *testing.T) {
+	for _, name := range Names() {
+		want, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := Lookup(name)
+		got.Workload.Cameras++
+		if len(got.ChipletTypes) > 0 {
+			got.ChipletTypes[0] = "eco"
+		} else {
+			got.ChipletTypes = append(got.ChipletTypes, "eco")
+		}
+		if got.NoP != nil {
+			got.NoP.LinkBWGBs++
+		} else {
+			got.NoP = &nop.Params{LinkBWGBs: 1}
+		}
+		if again, _ := Lookup(name); !reflect.DeepEqual(again, want) {
+			t.Errorf("%s: editing a looked-up spec changed the registry:\n got %+v\nwant %+v", name, again, want)
+		}
+	}
+	// The registry entries set neither field, so clone's copies are
+	// checked on a spec that sets both.
+	sp := Spec{Name: "typed", ChipletTypes: []string{"big", "eco"}, NoP: &nop.Params{LinkBWGBs: 100}}
+	c := sp.clone()
+	c.ChipletTypes[0] = "simba"
+	c.NoP.LinkBWGBs = 1
+	if sp.ChipletTypes[0] != "big" || sp.NoP.LinkBWGBs != 100 {
+		t.Errorf("clone shares state with the original: %+v / %+v", sp.ChipletTypes, *sp.NoP)
 	}
 }
 
@@ -132,8 +186,8 @@ func TestParseSpec(t *testing.T) {
 	if s.Workload != workloads.DefaultConfig() {
 		t.Error("parse should default the workload")
 	}
-	if _, err := s.Compile(); err != nil {
-		t.Errorf("parsed spec should compile: %v", err)
+	if _, _, err := s.instantiate(); err != nil {
+		t.Errorf("parsed spec should instantiate: %v", err)
 	}
 
 	for _, bad := range []string{

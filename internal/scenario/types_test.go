@@ -5,45 +5,46 @@ import (
 	"strings"
 	"testing"
 
+	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/sched"
 	"mcmnpu/internal/workloads"
 )
 
-// TestChipletTypesCompile: typed specs validate, compile to the right
+// TestChipletTypesCompile: typed specs validate, instantiate the right
 // heterogeneous package, and reject the invalid mixes.
 func TestChipletTypesCompile(t *testing.T) {
 	sp := Spec{Name: "het", Package: "mesh:2x2", ChipletTypes: []string{"big*2", "eco", "simba"}}.WithDefaults()
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := sp.Compile()
+	_, m, err := sp.instantiate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.MCM.TotalPEs(); got != 512+512+128+256 {
+	if got := m.TotalPEs(); got != 512+512+128+256 {
 		t.Fatalf("TotalPEs = %d", got)
 	}
-	if b.MCM.Name != "het-2x2" {
-		t.Fatalf("MCM name = %q", b.MCM.Name)
+	if m.Name != "het-2x2" {
+		t.Fatalf("MCM name = %q", m.Name)
 	}
 
 	uni := Spec{Name: "eco", Package: "mesh:2x2", ChipletTypes: []string{"eco"}}.WithDefaults()
-	ub, err := uni.Compile()
+	_, um, err := uni.instantiate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ub.MCM.Name != "eco-2x2" || ub.MCM.TotalPEs() != 4*128 {
-		t.Fatalf("uniform eco mesh = %q / %d PEs", ub.MCM.Name, ub.MCM.TotalPEs())
+	if um.Name != "eco-2x2" || um.TotalPEs() != 4*128 {
+		t.Fatalf("uniform eco mesh = %q / %d PEs", um.Name, um.TotalPEs())
 	}
 
 	// Typed presets resolve their grid.
 	pre := Spec{Name: "preset", Package: "simba36", ChipletTypes: []string{"bwopt"}}.WithDefaults()
-	pb, err := pre.Compile()
+	_, pm, err := pre.instantiate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pb.MCM.Chiplets() != 36 || pb.MCM.TotalPEs() != 36*256 {
-		t.Fatalf("typed simba36 = %d chiplets / %d PEs", pb.MCM.Chiplets(), pb.MCM.TotalPEs())
+	if pm.Chiplets() != 36 || pm.TotalPEs() != 36*256 {
+		t.Fatalf("typed simba36 = %d chiplets / %d PEs", pm.Chiplets(), pm.TotalPEs())
 	}
 
 	bad := []Spec{
@@ -69,7 +70,7 @@ func TestChipletTypesRoundTrip(t *testing.T) {
 	if strings.Join(sp.ChipletTypes, ",") != "eco*2,big*2" {
 		t.Fatalf("ChipletTypes = %v", sp.ChipletTypes)
 	}
-	if _, err := sp.Compile(); err != nil {
+	if _, _, err := sp.instantiate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -119,20 +120,21 @@ func TestWorkloadMemoEquivalence(t *testing.T) {
 	}
 
 	// Bypass path: compile the workload directly, build the schedule on
-	// a fresh bundle, stream the same windows.
-	b, err := sp.Compile()
+	// a freshly instantiated package, stream the same windows.
+	sp, m, err := sp.instantiate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := workloads.Perception(b.Config)
+	p, err := workloads.Perception(sp.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sched.Build(p, b.MCM, b.Sched)
+	s, err := sched.Build(p, m, sched.Options{Tolerance: sp.Tolerance})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := (&Prepared{Bundle: b, Schedule: s}).Run(context.Background(), opts)
+	prep := &Prepared{Spec: sp, Schedule: s, Metrics: pipeline.Compute(s, pipeline.Layerwise)}
+	fresh, err := prep.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

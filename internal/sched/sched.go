@@ -14,7 +14,8 @@ import (
 type Options struct {
 	// Tolerance is the allowed fractional excess of a stage's pipelining
 	// latency over the base latency before it counts as a bottleneck
-	// (the paper's tolerance coefficient).
+	// (the paper's tolerance coefficient); a value <= 0 selects
+	// DefaultTolerance.
 	Tolerance float64
 	// Cache memoizes layer costs, sharded layer costs and per-graph
 	// node-cost vectors across builds (and, when shared, across the
@@ -25,9 +26,13 @@ type Options struct {
 	Cache *costmodel.Cache
 }
 
+// DefaultTolerance is the paper's tolerance coefficient. dse.Space.Best
+// applies it to its latency constraint as well.
+const DefaultTolerance = 0.05
+
 // DefaultOptions returns the paper's settings.
 func DefaultOptions() Options {
-	return Options{Tolerance: 0.05}
+	return Options{Tolerance: DefaultTolerance}
 }
 
 const (
@@ -97,7 +102,7 @@ func newSchedule(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule
 		return nil, err
 	}
 	if opts.Tolerance <= 0 {
-		opts.Tolerance = 0.05
+		opts.Tolerance = DefaultTolerance
 	}
 	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, shared: shared}
 	if shared {
