@@ -127,14 +127,14 @@ func BenchmarkTable1HeterogeneousTrunks(b *testing.B) {
 
 func BenchmarkFig9NoPCosts(b *testing.B) {
 	cfg := workloads.DefaultConfig()
-	_, s, err := experiments.Fig5to8(cfg)
+	_, p, err := experiments.Fig5to8(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var rows []experiments.NoPCost
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig9(s)
+		rows = experiments.Fig9(p.Schedule)
 	}
 	b.StopTimer()
 	printTable("fig9", func() {
@@ -212,10 +212,11 @@ func BenchmarkFig11LaneContextRetention(b *testing.B) {
 // numbers).
 func BenchmarkDiscreteEventSim(b *testing.B) {
 	cfg := workloads.DefaultConfig()
-	_, s, err := experiments.Fig5to8(cfg)
+	_, p, err := experiments.Fig5to8(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	s := p.Schedule
 	gen := trace.NewGenerator(7)
 	// One untimed run warms the simulator's pooled scratch, as in
 	// BenchmarkSimStreamBacklog, so allocs/op does not depend on
@@ -245,10 +246,11 @@ func BenchmarkDiscreteEventSim(b *testing.B) {
 func benchmarkSimEngine(b *testing.B, frames int,
 	run func(*sched.Schedule, int, *trace.Generator) (sim.Result, error)) {
 	cfg := workloads.DefaultConfig()
-	_, s, err := experiments.Fig5to8(cfg)
+	_, p, err := experiments.Fig5to8(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	s := p.Schedule
 	gen := trace.NewGenerator(7)
 	// One untimed run warms the simulator's pooled scratch (see
 	// BenchmarkDiscreteEventSim).
@@ -486,17 +488,56 @@ func BenchmarkSweepGridParallel2(b *testing.B) { benchmarkSweepGrid(b, sweep.New
 func BenchmarkSweepGridParallel4(b *testing.B) { benchmarkSweepGrid(b, sweep.New(4)) }
 func BenchmarkSweepGridParallel8(b *testing.B) { benchmarkSweepGrid(b, sweep.New(8)) }
 
+// benchmarkSweepGrid runs the default grid on eng, whose cost cache
+// stays warm across iterations. Each iteration builds its own
+// ShardedGrid: one slice is one grid run with one design memo, and a
+// reused slice would read the first iteration's designs.
 func benchmarkSweepGrid(b *testing.B, eng *sweep.Engine) {
 	cfg := workloads.DefaultConfig()
-	scenarios := experiments.ShardedGrid(eng)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range eng.RunGridSharded(ctx, cfg, scenarios) {
+		for _, r := range eng.RunGridSharded(ctx, cfg, experiments.ShardedGrid(eng)) {
 			if r.Err != nil {
 				b.Fatalf("scenario %s: %v", r.Scenario, r.Err)
 			}
+		}
+	}
+}
+
+// BenchmarkSweepGridCold is the bench module's grid-cold op: the
+// default grid through api.Service.GridSweep on a fresh sweep.New(0)
+// engine, so every distinct design is built once, on a cold cost
+// cache.
+func BenchmarkSweepGridCold(b *testing.B) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		resp, err := api.NewService(sweep.New(0)).GridSweep(ctx, &api.GridSweepRequest{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := resp.Failed(); n > 0 {
+			b.Fatalf("%d grid scenarios failed: %+v", n, resp.Results)
+		}
+	}
+}
+
+// BenchmarkPrepareMesh12x12 is one scenario.Prepare of the full
+// pipeline on a 12x12 OS mesh, on a cost cache the first, untimed,
+// build warmed: the grid's largest build, where LPT placement on
+// 144-chiplet pools takes the largest share.
+func BenchmarkPrepareMesh12x12(b *testing.B) {
+	sp := scenario.Spec{Name: "mesh-12x12", Package: "mesh:12x12"}
+	cache := costmodel.NewCache()
+	if _, err := scenario.Prepare(sp, cache); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := scenario.Prepare(sp, cache); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -632,12 +673,11 @@ func BenchmarkSchedulerOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, s, err := experiments.Fig5to8(cfg)
+		_, p, err := experiments.Fig5to8(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = rows
-		m = pipeline.Compute(s, pipeline.Layerwise)
+		m = p.Metrics
 	}
 	b.StopTimer()
 	printTable("schedonly", func() {

@@ -74,11 +74,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran = true
 	}
 	if *f9 || *all {
-		_, s, err := experiments.Fig5to8(cfg)
+		_, p, err := experiments.Fig5to8(cfg)
 		if fail(err) {
 			return 1
 		}
-		rows := experiments.Fig9(s)
+		rows := experiments.Fig9(p.Schedule)
 		experiments.Fig9Table(rows).Render(stdout)
 		labels := make([]string, 0, len(rows))
 		lats := make([]float64, 0, len(rows))

@@ -21,7 +21,6 @@ import (
 
 	"mcmnpu/internal/experiments"
 	"mcmnpu/internal/nop"
-	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sched"
@@ -66,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	rows, s, err := experiments.Fig5to8(cfg)
+	rows, p, err := experiments.Fig5to8(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -87,14 +86,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %-40s x%d\n", name, sm.Shards[name])
 		}
 	}
-	printPlacement(stdout, s)
-	m := pipeline.Compute(s, pipeline.Layerwise)
+	printPlacement(stdout, p.Schedule)
+	m := p.Metrics
 	fmt.Fprintf(stdout, "\noverall: pipe %.1f ms (%.1f FPS), E2E %.1f ms, %.3f J/frame, util %.1f%%\n",
 		m.PipeLatMs, m.FPS, m.E2EMs, m.EnergyJ, m.UtilPct)
 
 	if *trace {
 		t := report.NewTable("Algorithm steps", "Action", "Stage", "Pipe(ms)", "Free")
-		for _, st := range s.Steps {
+		for _, st := range p.Schedule.Steps {
 			t.AddRow(st.Action, st.Stage, st.PipeLatMs, st.ChipletsFree)
 		}
 		fmt.Fprintln(stdout)

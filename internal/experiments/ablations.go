@@ -86,7 +86,7 @@ var nopPoints = []struct {
 // 35 ns) on the 6x6 OS package. It shows the Fig 9 conclusion is
 // robust: even a 4x-degraded interconnect keeps NoP far from the
 // computational critical path.
-func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensitivityRow) {
+func nopPlan(g *gridRun, cfg workloads.Config) (sweep.GridPlan, []NoPSensitivityRow) {
 	specs := make([]scenario.Spec, len(nopPoints))
 	for i, pt := range nopPoints {
 		link := nop.DefaultParams()
@@ -94,7 +94,7 @@ func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensit
 		link.HopLatencyNs = pt.hop
 		specs[i] = scenario.Spec{Name: fmt.Sprintf("nop-bandwidth/%gGBs-%gns", pt.bw, pt.hop), Workload: cfg, NoP: &link}
 	}
-	return designPlan(e, specs,
+	return designPlan(g, specs,
 		func(int) float64 { return 36 },
 		func(i int, p *scenario.Prepared, err error) (NoPSensitivityRow, error) {
 			if err != nil {
@@ -139,13 +139,13 @@ var defaultTolerances = []float64{0.01, 0.05, 0.10, 0.25}
 // coefficient varied on the 6x6 OS package. Tighter tolerances buy a
 // slightly flatter pipeline at the cost of more greedy steps (sharding)
 // and NoP traffic.
-func tolerancePlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []ToleranceSweepRow) {
+func tolerancePlan(g *gridRun, cfg workloads.Config) (sweep.GridPlan, []ToleranceSweepRow) {
 	tols := defaultTolerances
 	specs := make([]scenario.Spec, len(tols))
 	for i, tol := range tols {
 		specs[i] = scenario.Spec{Name: fmt.Sprintf("tolerance/%g", tol), Workload: cfg, Tolerance: tol}
 	}
-	return designPlan(e, specs,
+	return designPlan(g, specs,
 		// Tighter tolerance means more greedy iterations.
 		func(i int) float64 { return 36 * sched.DefaultTolerance / tols[i] },
 		func(i int, p *scenario.Prepared, err error) (ToleranceSweepRow, error) {
@@ -186,14 +186,14 @@ var defaultTemporalDepths = []int64{4, 8, 12, 16}
 // fusion queue depth N varied (paper uses 12). The throughput matcher
 // absorbs deeper queues by sharding until the quadrant saturates. The
 // depth changes the workload, so each point compiles its own pipeline.
-func temporalPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []TemporalDepthRow) {
+func temporalPlan(g *gridRun, cfg workloads.Config) (sweep.GridPlan, []TemporalDepthRow) {
 	depths := defaultTemporalDepths
 	specs := make([]scenario.Spec, len(depths))
 	for i, n := range depths {
 		specs[i] = scenario.Spec{Name: fmt.Sprintf("temporal-depth/%d", n), Workload: cfg}
 		specs[i].Workload.TemporalFrames = n
 	}
-	return designPlan(e, specs,
+	return designPlan(g, specs,
 		func(int) float64 { return 36 },
 		func(i int, p *scenario.Prepared, err error) (TemporalDepthRow, error) {
 			if err != nil {

@@ -76,7 +76,7 @@ func TestFig4Affinities(t *testing.T) {
 }
 
 func TestFig5to8Mappings(t *testing.T) {
-	rows, s, err := Fig5to8(workloads.DefaultConfig())
+	rows, p, err := Fig5to8(workloads.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFig5to8Mappings(t *testing.T) {
 	if len(rows[1].Shards) == 0 || len(rows[2].Shards) == 0 {
 		t.Error("fusion stages should have sharded units")
 	}
-	if s.BaseMs <= 0 {
+	if p.Schedule.BaseMs <= 0 {
 		t.Error("base latency missing")
 	}
 }
@@ -142,11 +142,11 @@ func TestTableICancelled(t *testing.T) {
 }
 
 func TestFig9NoPScale(t *testing.T) {
-	_, s, err := Fig5to8(workloads.DefaultConfig())
+	_, p, err := Fig5to8(workloads.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Fig9(s)
+	rows := Fig9(p.Schedule)
 	if len(rows) < 4 {
 		t.Fatalf("NoP groups = %d", len(rows))
 	}
@@ -162,8 +162,8 @@ func TestFig9NoPScale(t *testing.T) {
 	// Paper observation (iii): NoP costs are far below compute
 	// (per-group transfer latencies in the single-digit ms at most,
 	// against ~80 ms compute pipelining latency).
-	if maxLat > s.BaseMs/4 {
-		t.Errorf("max NoP group latency %.2f not << compute %.1f", maxLat, s.BaseMs)
+	if base := p.Schedule.BaseMs; maxLat > base/4 {
+		t.Errorf("max NoP group latency %.2f not << compute %.1f", maxLat, base)
 	}
 }
 

@@ -170,15 +170,15 @@ type StageMapping struct {
 }
 
 // Fig5to8 schedules the full pipeline on the 6x6 package and reports the
-// per-stage mappings of Figures 5-8.
-func Fig5to8(cfg workloads.Config) ([]StageMapping, *sched.Schedule, error) {
+// per-stage mappings of Figures 5-8, with the prepared design they come
+// from: its schedule and that schedule's layerwise metrics.
+func Fig5to8(cfg workloads.Config) ([]StageMapping, *scenario.Prepared, error) {
 	p, err := scenario.Prepare(scenario.Spec{Name: "fig5to8", Workload: cfg}, layerCache)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := p.Schedule
 	var out []StageMapping
-	for _, ss := range s.Stages {
+	for _, ss := range p.Schedule.Stages {
 		sm := StageMapping{
 			Stage:     ss.Name,
 			E2EMs:     ss.E2EMs,
@@ -195,7 +195,7 @@ func Fig5to8(cfg workloads.Config) ([]StageMapping, *sched.Schedule, error) {
 		}
 		out = append(out, sm)
 	}
-	return out, s, nil
+	return out, p, nil
 }
 
 // Fig5to8Table renders the per-stage mapping summaries.

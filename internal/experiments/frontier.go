@@ -44,13 +44,13 @@ type FrontierSweepRow struct {
 // PEs). A point that cannot be prepared is reported infeasible and
 // excluded from the frontier; the frontier fold happens afterwards in
 // markFrontier, over the completed rows in point order.
-func frontierPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []FrontierSweepRow) {
+func frontierPlan(g *gridRun, cfg workloads.Config) (sweep.GridPlan, []FrontierSweepRow) {
 	pts := frontierPoints()
 	specs := make([]scenario.Spec, len(pts))
 	for i, pt := range pts {
 		specs[i] = meshSpec("frontier", cfg, pt.k, pt.style)
 	}
-	return designPlan(e, specs,
+	return designPlan(g, specs,
 		func(i int) float64 { return float64(pts[i].k * pts[i].k) },
 		func(i int, p *scenario.Prepared, err error) (FrontierSweepRow, error) {
 			k, style := pts[i].k, pts[i].style

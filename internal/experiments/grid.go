@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"sync"
 
+	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
@@ -22,21 +25,93 @@ import (
 // designPlan: a list of scenario.Spec design points, each prepared on
 // the engine's own cache instead of this package's global one, and a
 // row function over the prepared designs; the dse-lcstr points scan a
-// DSE cost table built on the same cache.
+// DSE cost table built on the same cache. The plans of one grid run
+// share a design memo, so a design two experiments both contain (the
+// mesh-size points are the frontier's OS points) is built once.
+
+// gridRun is one grid run: the engine its plans run on and the design
+// memo their points share.
+type gridRun struct {
+	eng     *sweep.Engine
+	mu      sync.Mutex
+	designs map[string]*design
+}
+
+func newGridRun(e *sweep.Engine) *gridRun {
+	return &gridRun{eng: e, designs: make(map[string]*design)}
+}
+
+// design is one memoized design point: the spec of the point that
+// claimed it, prepared once on first use.
+type design struct {
+	spec scenario.Spec
+	once sync.Once
+	prep *scenario.Prepared
+	err  error
+}
+
+// prepared prepares the design on cache the first time it is asked
+// for, and returns that result to every caller.
+func (d *design) prepared(cache *costmodel.Cache) (*scenario.Prepared, error) {
+	d.once.Do(func() { d.prep, d.err = scenario.Prepare(d.spec, cache) })
+	return d.prep, d.err
+}
+
+// claim returns the memo entry of sp's design, and whether sp is the
+// first point of the run to claim it. A design's key is its defaulted
+// spec with the name cleared, as JSON; a spec JSON cannot encode (a
+// NaN field) shares with no other point.
+func (g *gridRun) claim(sp scenario.Spec) (*design, bool) {
+	keySpec := sp.WithDefaults()
+	keySpec.Name = ""
+	b, err := json.Marshal(keySpec)
+	if err != nil {
+		return &design{spec: sp}, true
+	}
+	key := string(b)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if d, seen := g.designs[key]; seen {
+		return d, false
+	}
+	d := &design{spec: sp}
+	g.designs[key] = d
+	return d, true
+}
 
 // designPlan is the grid plan of a schedule-building experiment: point
 // i prepares specs[i] on the engine's layer-cost cache, and row turns
 // the prepared design, or the error that refused it, into rows[i] (a
 // row error fails the point). finish renders the completed rows.
-func designPlan[R any](e *sweep.Engine, specs []scenario.Spec, weight func(i int) float64,
+//
+// Each point claims its design as the plan is built, and RunGridSharded
+// builds plans serially, in scenario order. A point whose design an
+// earlier point claimed gets weight 0, so the heaviest-first dispatch
+// runs it last, and it reads the same *scenario.Prepared. A design
+// that failed is not shared: such a point prepares its own spec, so
+// its error names its own point.
+func designPlan[R any](g *gridRun, specs []scenario.Spec, weight func(i int) float64,
 	row func(i int, p *scenario.Prepared, err error) (R, error),
 	finish func([]R) *report.Table) (sweep.GridPlan, []R) {
 	rows := make([]R, len(specs))
+	designs := make([]*design, len(specs))
+	first := make([]bool, len(specs))
+	for i, sp := range specs {
+		designs[i], first[i] = g.claim(sp)
+	}
 	return sweep.GridPlan{
 		Points: len(specs),
-		Weight: weight,
+		Weight: func(i int) float64 {
+			if !first[i] {
+				return 0
+			}
+			return weight(i)
+		},
 		Run: func(_ context.Context, i int) error {
-			p, err := scenario.Prepare(specs[i], e.Cache())
+			p, err := designs[i].prepared(g.eng.Cache())
+			if err != nil && !first[i] {
+				p, err = scenario.Prepare(specs[i], g.eng.Cache())
+			}
 			rows[i], err = row(i, p, err)
 			return err
 		},
@@ -46,10 +121,10 @@ func designPlan[R any](e *sweep.Engine, specs []scenario.Spec, weight func(i int
 
 // gridScenario names a plan function as a grid scenario. The typed rows
 // stay with the plan's Finish; the grid only needs the rendered table.
-func gridScenario[R any](e *sweep.Engine, name string,
-	plan func(*sweep.Engine, workloads.Config) (sweep.GridPlan, []R)) sweep.ShardedScenario {
+func gridScenario[R any](g *gridRun, name string,
+	plan func(*gridRun, workloads.Config) (sweep.GridPlan, []R)) sweep.ShardedScenario {
 	return sweep.ShardedScenario{Name: name, Prepare: func(_ context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-		p, _ := plan(e, cfg)
+		p, _ := plan(g, cfg)
 		return p, nil
 	}}
 }
@@ -62,20 +137,26 @@ func gridScenario[R any](e *sweep.Engine, name string,
 // Build cost estimates (chiplet count of the point's mesh, scaled by
 // replica or iteration pressure where it matters) so the pool starts
 // the 12x12 builds before the 4x4 ones.
+//
+// Each call is one grid run: its scenarios share one design memo, so
+// every distinct design is built once however many scenarios contain
+// it. Run a fresh ShardedGrid per grid run; a second run of the same
+// slice would read the first one's designs.
 func ShardedGrid(e *sweep.Engine) []sweep.ShardedScenario {
+	g := newGridRun(e)
 	return []sweep.ShardedScenario{
-		gridScenario(e, "cameras", cameraPlan),
-		gridScenario(e, "temporal-depth", temporalPlan),
-		gridScenario(e, "nop-bandwidth", nopPlan),
-		gridScenario(e, "mesh-size", meshPlan),
-		gridScenario(e, "frontier", frontierPlan),
-		gridScenario(e, "tolerance", tolerancePlan),
-		gridScenario(e, "dse-lcstr", lcstrPlan),
+		gridScenario(g, "cameras", cameraPlan),
+		gridScenario(g, "temporal-depth", temporalPlan),
+		gridScenario(g, "nop-bandwidth", nopPlan),
+		gridScenario(g, "mesh-size", meshPlan),
+		gridScenario(g, "frontier", frontierPlan),
+		gridScenario(g, "tolerance", tolerancePlan),
+		gridScenario(g, "dse-lcstr", lcstrPlan),
 	}
 }
 
 // SelectGrid returns the ShardedGrid scenarios whose names are listed,
-// in grid order. Unknown names select nothing.
+// in grid order, as one grid run. Unknown names select nothing.
 func SelectGrid(e *sweep.Engine, names ...string) []sweep.ShardedScenario {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"mcmnpu/internal/costmodel"
+	"mcmnpu/internal/report"
+	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
@@ -90,14 +93,14 @@ func TestShardedGridParallelEfficiency(t *testing.T) {
 // runPlan runs one plan alone through RunGridSharded at one worker — the
 // path every grid scenario takes — and returns the typed rows it
 // filled.
-func runPlan[R any](t *testing.T, plan func(*sweep.Engine, workloads.Config) (sweep.GridPlan, []R)) []R {
+func runPlan[R any](t *testing.T, plan func(*gridRun, workloads.Config) (sweep.GridPlan, []R)) []R {
 	t.Helper()
 	eng := sweep.New(1)
 	var rows []R
 	res := eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), []sweep.ShardedScenario{{
 		Name: "plan",
 		Prepare: func(_ context.Context, cfg workloads.Config) (sweep.GridPlan, error) {
-			p, r := plan(eng, cfg)
+			p, r := plan(newGridRun(eng), cfg)
 			rows = r
 			return p, nil
 		},
@@ -134,6 +137,77 @@ func TestLcstrSweepTightensFeasibility(t *testing.T) {
 	for i, l := range DefaultLcstrPoints {
 		if l == 85 && !rows[i].Feasible {
 			t.Error("Het(2) must be feasible at the paper's 85 ms")
+		}
+	}
+}
+
+// TestGridBuildsEachDesignOnce runs mesh-size and frontier as one grid
+// run on two workers. mesh-size's four points are frontier's four OS
+// points, so the run must build only frontier's eight designs: its
+// cost-cache counters equal a frontier-only run's (500 hits, 609
+// misses and entries; building the shared designs twice read 822
+// hits), and both tables equal their separate runs byte for byte.
+func TestGridBuildsEachDesignOnce(t *testing.T) {
+	run := func(names ...string) (string, costmodel.CacheStats) {
+		eng := sweep.New(2)
+		out := renderResults(t, eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), SelectGrid(eng, names...)))
+		return out, eng.Cache().Stats()
+	}
+	mesh, _ := run("mesh-size")
+	frontier, frontierStats := run("frontier")
+	both, bothStats := run("mesh-size", "frontier")
+	if both != mesh+frontier {
+		t.Errorf("mesh-size and frontier in one run:\n%s\nwant the separate runs:\n%s%s", both, mesh, frontier)
+	}
+	if bothStats != frontierStats {
+		t.Errorf("mesh-size and frontier in one run made cost-cache counters %+v, frontier alone %+v", bothStats, frontierStats)
+	}
+}
+
+// TestGridDesignErrorsNameTheirPoint gives two points of one grid run
+// the same invalid design under different names, in one plan and
+// across two plans: a failed design is not shared, so each point's
+// error names its own spec.
+func TestGridDesignErrorsNameTheirPoint(t *testing.T) {
+	specs := func(names ...string) []scenario.Spec {
+		out := make([]scenario.Spec, len(names))
+		for i, n := range names {
+			out[i] = scenario.Spec{Name: n, Package: "mesh:0x0"}
+		}
+		return out
+	}
+	for _, workers := range []int{1, 2} {
+		eng := sweep.New(workers)
+		g := newGridRun(eng)
+		var planRows [][]string
+		plan := func(name string, sps []scenario.Spec) sweep.ShardedScenario {
+			return sweep.ShardedScenario{Name: name, Prepare: func(context.Context, workloads.Config) (sweep.GridPlan, error) {
+				p, rows := designPlan(g, sps, func(int) float64 { return 1 },
+					func(_ int, p *scenario.Prepared, err error) (string, error) {
+						if err == nil {
+							return "", fmt.Errorf("invalid package %s prepared", sps[0].Package)
+						}
+						return err.Error(), nil
+					},
+					func([]string) *report.Table { return nil })
+				planRows = append(planRows, rows)
+				return p, nil
+			}}
+		}
+		res := eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), []sweep.ShardedScenario{
+			plan("first", specs("bad/a", "bad/b")),
+			plan("second", specs("bad/c")),
+		})
+		for _, r := range res {
+			if r.Err != nil {
+				t.Fatalf("workers=%d: %v", workers, r.Err)
+			}
+		}
+		got := append(planRows[0], planRows[1]...)
+		for i, name := range []string{"bad/a", "bad/b", "bad/c"} {
+			if want := "scenario " + name + ":"; !strings.HasPrefix(got[i], want) {
+				t.Errorf("workers=%d: point %s failed with %q, want an error naming it (%q...)", workers, name, got[i], want)
+			}
 		}
 	}
 }

@@ -33,14 +33,14 @@ var DefaultCameraCounts = []int64{4, 6, 8, 12}
 // replica per camera, so the sweep stresses the throughput matcher's
 // sharding. The camera count changes the workload itself, so each point
 // compiles its own pipeline.
-func cameraPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []CameraSweepRow) {
+func cameraPlan(g *gridRun, cfg workloads.Config) (sweep.GridPlan, []CameraSweepRow) {
 	counts := DefaultCameraCounts
 	specs := make([]scenario.Spec, len(counts))
 	for i, n := range counts {
 		specs[i] = scenario.Spec{Name: fmt.Sprintf("cameras/%d", n), Workload: cfg}
 		specs[i].Workload.Cameras = n
 	}
-	return designPlan(e, specs,
+	return designPlan(g, specs,
 		func(i int) float64 { return 4.5 * float64(counts[i]) }, // 6x6 build, FE replicas scale with cameras
 		func(i int, p *scenario.Prepared, err error) (CameraSweepRow, error) {
 			if err != nil {
@@ -87,13 +87,13 @@ var DefaultMeshSizes = []int{4, 6, 8, 12}
 // each square DefaultMeshSizes k x k mesh (k=6 reproduces Simba36, k=12
 // is a four-NPU bound). A point that cannot be prepared marks its row
 // infeasible rather than failing the sweep.
-func meshPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []MeshSweepRow) {
+func meshPlan(g *gridRun, cfg workloads.Config) (sweep.GridPlan, []MeshSweepRow) {
 	sizes := DefaultMeshSizes
 	specs := make([]scenario.Spec, len(sizes))
 	for i, k := range sizes {
 		specs[i] = meshSpec("mesh-size", cfg, k, dataflow.OS)
 	}
-	return designPlan(e, specs,
+	return designPlan(g, specs,
 		func(i int) float64 { return float64(sizes[i] * sizes[i]) },
 		func(i int, p *scenario.Prepared, err error) (MeshSweepRow, error) {
 			k := sizes[i]

@@ -80,9 +80,9 @@ var DefaultLcstrPoints = []float64{60, 70, 85, 100}
 // view of one TableISpace: the constraint only gates feasibility, never
 // costs, so the first point to run scores the Het(2) pin for all of
 // them.
-func lcstrPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []dse.Result) {
+func lcstrPlan(g *gridRun, cfg workloads.Config) (sweep.GridPlan, []dse.Result) {
 	lcstrs := DefaultLcstrPoints
-	base := TableISpace(e, cfg, lcstrs[0])
+	base := TableISpace(g.eng, cfg, lcstrs[0])
 	results := make([]dse.Result, len(lcstrs))
 	return sweep.GridPlan{
 		Points: len(lcstrs),

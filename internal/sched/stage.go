@@ -51,8 +51,26 @@ type stageScratch struct {
 	busy   []bool    // per-ordinal: a unit is placed there (place)
 	order  []*Unit
 	loads  []float64 // per-pool-index packed load (place)
-	cands  []int32   // pool indices under the placement sort
+	rank   []int32   // pool indices in (load, pool index) order (place)
+	head   []int32   // the rank prefix a unit takes (place)
+	ords   []int32   // a unit's chiplet ordinals (place)
 	chains []*Unit   // the units by instance (computeMetrics)
+}
+
+// newStageScratch sizes a stage's scratch for an m-chiplet mesh once:
+// a pool never holds more chiplets than the mesh, so placement, which
+// slices its per-pool-index scratch to the pool, never grows it.
+func newStageScratch(m *chiplet.MCM) stageScratch {
+	n := m.Chiplets()
+	ix := make([]int32, 3*n)
+	return stageScratch{
+		load:  make([]float64, n),
+		busy:  make([]bool, n),
+		loads: make([]float64, n),
+		rank:  ix[:n:n],
+		head:  ix[n : 2*n : 2*n],
+		ords:  ix[2*n:],
+	}
 }
 
 // Chains yields the stage's serial unit chains, one per (model,
@@ -115,7 +133,7 @@ func chainRuns(sorted []*Unit) iter.Seq[[]*Unit] {
 // costs is the unit-cost memo of the calling Build (nil for none).
 func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache, costs unitCosts) *StageSchedule {
 	ss := &StageSchedule{Name: st.Name, Index: idx, Pool: append([]nop.Coord(nil), pool...), mcm: m, cache: cache, costs: costs,
-		scratch: stageScratch{load: make([]float64, m.Chiplets()), busy: make([]bool, m.Chiplets())}}
+		scratch: newStageScratch(m)}
 	switch {
 	case st.Replicas > 1:
 		ss.Units = make([]*Unit, 0, st.Replicas*len(st.Graphs))
@@ -213,17 +231,19 @@ func (ss *StageSchedule) refresh() error {
 }
 
 // place assigns each unit's shards to chiplets with longest-processing-
-// time-first packing: heavier units claim the least-loaded chiplets.
-// Loads are tracked per pool index — plain array reads in the
-// selection loop, no coordinate hashing. It marks the chiplets it uses
-// busy and counts the rest of the pool as idle.
+// time-first packing: heavier units claim the least-loaded chiplets,
+// ties going to the earlier pool index. Loads are tracked per pool
+// index, and rank keeps the pool indices in (load, pool index) order
+// for the whole call, so a unit takes rank's first n entries and
+// mergeRank puts them back in O(pool), not a selection pass per shard.
+// A unit's chiplets are sorted as row-major ordinals. place marks the
+// chiplets it uses busy and counts the rest of the pool as idle.
 func (ss *StageSchedule) place() {
-	if cap(ss.scratch.loads) < len(ss.Pool) {
-		ss.scratch.loads = make([]float64, len(ss.Pool))
-	}
-	loads := ss.scratch.loads[:len(ss.Pool)]
+	n := len(ss.Pool)
+	loads, rank := ss.scratch.loads[:n], ss.scratch.rank[:n]
 	for i := range loads {
 		loads[i] = 0
+		rank[i] = int32(i)
 	}
 	// Only pool chiplets are ever marked: a chiplet leaves a pool only
 	// while idle (borrowChiplet).
@@ -231,58 +251,68 @@ func (ss *StageSchedule) place() {
 	for _, c := range ss.Pool {
 		busy[ss.mcm.Ord(c)] = false
 	}
-	ss.idle = len(ss.Pool)
+	ss.idle = n
 	order := append(ss.scratch.order[:0], ss.Units...)
 	ss.scratch.order = order
 	slices.SortStableFunc(order, func(a, b *Unit) int {
 		return cmp.Compare(b.PerShardMs*float64(b.Shards), a.PerShardMs*float64(a.Shards))
 	})
+	w := ss.mcm.GridW
 	for _, u := range order {
-		idxs := ss.leastLoaded(loads, min(int(u.Shards), len(ss.Pool)))
+		head := ss.scratch.head[:min(int(u.Shards), n)]
+		copy(head, rank)
+		ords := ss.scratch.ords[:0]
+		for _, ix := range head {
+			o := ss.mcm.Ord(ss.Pool[ix])
+			ords = append(ords, int32(o))
+			if !busy[o] {
+				busy[o] = true
+				ss.idle--
+			}
+			loads[ix] += u.PerShardMs
+		}
+		slices.Sort(ords)
 		// The placement overwrites the unit's own backing array: nothing
 		// reads a unit's previous placement after a refresh, and
 		// transfers copy coordinates by value.
 		coords := u.Chiplets[:0]
-		for _, ix := range idxs {
-			c := ss.Pool[ix]
-			coords = append(coords, c)
-			if o := ss.mcm.Ord(c); !busy[o] {
-				busy[o] = true
-				ss.idle--
-			}
+		for _, o := range ords {
+			coords = append(coords, nop.Coord{X: int(o) % w, Y: int(o) / w})
 		}
-		sortCoords(coords, ss.mcm.GridW)
 		u.Chiplets = coords
-		for _, ix := range idxs {
-			loads[ix] += u.PerShardMs
-		}
+		mergeRank(rank, head, loads)
 	}
 }
 
-// leastLoaded returns the n pool indices with minimal load (loads
-// holds one per pool index, n <= len(loads)), in (load, pool index)
-// order: the first n of a stable sort of the pool by load. It keeps
-// them by bounded insertion in pool order, O(pool·n); a later index
-// displaces a kept one only on a strictly smaller load, so ties go to
-// the earlier (row-major) index.
-func (ss *StageSchedule) leastLoaded(loads []float64, n int) []int32 {
-	cands := ss.scratch.cands[:0]
-	for i, l := range loads {
-		if len(cands) == n {
-			if n == 0 || l >= loads[cands[n-1]] {
-				continue
-			}
-			cands = cands[:n-1]
+// mergeRank restores rank's (load, pool index) order after the loads
+// of its first len(head) entries, copied into head, all grew by one
+// amount. Float addition is monotone, so head is still sorted by load,
+// but rounding can make two of its loads equal: an insertion pass
+// re-sorts those ties by index. head then merges with rank's unchanged
+// tail, front to back in place: a write never passes the next unread
+// tail entry.
+func mergeRank(rank, head []int32, loads []float64) {
+	for i := 1; i < len(head); i++ {
+		for j := i; j > 0 && ranksBefore(loads, head[j], head[j-1]); j-- {
+			head[j], head[j-1] = head[j-1], head[j]
 		}
-		j := len(cands)
-		cands = append(cands, 0)
-		for ; j > 0 && l < loads[cands[j-1]]; j-- {
-			cands[j] = cands[j-1]
-		}
-		cands[j] = int32(i)
 	}
-	ss.scratch.cands = cands
-	return cands
+	tail := rank[len(head):]
+	k := 0
+	for len(head) > 0 && len(tail) > 0 {
+		if ranksBefore(loads, tail[0], head[0]) {
+			rank[k], tail = tail[0], tail[1:]
+		} else {
+			rank[k], head = head[0], head[1:]
+		}
+		k++
+	}
+	copy(rank[k:], head) // a tail left over is already in place
+}
+
+// ranksBefore orders pool indices by (load, pool index).
+func ranksBefore(loads []float64, a, b int32) bool {
+	return loads[a] < loads[b] || loads[a] == loads[b] && a < b
 }
 
 // computeMetrics derives E2E and the intra-stage NoP traffic from the

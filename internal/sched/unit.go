@@ -14,9 +14,7 @@
 package sched
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dnn"
@@ -258,13 +256,4 @@ func slowest(p nop.Params, ts []nop.Transfer) float64 {
 		worst = maxf(worst, p.Eval(t).LatencyMs)
 	}
 	return worst
-}
-
-// sortCoords orders coordinates by row-major ordinal on a mesh w
-// chiplets wide. Placement coordinates are unique, so sort stability
-// does not matter.
-func sortCoords(cs []nop.Coord, w int) {
-	slices.SortFunc(cs, func(a, b nop.Coord) int {
-		return cmp.Compare(a.Y*w+a.X, b.Y*w+b.X)
-	})
 }

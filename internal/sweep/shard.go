@@ -10,11 +10,10 @@ import (
 	"mcmnpu/internal/workloads"
 )
 
-// The sharded grid: every scenario declares its individual points — one
-// schedule build each — and the engine dispatches the flattened
-// (scenario, point) units across the pool, heaviest first, so no single
-// large scenario (the frontier sweep is ~40% of the default grid) holds
-// the pool up. Results are assembled serially in scenario/point order,
+// The sharded grid: every scenario declares its individual points and
+// the engine dispatches the flattened (scenario, point) units across
+// the pool, heaviest first, so no single large scenario (the frontier
+// sweep is the default grid's largest) holds the pool up. Results are assembled serially in scenario/point order,
 // so the output is bit-for-bit identical to a serial run regardless of
 // worker count.
 
@@ -31,8 +30,10 @@ type GridPlan struct {
 	Weight func(i int) float64
 	// Run evaluates point i into state the plan captured at Prepare
 	// time (typically rows[i]). It is called at most once per point,
-	// concurrently with other points of this and other scenarios, so it
-	// must not touch shared mutable state beyond its own slot.
+	// concurrently with other points of this and other scenarios, so
+	// anything it shares with them beyond its own slot (the
+	// experiments' grid points share designs under a sync.Once) must be
+	// synchronized.
 	Run func(ctx context.Context, i int) error
 	// Finish renders the table from the completed points. It runs
 	// serially, in scenario order, only after every point of the
