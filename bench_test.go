@@ -426,6 +426,31 @@ func BenchmarkServiceRun(b *testing.B) {
 	}
 }
 
+// BenchmarkServicePareto is one /v1/pareto request of the serve-mixed
+// shape (urban-8cam over the default space's eight designs, 8 frames in
+// windows of 4, one link bandwidth) through a warm api.Service on
+// sweep.New(1): its first request, before the timer, balanced the
+// eight designs into the plans the engine keeps, so every iteration is
+// a new link_bw_gbs's eight finishes, bounds, prune and streams, the
+// report and the envelope.
+func BenchmarkServicePareto(b *testing.B) {
+	ctx := context.Background()
+	svc := api.NewService(sweep.New(1))
+	req := api.ParetoRequest{Scenarios: []string{"urban-8cam"}, LinkBWGBs: []float64{100}, Frames: 8, WindowFrames: 4}
+	if _, err := svc.Pareto(ctx, &req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	n := 0
+	for b.Loop() {
+		n++
+		req.LinkBWGBs[0] = 25 + float64(n%100000)*1e-3 // 100,000 distinct values in [25, 125)
+		if _, err := svc.Pareto(ctx, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServerRun is BenchmarkServiceRun's request as an HTTP round
 // trip: a /v1/run body of the serve-mixed shape through
 // Server.Handler() into an httptest.ResponseRecorder, on a warm

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"mcmnpu/internal/nop"
 	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
 )
@@ -668,6 +669,102 @@ func TestConcurrentRunMatchesFreshService(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestConcurrentParetoMatchesFreshService: eight concurrent /v1/pareto
+// requests of the serve-mixed shape, each with its own link bandwidth,
+// finish the plans one server's engine keeps for the default space's
+// eight designs, racing on their first balance (run under -race by
+// make race), beside an inline /v1/run spec with a NoP override, whose
+// design without the NoP is the space's 6x6 OS design. Each reply's
+// report, and the run's results, must be byte-identical to a fresh
+// Service's, and the engine must keep eight plans.
+func TestConcurrentParetoMatchesFreshService(t *testing.T) {
+	urban, err := scenario.Lookup("urban-8cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	urban.NoP = &nop.Params{LinkBWGBs: 60, HopLatencyNs: 50, EnergyPJBit: 2.04}
+	inline, err := json.Marshal(urban)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type call struct {
+		path, body, field string
+		want              []byte
+	}
+	var calls []call
+	for _, bw := range []float64{25, 50, 60, 75, 150, 200, 300, 400} {
+		body := fmt.Sprintf(`{"scenarios":["urban-8cam"],"link_bw_gbs":[%g],"frames":8,"window_frames":4}`, bw)
+		var req ParetoRequest
+		if err := Decode([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewService(nil).Pareto(context.Background(), &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(fresh.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, call{"/v1/pareto", body, "report", want})
+	}
+	body := fmt.Sprintf(`{"spec":%s,"frames":8,"window_frames":4}`, inline)
+	var req RunScenarioRequest
+	if err := Decode([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewService(nil).RunScenario(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(fresh.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls = append(calls, call{"/v1/run", body, "results", want})
+
+	srv, hs := newTestServer(t, ServerConfig{HighWatermark: 16})
+	var wg sync.WaitGroup
+	errs := make(chan error, len(calls))
+	for i, c := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(hs.URL+c.path, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			payload, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				errs <- err
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("body %d: status %d: %s", i, resp.StatusCode, payload)
+				return
+			}
+			var got map[string]json.RawMessage
+			if err := json.Unmarshal(payload, &got); err != nil {
+				errs <- err
+				return
+			}
+			if !bytes.Equal(got[c.field], c.want) {
+				errs <- fmt.Errorf("body %d: %s differs from a fresh service's:\n got: %s\nwant: %s", i, c.field, got[c.field], c.want)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := srv.svc.Engine().Plans().Len(); n != 8 {
+		t.Errorf("the engine keeps %d plans, want one per design of the default space, 8", n)
 	}
 }
 

@@ -199,10 +199,14 @@ func (r *ParetoResponse) TextFooter() string {
 //     scenario, built by the first run request naming it: a schedule
 //     does not depend on the seed, frames or window a request varies,
 //     so every later run of the scenario streams through the kept
-//     design. Inline specs are prepared per request and never kept.
+//     design. Inline specs are prepared per request.
 //
 // Neither grows with the number of requests: the Service holds at most
-// one design per registry scenario.
+// one design per registry scenario. Its engine also keeps up to
+// sched.MaxPlans scheduler plans for the Service's whole life, so an
+// inline spec or a pareto candidate with a NoP override reruns only
+// the NoP-reading half of Algorithm 1 once its design has been
+// balanced under another NoP.
 type Service struct {
 	engine  *sweep.Engine
 	version string
@@ -299,7 +303,7 @@ func (s *Service) runScenario(ctx context.Context, specs []scenario.Spec, inline
 		var p *scenario.Prepared
 		var err error
 		if inline {
-			p, err = scenario.Prepare(sp, s.engine.Cache())
+			p, err = scenario.PrepareOn(sp, s.engine)
 		} else {
 			p, err = s.kept(sp.Name)
 		}
@@ -324,7 +328,7 @@ func (s *Service) kept(name string) (*scenario.Prepared, error) {
 	if !ok {
 		return nil, fmt.Errorf("api: no registry scenario %q", name)
 	}
-	d.once.Do(func() { d.prep, d.err = scenario.Prepare(d.spec, s.engine.Cache()) })
+	d.once.Do(func() { d.prep, d.err = scenario.PrepareOn(d.spec, s.engine) })
 	return d.prep, d.err
 }
 

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 
-	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sweep"
@@ -23,22 +21,25 @@ import (
 // grid, the CLIs and the tests all run that plan through the engine,
 // serially at one worker. Every schedule-building experiment is a
 // designPlan: a list of scenario.Spec design points, each prepared on
-// the engine's own cache instead of this package's global one, and a
-// row function over the prepared designs; the dse-lcstr points scan a
-// DSE cost table built on the same cache. The plans of one grid run
-// share a design memo, so a design two experiments both contain (the
-// mesh-size points are the frontier's OS points) is built once.
+// the engine (its cache and plan store) instead of this package's
+// global cache, and a row function over the prepared designs; the
+// dse-lcstr points scan a DSE cost table built on the same cache. The
+// plans of one grid run share a design memo keyed by scenario.Design,
+// so a design two points both build (the mesh-size points are the
+// frontier's OS points, and cameras/8, temporal-depth/12, tolerance/5%,
+// the paper's NoP point and mesh-size/6x6 are one design) is built
+// once.
 
 // gridRun is one grid run: the engine its plans run on and the design
 // memo their points share.
 type gridRun struct {
 	eng     *sweep.Engine
 	mu      sync.Mutex
-	designs map[string]*design
+	designs map[scenario.Design]*design
 }
 
 func newGridRun(e *sweep.Engine) *gridRun {
-	return &gridRun{eng: e, designs: make(map[string]*design)}
+	return &gridRun{eng: e, designs: make(map[scenario.Design]*design)}
 }
 
 // design is one memoized design point: the spec of the point that
@@ -50,25 +51,22 @@ type design struct {
 	err  error
 }
 
-// prepared prepares the design on cache the first time it is asked
-// for, and returns that result to every caller.
-func (d *design) prepared(cache *costmodel.Cache) (*scenario.Prepared, error) {
-	d.once.Do(func() { d.prep, d.err = scenario.Prepare(d.spec, cache) })
+// prepared prepares the design on eng the first time it is asked for,
+// and returns that result to every caller.
+func (d *design) prepared(eng *sweep.Engine) (*scenario.Prepared, error) {
+	d.once.Do(func() { d.prep, d.err = scenario.PrepareOn(d.spec, eng) })
 	return d.prep, d.err
 }
 
 // claim returns the memo entry of sp's design, and whether sp is the
-// first point of the run to claim it. A design's key is its defaulted
-// spec with the name cleared, as JSON; a spec JSON cannot encode (a
-// NaN field) shares with no other point.
+// first point of the run to claim it. A design's key is the
+// scenario.Design it builds; a spec that cannot name one (it fails to
+// validate) shares with no other point.
 func (g *gridRun) claim(sp scenario.Spec) (*design, bool) {
-	keySpec := sp.WithDefaults()
-	keySpec.Name = ""
-	b, err := json.Marshal(keySpec)
+	key, err := sp.Design()
 	if err != nil {
 		return &design{spec: sp}, true
 	}
-	key := string(b)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if d, seen := g.designs[key]; seen {
@@ -108,9 +106,9 @@ func designPlan[R any](g *gridRun, specs []scenario.Spec, weight func(i int) flo
 			return weight(i)
 		},
 		Run: func(_ context.Context, i int) error {
-			p, err := designs[i].prepared(g.eng.Cache())
+			p, err := designs[i].prepared(g.eng)
 			if err != nil && !first[i] {
-				p, err = scenario.Prepare(specs[i], g.eng.Cache())
+				p, err = scenario.PrepareOn(specs[i], g.eng)
 			}
 			rows[i], err = row(i, p, err)
 			return err
@@ -143,7 +141,11 @@ func gridScenario[R any](g *gridRun, name string,
 // it. Run a fresh ShardedGrid per grid run; a second run of the same
 // slice would read the first one's designs.
 func ShardedGrid(e *sweep.Engine) []sweep.ShardedScenario {
-	g := newGridRun(e)
+	return newGridRun(e).scenarios()
+}
+
+// scenarios returns the standard grid's scenarios on g.
+func (g *gridRun) scenarios() []sweep.ShardedScenario {
 	return []sweep.ShardedScenario{
 		gridScenario(g, "cameras", cameraPlan),
 		gridScenario(g, "temporal-depth", temporalPlan),

@@ -164,6 +164,24 @@ func TestGridBuildsEachDesignOnce(t *testing.T) {
 	}
 }
 
+// TestDefaultGridDesigns: the default grid's 28 schedule-building points
+// name 20 designs. cameras/8, temporal-depth/12, tolerance/5%,
+// nop-bandwidth's paper point and mesh-size/6x6 are one design, and
+// mesh-size's other points are frontier's OS points. nop-bandwidth's
+// other three points are that design under other NoPs, so they finish
+// one plan in the engine's store.
+func TestDefaultGridDesigns(t *testing.T) {
+	eng := sweep.New(2)
+	g := newGridRun(eng)
+	renderResults(t, eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), g.scenarios()))
+	if n := len(g.designs); n != 20 {
+		t.Errorf("the default grid named %d designs, want 20", n)
+	}
+	if n := eng.Plans().Len(); n != 1 {
+		t.Errorf("the default grid kept %d plans, want 1", n)
+	}
+}
+
 // TestGridDesignErrorsNameTheirPoint gives two points of one grid run
 // the same invalid design under different names, in one plan and
 // across two plans: a failed design is not shared, so each point's

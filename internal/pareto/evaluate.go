@@ -65,9 +65,8 @@ func (v *evaluator) bound(ctx context.Context, cands []Candidate) error {
 	ns := len(v.opts.Scenarios)
 	preps := make([]*scenario.Prepared, len(todo)*ns)
 	errs := make([]error, len(preps))
-	cache := v.opts.Engine.Cache()
 	if err := v.opts.Engine.Each(ctx, len(preps), func(i int) error {
-		preps[i], errs[i] = scenario.Prepare(todo[i/ns].Apply(v.opts.Scenarios[i%ns]), cache)
+		preps[i], errs[i] = scenario.PrepareOn(todo[i/ns].Apply(v.opts.Scenarios[i%ns]), v.opts.Engine)
 		return nil
 	}); err != nil {
 		return err

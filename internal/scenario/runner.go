@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"mcmnpu/internal/costmodel"
+	"mcmnpu/internal/nop"
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/sched"
@@ -123,6 +124,23 @@ type Prepared struct {
 // with the given layer-cost cache (nil builds uncached; costs are
 // value-identical either way) and computes its layerwise metrics.
 func Prepare(sp Spec, cache *costmodel.Cache) (*Prepared, error) {
+	return prepare(sp, cache, nil)
+}
+
+// PrepareOn is Prepare on the engine's layer-cost cache. A spec with a
+// NoP override builds through the engine's plan store (sched.Plans):
+// its design without the NoP is balanced once per engine, and every
+// NoP variant of it runs only the half of Algorithm 1 that reads the
+// NoP. The result equals Prepare's; only the cache's counters differ.
+// Every other spec builds directly: a plan costs a copy per design,
+// which only a NoP sweep reuses.
+func PrepareOn(sp Spec, eng *sweep.Engine) (*Prepared, error) {
+	return prepare(sp, eng.Cache(), eng.Plans())
+}
+
+// prepare is Prepare, through plans for a spec with a NoP override
+// when plans is not nil.
+func prepare(sp Spec, cache *costmodel.Cache, plans *sched.Plans) (*Prepared, error) {
 	sp, m, err := sp.instantiate()
 	if err != nil {
 		return nil, err
@@ -132,11 +150,56 @@ func Prepare(sp Spec, cache *costmodel.Cache) (*Prepared, error) {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
 	// A zero tolerance is the scheduler's default.
-	s, err := sched.Build(p, m, sched.Options{Tolerance: sp.Tolerance, Cache: cache})
+	opts := sched.Options{Tolerance: sp.Tolerance, Cache: cache}
+	var s *sched.Schedule
+	if plans != nil && sp.NoP != nil {
+		s, err = plans.Build(sp.chiplets(), p, m, opts)
+	} else {
+		s, err = sched.Build(p, m, opts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
 	return &Prepared{Spec: sp, Schedule: s, Metrics: pipeline.Compute(s, pipeline.Layerwise)}, nil
+}
+
+// Design names the design a spec builds: everything Prepare's schedule
+// and metrics are a function of, namely the compiled workload, the
+// package's chiplets (Spec.chiplets), the resolved tolerance (a spec's
+// 0 is sched.DefaultTolerance) and the package's NoP with the spec's
+// override applied (an override equal to the default names the
+// default design). Specs with one Design prepare to the same schedule
+// and metrics whatever their names, trace parameters and frame
+// budgets, and Designs that differ only in NoP share Algorithm 1's
+// NoP-free half, the plan PrepareOn keeps. Design is comparable.
+type Design struct {
+	workload  *workloads.Pipeline
+	chiplets  string
+	tolerance float64
+	nop       nop.Params
+}
+
+// Design names the design the spec builds. It defaults and validates
+// the spec and compiles its workload, as Prepare does, but builds no
+// package, so naming a design costs a small part of preparing it.
+func (s Spec) Design() (Design, error) {
+	s = s.WithDefaults()
+	if err := s.Validate(); err != nil {
+		return Design{}, err
+	}
+	p, err := compileWorkload(s.Workload)
+	if err != nil {
+		return Design{}, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	// Every package buildMCM builds starts from the paper's NoP.
+	d := Design{workload: p, chiplets: s.chiplets(), tolerance: s.Tolerance, nop: nop.DefaultParams()}
+	if d.tolerance <= 0 {
+		d.tolerance = sched.DefaultTolerance
+	}
+	if s.NoP != nil {
+		d.nop = *s.NoP
+	}
+	return d, nil
 }
 
 // Run compiles the spec, builds its schedule once, and streams the frame

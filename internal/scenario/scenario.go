@@ -3,7 +3,10 @@
 // sensor suite, workload parameters, package/dataflow choice, NoP
 // parameters, trace model, frame budget — and Prepare compiles it to a
 // design point, a *Prepared holding the defaulted spec, its Algorithm 1
-// schedule and the schedule's layerwise pipelining metrics. A registry
+// schedule and the schedule's layerwise pipelining metrics (PrepareOn
+// does it on a sweep.Engine, whose plan store lets NoP variants of one
+// design share its balancing, and Spec.Design names the design a spec
+// builds without building it). A registry
 // of named scenarios (urban, highway, robotaxi, degraded rigs,
 // baselines) turns the single-operating-point paper reproduction into
 // a many-workload evaluation system; the streaming runner in runner.go
@@ -236,16 +239,18 @@ func (s Spec) instantiate() (Spec, *chiplet.MCM, error) {
 	return s, m, nil
 }
 
+// buildMCM builds the package of a validated selector and type
+// assignment: a preset for dual72 without an assignment and for the
+// monolithic baselines, a typed mesh (chiplet.NewTyped) for every other
+// Simba-grid package. simba36 builds the 6x6 mesh, which is
+// chiplet.Simba36's package, so Spec.chiplets can name a package by
+// this split.
 func buildMCM(pkg string, style dataflow.Style, types []string) (*chiplet.MCM, error) {
-	if len(types) == 0 {
-		switch pkg {
-		case "simba36":
-			return chiplet.Simba36(style), nil
-		case "dual72":
+	switch pkg {
+	case "dual72":
+		if len(types) == 0 {
 			return chiplet.DualSimba72(style), nil
 		}
-	}
-	switch pkg {
 	case "mono1":
 		return chiplet.Baseline(1, style), nil
 	case "mono2":
@@ -262,6 +267,23 @@ func buildMCM(pkg string, style dataflow.Style, types []string) (*chiplet.MCM, e
 		return nil, err
 	}
 	return chiplet.NewTyped(meshName(w, h, assignment), w, h, nop.DefaultParams(), style, assignment)
+}
+
+// chiplets names the package a defaulted, validated spec builds, without
+// its NoP and without building it: the dataflow, the expanded chiplet
+// type assignment and, for a typed mesh, its dimensions, since its name
+// and chiplets follow from them (simba36 and mesh:6x6 name one package,
+// and so do dual72 and mesh:12x6 under one assignment), or else the
+// preset's selector.
+func (s Spec) chiplets() string {
+	style, _ := s.style()
+	w, h, grid := packageGrid(s.Package) // 0x0 for a baseline, which takes no types
+	types, _ := chiplet.ExpandTypes(s.ChipletTypes, w*h)
+	pkg := s.Package
+	if grid && (pkg != "dual72" || len(types) > 0) {
+		pkg = fmt.Sprintf("mesh:%dx%d", w, h)
+	}
+	return pkg + "/" + style.String() + "/" + strings.Join(types, ",")
 }
 
 // meshName labels a typed mesh package: the legacy simba-WxH for the

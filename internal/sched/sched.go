@@ -122,11 +122,23 @@ func newSchedule(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule
 	return s, nil
 }
 
-// solve runs the greedy throughput-matching loops on freshly
-// instantiated stages (the mutable half of Algorithm 1).
+// solve runs Algorithm 1 on freshly instantiated stages: balance, then
+// finish.
 func (s *Schedule) solve() (*Schedule, error) {
-	if err := s.refreshAll(); err != nil {
+	if err := s.balance(); err != nil {
 		return nil, err
+	}
+	return s.finish()
+}
+
+// balance is the NoP-free half of Algorithm 1: the initial refresh and
+// the outer greedy loop, which matches every stage's pipelining latency
+// to the base stage's. Its steps compare only PipeLatMs and per-shard
+// latencies, which placement and the cost model give without a
+// transfer, so nothing it decides reads the package's NoP.
+func (s *Schedule) balance() error {
+	if err := s.refreshAll(); err != nil {
+		return err
 	}
 	s.record("init", "")
 
@@ -150,12 +162,20 @@ func (s *Schedule) solve() (*Schedule, error) {
 				break
 			}
 			if err := bn.refresh(); err != nil {
-				return nil, err
+				return err
 			}
 			clearStageSkips(skip, bn.Index)
 			s.record("borrow-chiplet", bn.Name)
 		}
 	}
+	return nil
+}
+
+// finish is the half of Algorithm 1 that reads the NoP: the additional
+// sharding step, whose stage E2E includes the intra-stage transfers,
+// then the final refresh, every stage's chain metrics and the
+// stage-boundary transfers.
+func (s *Schedule) finish() (*Schedule, error) {
 	s.useIdleChiplets()
 	if err := s.refreshAll(); err != nil {
 		return nil, err

@@ -1,10 +1,13 @@
 // Package sweep is the parallel execution engine: a bounded worker pool
-// with a shared layer-cost cache. It runs the experiment grids (camera
-// count, temporal depth, NoP bandwidth, mesh size, frontier, scheduler
-// tolerance, DSE Lcstr — each point an independent unit of work), and
-// its Each fans out the scenario runner's trace windows and the pareto
-// explorer's designs. Workers are bounded, honor context cancellation,
-// and never outlive the call that spawned them.
+// with a shared layer-cost cache and a store of Algorithm 1 plans. It
+// runs the experiment grids (camera count, temporal depth, NoP
+// bandwidth, mesh size, frontier, scheduler tolerance, DSE Lcstr —
+// each point an independent unit of work), and its Each fans out the
+// scenario runner's trace windows and the pareto explorer's designs.
+// Workers are bounded, honor context cancellation, and never outlive
+// the call that spawned them. The cache and the plans live as long as
+// the engine: each CLI run makes its own engine, and a serving Service
+// keeps one for its whole life.
 package sweep
 
 import (
@@ -16,14 +19,17 @@ import (
 	"sync"
 
 	"mcmnpu/internal/costmodel"
+	"mcmnpu/internal/sched"
 )
 
 // Engine is a bounded worker pool. The zero value is not useful; use
-// New. An Engine carries no per-call state — only its parallelism and a
-// shared layer-cost cache — and is safe for concurrent use.
+// New. An Engine carries no per-call state — only its parallelism, a
+// shared layer-cost cache and a store of Algorithm 1 plans — and is
+// safe for concurrent use.
 type Engine struct {
 	workers int
 	cache   *costmodel.Cache
+	plans   *sched.Plans
 }
 
 // New returns an engine with the given parallelism; workers <= 0 means
@@ -32,12 +38,14 @@ type Engine struct {
 // a sharded grid (RunGridSharded) — so repeated (layer, accel)
 // evaluations across Table I pins, Lcstr points and grid points are
 // memoized once per engine, with no cross-engine contention on a
-// package-global store.
+// package-global store. It also owns a bounded plan store
+// (sched.Plans), so a design prepared again with only its NoP changed
+// (scenario.PrepareOn) reruns only the NoP-reading half of Algorithm 1.
 func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Engine{workers: workers, cache: costmodel.NewCache()}
+	return &Engine{workers: workers, cache: costmodel.NewCache(), plans: sched.NewPlans()}
 }
 
 // Workers returns the engine's parallelism.
@@ -46,6 +54,10 @@ func (e *Engine) Workers() int { return e.workers }
 // Cache returns the engine's shared layer-cost cache (never nil for
 // engines built by New).
 func (e *Engine) Cache() *costmodel.Cache { return e.cache }
+
+// Plans returns the engine's plan store (never nil for engines built
+// by New).
+func (e *Engine) Plans() *sched.Plans { return e.plans }
 
 // Each runs fn(i) for every i in [0, n) across the engine's workers.
 // Indices are dispatched through a channel, so long and short items
