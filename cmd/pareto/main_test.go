@@ -161,6 +161,7 @@ func TestBadInputs(t *testing.T) {
 		nil, // no scenarios
 		{"-scenarios", "no-such-scenario"},
 		{"-scenarios", "urban-8cam", "-meshes", "0x0"},
+		{"-scenarios", "urban-8cam", "-meshes", "4x4junk"},
 		{"-scenarios", "urban-8cam", "-dataflows", "XY"},
 		{"-scenarios", "urban-8cam", "-linkbw", "-5"},
 		{"-scenarios", "urban-8cam", "-linkbw", "NaN"},

@@ -230,6 +230,8 @@ func TestBadRequests(t *testing.T) {
 		{"no pareto scenarios", "/v1/pareto", `{}`, new(ParetoRequest), "needs at least one scenario"},
 		{"unknown scenario before bad frames", "/v1/pareto", `{"scenarios":["no-such"],"frames":-1}`,
 			new(ParetoRequest), `unknown scenario "no-such"`},
+		{"trailing mesh input", "/v1/pareto", `{"scenarios":["urban-8cam"],"meshes":["6x6","8x8trailing"]}`,
+			new(ParetoRequest), `malformed mesh "8x8trailing"`},
 	}
 	for _, tc := range cases {
 		resp, payload := post(t, hs.URL+tc.path, tc.body)

@@ -22,13 +22,13 @@ type MCM struct {
 	GridH  int
 	NoP    nop.Params
 	accels []*costmodel.Accel // indexed by ordinal
-	class  []int              // accelerator-equivalence class per ordinal
 }
 
-// New builds an MCM with one chiplet per mesh position, created by mk.
-// It groups the chiplets into accelerator-equivalence classes once, so
-// Class replaces a value comparison of two accelerators with an int
-// compare.
+// New builds an MCM with one chiplet per mesh position, created by mk,
+// and validates each. Every constructor in this package hands all
+// positions of one chiplet configuration a single shared accelerator,
+// so two of their chiplets are equivalent exactly when they share a
+// pointer.
 func New(name string, gridW, gridH int, p nop.Params, mk func(nop.Coord) *costmodel.Accel) (*MCM, error) {
 	if gridW <= 0 || gridH <= 0 {
 		return nil, fmt.Errorf("chiplet: invalid grid %dx%d", gridW, gridH)
@@ -36,10 +36,8 @@ func New(name string, gridW, gridH int, p nop.Params, mk func(nop.Coord) *costmo
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := gridW * gridH
 	m := &MCM{Name: name, GridW: gridW, GridH: gridH, NoP: p,
-		accels: make([]*costmodel.Accel, 0, n), class: make([]int, 0, n)}
-	var reps []*costmodel.Accel // one accelerator per class, first seen first
+		accels: make([]*costmodel.Accel, 0, gridW*gridH)}
 	for y := 0; y < gridH; y++ {
 		for x := 0; x < gridW; x++ {
 			c := nop.Coord{X: x, Y: y}
@@ -47,15 +45,7 @@ func New(name string, gridW, gridH int, p nop.Params, mk func(nop.Coord) *costmo
 			if err := a.Validate(); err != nil {
 				return nil, fmt.Errorf("chiplet %v: %w", c, err)
 			}
-			k := 0
-			for k < len(reps) && !costmodel.AccelEquivalent(reps[k], a) {
-				k++
-			}
-			if k == len(reps) {
-				reps = append(reps, a)
-			}
 			m.accels = append(m.accels, a)
-			m.class = append(m.class, k)
 		}
 	}
 	return m, nil
@@ -77,11 +67,6 @@ func (m *MCM) At(c nop.Coord) *costmodel.Accel {
 	}
 	return nil
 }
-
-// Class returns the accelerator-equivalence class of the chiplet with
-// ordinal i: two chiplets share a class exactly when
-// costmodel.AccelEquivalent holds for their accelerators.
-func (m *MCM) Class(i int) int { return m.class[i] }
 
 // Coords returns all positions in row-major (ordinal) order.
 func (m *MCM) Coords() []nop.Coord {
@@ -185,29 +170,21 @@ func absInt(v int) int {
 
 // Presets ---------------------------------------------------------------
 
-// Simba36 is the paper's 6x6 package of 256-PE chiplets.
+// Simba36 is the paper's 6x6 package of 256-PE chiplets: a typed mesh
+// of the library's shared simba accelerator.
 func Simba36(style dataflow.Style) *MCM {
-	m, err := New("simba-6x6", 6, 6, nop.DefaultParams(),
-		func(nop.Coord) *costmodel.Accel { return costmodel.SimbaChiplet(style) })
-	if err != nil {
-		panic(err)
-	}
-	return m
+	return must(NewTyped("simba-6x6", 6, 6, nop.DefaultParams(), style, nil))
 }
 
 // DualSimba72 is the Fig 10 configuration: both FSD NPUs active, two
 // 6x6 Simba packages side by side (12x6 mesh, 72 chiplets).
 func DualSimba72(style dataflow.Style) *MCM {
-	m, err := New("dual-simba-12x6", 12, 6, nop.DefaultParams(),
-		func(nop.Coord) *costmodel.Accel { return costmodel.SimbaChiplet(style) })
-	if err != nil {
-		panic(err)
-	}
-	return m
+	return must(NewTyped("dual-simba-12x6", 12, 6, nop.DefaultParams(), style, nil))
 }
 
 // Baseline returns the Table II baselines for a 9,216-PE budget split
-// into `parts` equal monolithic accelerators (1, 2 or 4).
+// into `parts` (1, 2 or 4) equal monolithic dies, which share one
+// accelerator.
 func Baseline(parts int, style dataflow.Style) *MCM {
 	gw, gh := 1, 1
 	switch parts {
@@ -220,10 +197,14 @@ func Baseline(parts int, style dataflow.Style) *MCM {
 		panic(fmt.Sprintf("chiplet: unsupported baseline split %d", parts))
 	}
 	pes := int64(9216 / parts)
-	m, err := New(fmt.Sprintf("baseline-%dx%d", parts, pes), gw, gh, nop.DefaultParams(),
-		func(c nop.Coord) *costmodel.Accel {
-			return costmodel.Monolithic(fmt.Sprintf("mono-%d-%v", pes, c), pes, style)
-		})
+	a := costmodel.Monolithic(fmt.Sprintf("mono-%d", pes), pes, style)
+	return must(New(fmt.Sprintf("baseline-%dx%d", parts, pes), gw, gh, nop.DefaultParams(),
+		func(nop.Coord) *costmodel.Accel { return a }))
+}
+
+// must returns a preset's package; a preset that fails to build is a
+// programming error.
+func must(m *MCM, err error) *MCM {
 	if err != nil {
 		panic(err)
 	}

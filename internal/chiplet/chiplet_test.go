@@ -151,44 +151,41 @@ func TestOrdRowMajorAndOffMesh(t *testing.T) {
 	}
 }
 
-// TestClassMatchesAccelEquivalent checks over every pair of chiplets
-// that two share a class exactly when their accelerators are
-// equivalent, on a package of distinct equal accelerators, one of
-// equal configurations under different names, and a mixed-type mesh.
-func TestClassMatchesAccelEquivalent(t *testing.T) {
+// TestConstructorsShareAccelerators checks over every pair of chiplets
+// that two share an accelerator pointer exactly when their
+// accelerators are equivalent, on the presets and a mixed-type mesh:
+// each constructor builds one accelerator per chiplet configuration.
+func TestConstructorsShareAccelerators(t *testing.T) {
 	mixed, err := NewTyped("mixed-3x2", 3, 2, nop.DefaultParams(), dataflow.OS,
 		[]string{"simba", "eco", "big", "eco", "simba", "big"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name                 string
-		m                    *MCM
-		ptrs, names, classes int
+		name   string
+		m      *MCM
+		accels int
 	}{
-		{"simba36", Simba36(dataflow.OS), 36, 1, 1},
-		{"baseline4", Baseline(4, dataflow.OS), 4, 4, 1},
-		{"mixed", mixed, 3, 3, 3},
+		{"simba36", Simba36(dataflow.OS), 1},
+		{"dual72", DualSimba72(dataflow.WS), 1},
+		{"baseline4", Baseline(4, dataflow.OS), 1},
+		{"mixed", mixed, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cs := tc.m.Coords()
 			ptrs := map[*costmodel.Accel]bool{}
-			names := map[string]bool{}
-			classes := map[int]bool{}
-			for i, ci := range cs {
+			for _, ci := range tc.m.Coords() {
 				a := tc.m.At(ci)
-				ptrs[a], names[a.Name], classes[tc.m.Class(i)] = true, true, true
-				for j, cj := range cs {
-					eq := costmodel.AccelEquivalent(a, tc.m.At(cj))
-					if same := tc.m.Class(i) == tc.m.Class(j); same != eq {
-						t.Errorf("%v/%v: same class %v, AccelEquivalent %v", ci, cj, same, eq)
+				ptrs[a] = true
+				for _, cj := range tc.m.Coords() {
+					b := tc.m.At(cj)
+					if same, eq := a == b, costmodel.AccelEquivalent(a, b); same != eq {
+						t.Errorf("%v/%v: same pointer %v, AccelEquivalent %v", ci, cj, same, eq)
 					}
 				}
 			}
-			if len(ptrs) != tc.ptrs || len(names) != tc.names || len(classes) != tc.classes {
-				t.Errorf("%d accelerators, %d names, %d classes; want %d, %d, %d",
-					len(ptrs), len(names), len(classes), tc.ptrs, tc.names, tc.classes)
+			if len(ptrs) != tc.accels {
+				t.Errorf("%d accelerators, want %d", len(ptrs), tc.accels)
 			}
 		})
 	}

@@ -2,10 +2,10 @@
 // profiles (per-type compute density, energy-per-MAC and GLB capacity)
 // and the validated construction of mixed-type packages. Each library
 // entry instantiates one shared, immutable *costmodel.Accel per
-// dataflow style at package init, so every typed MCM in a process
-// points at the same accelerator objects — the cost cache's
-// pointer-keyed interning then resolves a whole heterogeneous sweep
-// through a handful of accel IDs.
+// dataflow style at package init, so every Simba-grid MCM in a process,
+// typed or not (Simba36 and DualSimba72 included), points at the same
+// accelerator objects — the cost cache's pointer-keyed interning then
+// resolves a whole sweep through a handful of accel IDs.
 package chiplet
 
 import (
@@ -198,12 +198,15 @@ func CompressTypes(assignment []string) []string {
 // NewTyped builds a W x H mesh with a per-chiplet type assignment:
 // nil assigns the paper's simba type everywhere, otherwise assignment
 // must hold exactly gridW*gridH row-major library type names (the
-// ExpandTypes output). Every chiplet of one type shares one accel
-// instance.
+// ExpandTypes output). Every chiplet of one type shares the library's
+// accel instance.
 func NewTyped(name string, gridW, gridH int, p nop.Params, style dataflow.Style, assignment []string) (*MCM, error) {
 	if len(assignment) == 0 {
-		return New(name, gridW, gridH, p,
-			func(nop.Coord) *costmodel.Accel { return costmodel.SimbaChiplet(style) })
+		a, err := TypeChiplet("simba", style)
+		if err != nil {
+			return nil, err
+		}
+		return New(name, gridW, gridH, p, func(nop.Coord) *costmodel.Accel { return a })
 	}
 	if len(assignment) != gridW*gridH {
 		return nil, fmt.Errorf("chiplet: %d type entries for a %dx%d mesh", len(assignment), gridW, gridH)

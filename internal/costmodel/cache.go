@@ -277,10 +277,9 @@ func (c *Cache) GraphOn(g *dnn.Graph, a *Accel) GraphCost {
 }
 
 // AccelEquivalent reports whether two accelerators have identical
-// cost-relevant configurations (everything but the display name).
-// chiplet.New groups a package's chiplets into classes with it, so the
-// scheduler skips probe re-evaluations on homogeneous pools whose
-// chiplets are distinct objects with equal values.
+// cost-relevant configurations (everything but the display name). The
+// scheduler's plans check with it that a package has the plan's
+// chiplets; equal pointers return at once.
 func AccelEquivalent(a, b *Accel) bool {
 	if a == b {
 		return true

@@ -17,13 +17,14 @@ import (
 // shard derivations into dense IDs. Safe for concurrent use.
 //
 // The pointer-keyed fast-path maps keep every layer/accel object they
-// have seen reachable, and a long-lived cache sees fresh objects on
-// every request (cmd/serve keeps one engine per process; /v1/dse builds
-// new trunk graphs and accels each time). Once they hold
-// maxInternedPtrs entries, both are cleared: later lookups fall back to
-// the signature maps, which keep every ID stable, so clearing changes
-// no result. Signatures, shard derivations and cost entries grow only
-// with distinct shapes.
+// have seen reachable, and a long-lived cache (cmd/serve keeps one
+// engine per process) can keep seeing fresh objects: each monolithic
+// baseline package builds its own accelerator, and a workload
+// configuration past scenario's compile memo compiles fresh graphs.
+// Once they hold maxInternedPtrs entries, both are cleared: later
+// lookups fall back to the signature maps, which keep every ID stable,
+// so clearing changes no result. Signatures, shard derivations and
+// cost entries grow only with distinct shapes.
 type interner struct {
 	layerPtrs sync.Map // *dnn.Layer -> uint32
 	accelPtrs sync.Map // *Accel -> uint32

@@ -12,6 +12,7 @@ package nop
 import (
 	"fmt"
 	"iter"
+	"math"
 )
 
 // Coord is a chiplet position on the package mesh.
@@ -44,9 +45,12 @@ func DefaultParams() Params {
 	return Params{LinkBWGBs: 100, HopLatencyNs: 35, EnergyPJBit: 2.04}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: every field must be finite,
+// the link bandwidth positive and the others non-negative. The
+// comparisons are written so that NaN fails them.
 func (p Params) Validate() error {
-	if p.LinkBWGBs <= 0 || p.HopLatencyNs < 0 || p.EnergyPJBit < 0 {
+	if !(p.LinkBWGBs > 0 && p.HopLatencyNs >= 0 && p.EnergyPJBit >= 0) ||
+		math.IsInf(p.LinkBWGBs, 1) || math.IsInf(p.HopLatencyNs, 1) || math.IsInf(p.EnergyPJBit, 1) {
 		return fmt.Errorf("nop: invalid params %+v", p)
 	}
 	return nil

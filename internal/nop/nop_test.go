@@ -38,6 +38,22 @@ func TestDefaultParams(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: a NaN or infinite value in any field
+// is invalid.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, p := range []Params{
+			{LinkBWGBs: v, HopLatencyNs: 35, EnergyPJBit: 2.04},
+			{LinkBWGBs: 100, HopLatencyNs: v, EnergyPJBit: 2.04},
+			{LinkBWGBs: 100, HopLatencyNs: 35, EnergyPJBit: v},
+		} {
+			if p.Validate() == nil {
+				t.Errorf("Validate accepted %+v", p)
+			}
+		}
+	}
+}
+
 func TestTransferLatency(t *testing.T) {
 	p := DefaultParams()
 	// 1 MB over 1 hop: 1e6/100e9 s = 10 us = 0.01 ms, + 35 ns.

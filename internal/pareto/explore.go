@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"mcmnpu/internal/chiplet"
@@ -84,7 +85,9 @@ type MeshDim struct {
 
 func (m MeshDim) String() string { return fmt.Sprintf("%dx%d", m.W, m.H) }
 
-// ParseMeshes parses a comma-separated "WxH" list.
+// ParseMeshes parses a comma-separated "WxH" list: each entry is two
+// positive decimal numbers joined by x, with surrounding spaces
+// trimmed; empty entries are skipped.
 func ParseMeshes(csv string) ([]MeshDim, error) {
 	var out []MeshDim
 	for _, f := range strings.Split(csv, ",") {
@@ -92,11 +95,14 @@ func ParseMeshes(csv string) ([]MeshDim, error) {
 		if f == "" {
 			continue
 		}
-		var m MeshDim
-		if _, err := fmt.Sscanf(f, "%dx%d", &m.W, &m.H); err != nil || m.W < 1 || m.H < 1 {
+		// Atoi accepts a sign; a mesh dimension is digits only.
+		ws, hs, _ := strings.Cut(f, "x")
+		w, werr := strconv.Atoi(ws)
+		h, herr := strconv.Atoi(hs)
+		if werr != nil || herr != nil || w < 1 || h < 1 || strings.Contains(f, "+") {
 			return nil, fmt.Errorf("pareto: malformed mesh %q (want WxH)", f)
 		}
-		out = append(out, m)
+		out = append(out, MeshDim{W: w, H: h})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("pareto: empty mesh list")

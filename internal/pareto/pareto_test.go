@@ -81,7 +81,8 @@ func TestParseMeshes(t *testing.T) {
 	if err != nil || len(got) != 2 || got[1] != (MeshDim{12, 6}) {
 		t.Fatalf("ParseMeshes: %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "4", "0x4", "ax b"} {
+	for _, bad := range []string{"", "4", "0x4", "ax b", "4x4junk", "4x4x4", "+4x4", "4x+4",
+		"-4x4", "4 x4", "6x6,8x8trailing", "99999999999999999999x4"} {
 		if _, err := ParseMeshes(bad); err == nil {
 			t.Errorf("ParseMeshes(%q) accepted", bad)
 		}
@@ -153,11 +154,12 @@ func testSpace() (Space, Options) {
 }
 
 // TestLowerBoundSound locks the pruning premise over the full default
-// space (every mesh, both dataflows): the safety-discounted analytic
-// latency bound never exceeds the realized p99 (the raw layerwise E2E
-// can overshoot the sim by a few per-mille — that is exactly what
-// lbSafety absorbs), and the analytic per-frame energy is the realized
-// value by construction.
+// space (every mesh, both dataflows) and over an evolved heterogeneous
+// space (mixed chiplet types on four scenarios, two seeds): the
+// safety-discounted analytic latency bound never exceeds the realized
+// p99 (the raw layerwise E2E can overshoot the sim by a few per-mille —
+// that is exactly what lbSafety absorbs), and the analytic per-frame
+// energy is the realized value by construction.
 func TestLowerBoundSound(t *testing.T) {
 	_, opts := testSpace()
 	opts.NoPrune = true
@@ -165,6 +167,34 @@ func TestLowerBoundSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBounds(t, rep)
+
+	var scenarios []scenario.Spec
+	for _, name := range []string{"urban-8cam", "highway-5cam", "robotaxi-12cam-hires", "deep-temporal-16"} {
+		sp, err := scenario.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenarios = append(scenarios, sp)
+	}
+	typed := Space{Meshes: []MeshDim{{4, 4}, {6, 6}}, Types: []string{"simba", "eco", "big", "bwopt"}}
+	for _, seed := range []uint64{1, 2} {
+		rep, err := Evolve(context.Background(), typed, EvolveOptions{
+			Options:     Options{Scenarios: scenarios, Frames: 8, WindowFrames: 4, NoPrune: true},
+			Generations: 10,
+			Population:  24,
+			Seed:        seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBounds(t, rep)
+	}
+}
+
+// checkBounds holds every feasible evaluation of rep to its bounds.
+func checkBounds(t *testing.T, rep Report) {
+	t.Helper()
 	for _, e := range rep.Evals {
 		if e.Infeasible {
 			continue

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -129,6 +130,24 @@ func TestPrepareOnKeepsOnePlanPerDesign(t *testing.T) {
 	}
 	if n := eng.Plans().Len(); n != 1 {
 		t.Errorf("four NoP variants of one design left %d plans, want 1", n)
+	}
+}
+
+// TestPrepareOnRejectsNaN: a spec with a NaN tolerance and a NoP
+// override fails validation before it reaches the engine's plan store,
+// however often it is prepared.
+func TestPrepareOnRejectsNaN(t *testing.T) {
+	eng := sweep.New(1)
+	link := nop.DefaultParams()
+	link.LinkBWGBs = 50
+	sp := Spec{Name: "nan", Tolerance: math.NaN(), NoP: &link}
+	for range 3 {
+		if _, err := PrepareOn(sp, eng); err == nil {
+			t.Fatal("PrepareOn accepted a NaN tolerance")
+		}
+	}
+	if n := eng.Plans().Len(); n != 0 {
+		t.Errorf("a rejected spec left %d plans, want 0", n)
 	}
 }
 

@@ -152,19 +152,20 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}
-	if s.Tolerance < 0 || s.Tolerance > 10 {
+	// Each range check is written so that NaN fails it.
+	if !(s.Tolerance >= 0 && s.Tolerance <= 10) {
 		return fmt.Errorf("scenario %s: tolerance %v out of range", s.Name, s.Tolerance)
 	}
-	if s.CameraFPS <= 0 || s.CameraFPS > 1000 {
+	if !(s.CameraFPS > 0 && s.CameraFPS <= 1000) {
 		return fmt.Errorf("scenario %s: camera rate %v FPS out of range", s.Name, s.CameraFPS)
 	}
-	if s.JitterMs < 0 || s.JitterMs > 1e3 {
+	if !(s.JitterMs >= 0 && s.JitterMs <= 1e3) {
 		return fmt.Errorf("scenario %s: jitter %v ms out of range", s.Name, s.JitterMs)
 	}
 	if s.Frames <= 0 || s.Frames > 1<<20 {
 		return fmt.Errorf("scenario %s: frame count %d out of range", s.Name, s.Frames)
 	}
-	if s.DeadlineMs <= 0 || s.DeadlineMs > 1e6 {
+	if !(s.DeadlineMs > 0 && s.DeadlineMs <= 1e6) {
 		return fmt.Errorf("scenario %s: deadline %v ms out of range", s.Name, s.DeadlineMs)
 	}
 	return nil
@@ -242,9 +243,10 @@ func (s Spec) instantiate() (Spec, *chiplet.MCM, error) {
 // buildMCM builds the package of a validated selector and type
 // assignment: a preset for dual72 without an assignment and for the
 // monolithic baselines, a typed mesh (chiplet.NewTyped) for every other
-// Simba-grid package. simba36 builds the 6x6 mesh, which is
-// chiplet.Simba36's package, so Spec.chiplets can name a package by
-// this split.
+// Simba-grid package. Both Simba-grid presets are typed meshes of the
+// library's shared accelerators too: simba36 builds chiplet.Simba36's
+// 6x6 mesh, and dual72 differs from mesh:12x6 only in its name, so
+// Spec.chiplets can name a package by this split.
 func buildMCM(pkg string, style dataflow.Style, types []string) (*chiplet.MCM, error) {
 	switch pkg {
 	case "dual72":

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,12 +147,22 @@ func TestValidateRejects(t *testing.T) {
 		{"huge mesh", func(s *Spec) { s.Package = "mesh:64x64" }},
 		{"bad dataflow", func(s *Spec) { s.Dataflow = "RS" }},
 		{"bad nop", func(s *Spec) { s.NoP = &nopBad }},
+		{"NaN nop bandwidth", func(s *Spec) { s.NoP = &nop.Params{LinkBWGBs: math.NaN()} }},
+		{"infinite nop bandwidth", func(s *Spec) { s.NoP = &nop.Params{LinkBWGBs: math.Inf(1)} }},
 		{"negative tolerance", func(s *Spec) { s.Tolerance = -1 }},
+		{"NaN tolerance", func(s *Spec) { s.Tolerance = math.NaN() }},
+		{"infinite tolerance", func(s *Spec) { s.Tolerance = math.Inf(1) }},
 		{"zero fps", func(s *Spec) { s.CameraFPS = 0 }},
+		{"NaN fps", func(s *Spec) { s.CameraFPS = math.NaN() }},
+		{"infinite fps", func(s *Spec) { s.CameraFPS = math.Inf(1) }},
 		{"negative jitter", func(s *Spec) { s.JitterMs = -1 }},
+		{"NaN jitter", func(s *Spec) { s.JitterMs = math.NaN() }},
+		{"infinite jitter", func(s *Spec) { s.JitterMs = math.Inf(1) }},
 		{"zero frames", func(s *Spec) { s.Frames = 0 }},
 		{"absurd frames", func(s *Spec) { s.Frames = 1 << 30 }},
 		{"negative deadline", func(s *Spec) { s.DeadlineMs = -5 }},
+		{"NaN deadline", func(s *Spec) { s.DeadlineMs = math.NaN() }},
+		{"infinite deadline", func(s *Spec) { s.DeadlineMs = math.Inf(1) }},
 	}
 	for _, c := range cases {
 		s := base

@@ -178,7 +178,6 @@ func (ss *StageSchedule) refresh() error {
 	}
 	// Evaluate on the pool's (homogeneous) accelerator.
 	ref := ss.mcm.At(ss.Pool[0])
-	refClass := ss.mcm.Class(ss.mcm.Ord(ss.Pool[0]))
 	for _, u := range ss.Units {
 		if u.Shards > int64(len(ss.Pool)) {
 			u.Shards = int64(len(ss.Pool))
@@ -188,25 +187,23 @@ func (ss *StageSchedule) refresh() error {
 		}
 	}
 	ss.place()
-	// Re-evaluate heterogeneous pools against their actual chiplets. A
-	// chiplet in the reference's equivalence class (most pools are
-	// homogeneous meshes of distinct-but-identical Accel objects) would
-	// probe to exactly u.PerShardMs — the cost model reads values, not
-	// identities — so only genuinely different configurations probe,
-	// once per run of same-class chiplets (a unit's chiplets are in
-	// row-major order). Probes go through the build's unit-cost memo,
-	// which returns the reference cost on that accelerator, never the
-	// worst case this loop writes back: typed packages share one accel
-	// instance per type, so a unit spread over k chiplets of one
-	// non-reference type is costed once per build, not k times per
-	// refresh.
+	// Re-evaluate heterogeneous pools against their actual chiplets.
+	// The package constructors give every position of one chiplet
+	// configuration one shared accelerator, so a chiplet behind the
+	// reference's pointer would probe to exactly u.PerShardMs and only
+	// other accelerators probe, once per run of equal pointers (a unit's
+	// chiplets are in row-major order). Probes go through the build's
+	// unit-cost memo, which returns the reference cost on that
+	// accelerator, never the worst case this loop writes back, so a
+	// unit spread over k chiplets of one non-reference type is costed
+	// once per build, not k times per refresh.
 	for _, u := range ss.Units {
-		worst, ms, class := 0.0, u.PerShardMs, refClass
+		worst, ms, cur := 0.0, u.PerShardMs, ref
 		for _, c := range u.Chiplets {
-			if cl := ss.mcm.Class(ss.mcm.Ord(c)); cl != class {
-				class, ms = cl, u.PerShardMs
-				if cl != refClass {
-					pc, err := ss.costs.cost(u, ss.mcm.At(c), ss.cache)
+			if a := ss.mcm.At(c); a != cur {
+				cur, ms = a, u.PerShardMs
+				if a != ref {
+					pc, err := ss.costs.cost(u, a, ss.cache)
 					if err != nil {
 						return err
 					}
