@@ -232,6 +232,16 @@ func TestBadRequests(t *testing.T) {
 			new(ParetoRequest), `unknown scenario "no-such"`},
 		{"trailing mesh input", "/v1/pareto", `{"scenarios":["urban-8cam"],"meshes":["6x6","8x8trailing"]}`,
 			new(ParetoRequest), `malformed mesh "8x8trailing"`},
+		{"two meshes in one element", "/v1/pareto", `{"scenarios":["urban-8cam"],"meshes":["4x4,6x6"]}`,
+			new(ParetoRequest), `mesh list element "4x4,6x6"`},
+		{"empty mesh element", "/v1/pareto", `{"scenarios":["urban-8cam"],"meshes":["","4x4"," 6x6 "]}`,
+			new(ParetoRequest), `mesh list element ""`},
+		{"blank mesh element", "/v1/pareto", `{"scenarios":["urban-8cam"],"meshes":["4x4"," "]}`,
+			new(ParetoRequest), `mesh list element " "`},
+		{"empty objective element", "/v1/pareto", `{"scenarios":["urban-8cam"],"objectives":[""]}`,
+			new(ParetoRequest), `objective list element ""`},
+		{"two objectives in one element", "/v1/pareto", `{"scenarios":["urban-8cam"],"objectives":["p99,energy"]}`,
+			new(ParetoRequest), `objective list element "p99,energy"`},
 	}
 	for _, tc := range cases {
 		resp, payload := post(t, hs.URL+tc.path, tc.body)

@@ -90,6 +90,18 @@ func decode(data []byte, req Request) error {
 	return nil
 }
 
+// oneEntryEach rejects a list element that is blank or holds a comma:
+// each element of a JSON list names exactly one entry, although the
+// pareto parsers it is joined for split comma-separated lists.
+func oneEntryEach(what string, list []string) error {
+	for _, f := range list {
+		if strings.TrimSpace(f) == "" || strings.Contains(f, ",") {
+			return fmt.Errorf("api: %s list element %q must name exactly one %s", what, f, what)
+		}
+	}
+	return nil
+}
+
 // lookup resolves registry scenario names, in order.
 func lookup(names []string) ([]scenario.Spec, error) {
 	specs := make([]scenario.Spec, len(names))
@@ -282,7 +294,8 @@ type ParetoRequest struct {
 	// Scenarios names registry entries ("all" selects the whole
 	// registry). Required.
 	Scenarios []string `json:"scenarios"`
-	// Meshes are candidate "WxH" meshes (empty = the default space).
+	// Meshes are candidate "WxH" meshes, one per element (empty = the
+	// default space).
 	Meshes []string `json:"meshes,omitempty"`
 	// Dataflows are candidate dataflows, "OS"/"WS" (empty = both).
 	Dataflows []string `json:"dataflows,omitempty"`
@@ -294,7 +307,8 @@ type ParetoRequest struct {
 	// uniform-type candidate per name; the evolutionary explorer
 	// searches every per-chiplet assignment over them.
 	ChipletTypes []string `json:"chiplet_types,omitempty"`
-	// Objectives selects the frontier dimensions (empty = all).
+	// Objectives selects the frontier dimensions, one per element
+	// (empty = all).
 	Objectives []string `json:"objectives,omitempty"`
 	// Frames / WindowFrames override the streaming runner per scenario.
 	Frames       int `json:"frames,omitempty"`
@@ -343,6 +357,9 @@ func (r *ParetoRequest) resolve() (job, error) {
 	}
 	var space pareto.Space
 	if len(r.Meshes) > 0 {
+		if err := oneEntryEach("mesh", r.Meshes); err != nil {
+			return job{}, err
+		}
 		if space.Meshes, err = pareto.ParseMeshes(strings.Join(r.Meshes, ",")); err != nil {
 			return job{}, err
 		}
@@ -365,6 +382,9 @@ func (r *ParetoRequest) resolve() (job, error) {
 		}
 	}
 	space.Types = r.ChipletTypes
+	if err := oneEntryEach("objective", r.Objectives); err != nil {
+		return job{}, err
+	}
 	objs, err := pareto.ParseObjectives(strings.Join(r.Objectives, ","))
 	if err != nil {
 		return job{}, err

@@ -151,7 +151,7 @@ func TestStageRestore(t *testing.T) {
 			for _, ss := range s.Stages {
 				for _, u := range slices.Clone(ss.Units) {
 					want := captureStage(ss)
-					ss.snapshot(&s.snap)
+					ss.snapshot(&s.ws.snap)
 					if _, _, ok := s.applyImprovement(ss, u); !ok {
 						continue
 					}
@@ -159,7 +159,7 @@ func TestStageRestore(t *testing.T) {
 					if err := ss.refresh(); err != nil {
 						t.Fatalf("stage %s, step on %s: %v", ss.Name, u.Label(), err)
 					}
-					ss.restore(&s.snap)
+					ss.restore(&s.ws.snap)
 					if got := captureStage(ss); !reflect.DeepEqual(got, want) {
 						t.Errorf("stage %s, step on %s: restored state differs from the state before the step", ss.Name, u.Label())
 					}
@@ -199,33 +199,43 @@ func FuzzBuildInvariants(f *testing.F) {
 		2, 1, 3, 0, 2, 1, 0, 2, 1, 3, 0, 2, 3, 0, 2, 1, 3, 0})
 	full := perception(f)
 	three := full.FirstThreeStages()
-	names := chiplet.TypeNames()
 	f.Fuzz(func(t *testing.T, w, h uint8, ws, threeStages bool, types []byte) {
-		gw, gh := 1+int(w%8), 1+int(h%8)
-		var assign []string
-		if len(types) > 0 {
-			assign = make([]string, gw*gh)
-			for i := range assign {
-				assign[i] = names[int(types[i%len(types)])%len(names)]
-			}
-		}
-		style, p := dataflow.OS, full
-		if ws {
-			style = dataflow.WS
-		}
-		if threeStages {
-			p = three
-		}
-		m, err := chiplet.NewTyped("fuzz", gw, gh, nop.DefaultParams(), style, assign)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, m := fuzzPackage(t, full, three, w, h, ws, threeStages, types)
 		s, err := Build(p, m, DefaultOptions())
 		if err != nil {
-			t.Fatalf("%dx%d %v %d stages: %v", gw, gh, style, len(p.Stages), err)
+			t.Fatalf("%dx%d ws=%v %d stages: %v", m.GridW, m.GridH, ws, len(p.Stages), err)
 		}
 		checkBuildInvariants(t, s)
 	})
+}
+
+// fuzzPackage decodes the fuzz targets' package space: a W x H mesh, W
+// and H in 1..8, with a library type per chiplet cycling through types
+// (none: the paper's chiplet everywhere), OS or WS, and the full
+// pipeline or its first three stages.
+func fuzzPackage(t testing.TB, full, three *workloads.Pipeline, w, h uint8, ws, threeStages bool, types []byte) (*workloads.Pipeline, *chiplet.MCM) {
+	t.Helper()
+	gw, gh := 1+int(w%8), 1+int(h%8)
+	var assign []string
+	if len(types) > 0 {
+		names := chiplet.TypeNames()
+		assign = make([]string, gw*gh)
+		for i := range assign {
+			assign[i] = names[int(types[i%len(types)])%len(names)]
+		}
+	}
+	style, p := dataflow.OS, full
+	if ws {
+		style = dataflow.WS
+	}
+	if threeStages {
+		p = three
+	}
+	m, err := chiplet.NewTyped("fuzz", gw, gh, nop.DefaultParams(), style, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, m
 }
 
 // checkBuildInvariants asserts the structural contract of a built

@@ -112,7 +112,8 @@ func randomUnits(rng *rand.Rand, pool int) []*Unit {
 func checkPlaceMatchesReference(t *testing.T, m *chiplet.MCM, rng *rand.Rand) {
 	t.Helper()
 	pool := randomPool(rng, m)
-	ss := &StageSchedule{Name: "place", Pool: pool, mcm: m, scratch: newStageScratch(m)}
+	ss := &StageSchedule{Name: "place", Pool: pool, mcm: m, scratch: new(stageScratch)}
+	ss.scratch.grab(m.Chiplets())
 	ss.Units = randomUnits(rng, len(pool))
 	for round := 0; round < 3; round++ {
 		if round > 0 {

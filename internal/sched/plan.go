@@ -70,15 +70,14 @@ func sameChiplets(a, b *chiplet.MCM) error {
 // copyOnto copies a balanced schedule onto m, ready for finish: the
 // units with their placements, the pools and idle counts, each stage's
 // PipeLatMs, EnergyJ and MACs, the steps and the base. Units share
-// their node slices and graphs with b; the stages get fresh scratch
-// and share a fresh unit-cost memo, as newSchedule's do.
+// their node slices and graphs with b. The copy takes a pooled
+// workspace, as newSchedule's schedules do, and each copied unit finds
+// its row there on its first costing.
 func (b *Schedule) copyOnto(m *chiplet.MCM, cache *costmodel.Cache) *Schedule {
-	s := &Schedule{MCM: m, Pipeline: b.Pipeline, Opts: b.Opts, Steps: slices.Clone(b.Steps),
-		BaseMs: b.BaseMs, shared: b.shared}
+	s := &Schedule{MCM: m, Pipeline: b.Pipeline, Opts: b.Opts, BaseMs: b.BaseMs, shared: b.shared,
+		ws: takeWorkspace(m, len(b.Stages))}
 	s.Opts.Cache = cache
-	if s.shared {
-		s.load = make([]float64, m.Chiplets())
-	}
+	s.Steps = append(s.ws.steps[:0], b.Steps...)
 	nu, nc := 0, 0
 	for _, bs := range b.Stages {
 		nu += len(bs.Units)
@@ -91,15 +90,15 @@ func (b *Schedule) copyOnto(m *chiplet.MCM, cache *costmodel.Cache) *Schedule {
 	// them moves to an array of its own.
 	units := make([]Unit, 0, nu)
 	coords := make([]nop.Coord, 0, nc)
-	costs := make(unitCosts)
 	s.Stages = make([]*StageSchedule, len(b.Stages))
 	for i, bs := range b.Stages {
 		ss := &StageSchedule{Name: bs.Name, Index: bs.Index, Pool: slices.Clone(bs.Pool),
 			Units: make([]*Unit, len(bs.Units)), PipeLatMs: bs.PipeLatMs, EnergyJ: bs.EnergyJ, MACs: bs.MACs,
-			mcm: m, cache: cache, costs: costs, idle: bs.idle, scratch: newStageScratch(m)}
+			mcm: m, cache: cache, rows: &s.ws.rows, idle: bs.idle, scratch: &s.ws.stages[i]}
 		for k, u := range bs.Units {
 			units = append(units, *u)
 			c := &units[len(units)-1]
+			c.row = nil // a row belongs to one build's workspace
 			n := len(coords)
 			coords = append(coords, u.Chiplets...)
 			c.Chiplets = coords[n:len(coords):len(coords)]

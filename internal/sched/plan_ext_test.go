@@ -200,27 +200,8 @@ func FuzzPlanMatchesBuild(f *testing.F) {
 	f.Add(uint8(4), uint8(4), true, true, []byte{2, 0, 0, 1, 3}, 1.0, 1e3) // uneven 5x5 split
 	full := sched.Perception(f)
 	three := full.FirstThreeStages()
-	names := chiplet.TypeNames()
 	f.Fuzz(func(t *testing.T, w, h uint8, ws, threeStages bool, types []byte, bw, hop float64) {
-		gw, gh := 1+int(w%8), 1+int(h%8)
-		var assign []string
-		if len(types) > 0 {
-			assign = make([]string, gw*gh)
-			for i := range assign {
-				assign[i] = names[int(types[i%len(types)])%len(names)]
-			}
-		}
-		style, p := dataflow.OS, full
-		if ws {
-			style = dataflow.WS
-		}
-		if threeStages {
-			p = three
-		}
-		m, err := chiplet.NewTyped("fuzz", gw, gh, nop.DefaultParams(), style, assign)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, m := sched.FuzzPackage(t, full, three, w, h, ws, threeStages, types)
 		checkPlanMatchesBuild(t, p, m, []nop.Params{fuzzNoP(bw, hop)})
 	})
 }

@@ -20,7 +20,7 @@ type Options struct {
 	// Cache memoizes layer costs, sharded layer costs and per-graph
 	// node-cost vectors across builds (and, when shared, across the
 	// schedules of a sweep). Within one Build, Algorithm 1's repeated
-	// unit costings hit a build-scoped memo first; the cache serves
+	// unit costings hit the build's unit-cost rows first; the cache serves
 	// first sightings and cross-build reuse. nil evaluates uncached;
 	// results are bit-identical either way.
 	Cache *costmodel.Cache
@@ -64,17 +64,12 @@ type Schedule struct {
 	// InterStage transfers connect consecutive stages' boundary units.
 	InterStage []nop.Transfer
 
-	// load is record's per-ordinal scratch (see pipeLat) on shared
-	// packages, owned by the Build that fills Steps and dropped before it
-	// returns; nil on partitioned ones, whose stage PipeLatMs suffice.
-	load []float64
 	// shared marks a package too small to partition: every stage's pool
 	// is the whole mesh, so borrowing a chiplet cannot add capacity.
 	shared bool
-	// snap holds the stage state a greedy step may be rolled back to
-	// (relieve, useIdleChiplets), reused across steps and dropped with
-	// the rest of the build's scratch.
-	snap stageSnapshot
+	// ws is the build's scratch, held from newSchedule or copyOnto until
+	// release returns it to the pool.
+	ws *workspace
 }
 
 // Build runs Algorithm 1: quadrant allocation, initial per-layer
@@ -95,7 +90,8 @@ func Build(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule, erro
 }
 
 // newSchedule allocates the stage pools and decomposes every stage into
-// its initial units, with the build-scoped scratch solve works in.
+// its initial units. It takes a pooled workspace, the build-scoped
+// scratch solve works in, which the caller hands back with release.
 func newSchedule(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule, error) {
 	pools, shared, err := allocatePools(m, len(p.Stages))
 	if err != nil {
@@ -104,20 +100,18 @@ func newSchedule(p *workloads.Pipeline, m *chiplet.MCM, opts Options) (*Schedule
 	if opts.Tolerance <= 0 {
 		opts.Tolerance = DefaultTolerance
 	}
-	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, shared: shared}
-	if shared {
-		s.load = make([]float64, m.Chiplets())
-	}
-	costs := make(unitCosts)
+	s := &Schedule{MCM: m, Pipeline: p, Opts: opts, shared: shared, ws: takeWorkspace(m, len(pools)),
+		Stages: make([]*StageSchedule, 0, len(pools))}
+	s.Steps = s.ws.steps[:0]
 	for i, st := range p.Stages {
-		s.Stages = append(s.Stages, newStageSchedule(i, st, pools[i], m, opts.Cache, costs))
+		s.Stages = append(s.Stages, newStageSchedule(i, st, pools[i], m, opts.Cache, s.ws))
 	}
 	if len(pools) > len(p.Stages) {
 		// Unassigned surplus partition (e.g. the trunks quadrant in a
 		// 3-stage run): modeled as a stage without units whose idle
 		// chiplets borrowChiplet can raid.
 		s.Stages = append(s.Stages, newStageSchedule(len(p.Stages),
-			workloads.Stage{Name: "surplus"}, pools[len(p.Stages)], m, opts.Cache, costs))
+			workloads.Stage{Name: "surplus"}, pools[len(p.Stages)], m, opts.Cache, s.ws))
 	}
 	return s, nil
 }
@@ -143,7 +137,7 @@ func (s *Schedule) balance() error {
 	s.record("init", "")
 
 	// Outer loop: alleviate bottleneck stages until throughput matches.
-	skip := make(map[*Unit]bool)
+	skip := s.ws.skip
 	for iter := 0; iter < maxIters; iter++ {
 		base := s.Stages[baseStage].PipeLatMs
 		s.BaseMs = base
@@ -195,7 +189,7 @@ func (s *Schedule) finish() (*Schedule, error) {
 // E2EMs, so it runs computeMetrics on entering a stage with idle
 // chiplets and after each refresh.
 func (s *Schedule) useIdleChiplets() {
-	skip := make(map[*Unit]bool)
+	skip := s.ws.skip
 	for i := range s.Pipeline.Stages {
 		ss := s.Stages[i]
 		clear(skip)
@@ -215,7 +209,7 @@ func (s *Schedule) useIdleChiplets() {
 				continue
 			}
 			beforeE2E := ss.E2EMs
-			ss.snapshot(&s.snap)
+			ss.snapshot(&s.ws.snap)
 			if _, _, ok := s.applyImprovement(ss, u); !ok {
 				skip[u] = true
 				continue
@@ -230,7 +224,7 @@ func (s *Schedule) useIdleChiplets() {
 			}
 			// Restore the E2E too; the rejected step's transfers stay
 			// until the next computeMetrics, and nothing reads them before.
-			ss.restore(&s.snap)
+			ss.restore(&s.ws.snap)
 			ss.E2EMs = beforeE2E
 			skip[u] = true
 		}
@@ -338,7 +332,7 @@ func (s *Schedule) relieve(ss *StageSchedule, skip map[*Unit]bool) bool {
 		}
 		before := ss.PipeLatMs
 		beforeUnit := u.PerShardMs
-		ss.snapshot(&s.snap)
+		ss.snapshot(&s.ws.snap)
 		first, second, applied := s.applyImprovement(ss, u)
 		if !applied {
 			skip[u] = true
@@ -361,7 +355,7 @@ func (s *Schedule) relieve(ss *StageSchedule, skip map[*Unit]bool) bool {
 			}
 		}
 		// Regression (pool saturated for this unit): roll back.
-		ss.restore(&s.snap)
+		ss.restore(&s.ws.snap)
 		skip[u] = true
 	}
 }
@@ -374,7 +368,7 @@ func (s *Schedule) relieve(ss *StageSchedule, skip map[*Unit]bool) bool {
 func (s *Schedule) applyImprovement(ss *StageSchedule, u *Unit) (first, second *Unit, ok bool) {
 	if u.canSegment() {
 		a := s.MCM.At(ss.Pool[0])
-		first, second, err := u.segment(a, ss.cache, ss.costs)
+		first, second, err := u.segment(a, ss.cache, ss.rows)
 		if err != nil {
 			return nil, nil, false
 		}
@@ -502,7 +496,7 @@ func (s *Schedule) idleChiplets() int {
 func (s *Schedule) record(action, stage string) {
 	var pipe float64
 	if s.shared {
-		pipe = s.pipeLat(s.load)
+		pipe = s.pipeLat(s.ws.load)
 	} else {
 		for _, ss := range s.Stages[:len(s.Pipeline.Stages)] {
 			pipe = maxf(pipe, ss.PipeLatMs)
@@ -517,16 +511,23 @@ func (s *Schedule) record(action, stage string) {
 	})
 }
 
-// release drops the build-scoped scratch — record's load slice, the
-// step snapshot, the stages' unit-cost memo and working state — so a
-// retained schedule pins none of it.
+// release returns the build's workspace to the pool — the unit-cost
+// rows, the stages' working state, the step snapshot, record's load
+// slice, the skip set and the buffers — and drops every pointer into
+// it: the stages' and the units' own, and Steps, which it replaces with
+// an exact copy. So a retained schedule pins none of it, and the next
+// build to take the workspace shares nothing with this schedule.
 func (s *Schedule) release() {
-	s.load = nil
-	s.snap = stageSnapshot{}
+	steps := slices.Clone(s.Steps)
+	s.ws.steps, s.Steps = s.Steps[:0], steps
 	for _, ss := range s.Stages {
-		ss.costs = nil
-		ss.scratch = stageScratch{}
+		ss.rows, ss.scratch = nil, nil
+		for _, u := range ss.Units {
+			u.row = nil
+		}
 	}
+	workspaces.Put(s.ws)
+	s.ws = nil
 }
 
 // PipeLatMs returns the schedule's layerwise pipelining latency: the
@@ -553,9 +554,14 @@ func (s *Schedule) pipeLat(load []float64) float64 {
 }
 
 // TransferMs returns the NoP latency unit v waits for u's output: the
-// slowest of u's shard transfers to v (AppendFanOut).
+// slowest of u's shard transfers to v (AppendFanOut), evaluated in
+// place.
 func (s *Schedule) TransferMs(u, v *Unit) float64 {
-	return slowest(s.MCM.NoP, AppendFanOut(nil, u, v))
+	var worst float64
+	for i := range fanOutLen(u, v) {
+		worst = maxf(worst, s.MCM.NoP.Eval(fanOut(u, v, i)).LatencyMs)
+	}
+	return worst
 }
 
 // buildInterStage creates the stage-boundary transfers: the terminal of
@@ -572,16 +578,25 @@ func (s *Schedule) TransferMs(u, v *Unit) float64 {
 // schedule carries 10 transfers against the simulator's 14, and 3.024
 // against 3.102 mJ of NoP energy, with the same worst latency
 // (0.287 ms).
+//
+// The transfers grow in the workspace, and the schedule keeps an exact
+// copy (nil for none).
 func (s *Schedule) buildInterStage() {
-	s.InterStage = s.InterStage[:0]
+	buf := s.ws.transfers[:0]
 	for i := 0; i+1 < len(s.Pipeline.Stages); i++ {
 		next := s.Stages[i+1]
 		if len(next.Units) == 0 {
 			continue
 		}
-		for chain := range s.Stages[i].Chains() {
-			s.InterStage = AppendFanOut(s.InterStage, chain[len(chain)-1], next.Units[0])
+		ss := s.Stages[i]
+		ss.scratch.chains = byInstance(ss.scratch.chains, ss.Units)
+		for chain := range chainRuns(ss.scratch.chains) {
+			buf = AppendFanOut(buf, chain[len(chain)-1], next.Units[0])
 		}
+	}
+	s.ws.transfers, s.InterStage = buf, nil
+	if len(buf) > 0 {
+		s.InterStage = slices.Clone(buf)
 	}
 }
 

@@ -267,13 +267,14 @@ func TestMCMBeatsMonolithicThroughput(t *testing.T) {
 func TestUnitSegmentBalance(t *testing.T) {
 	p, _ := workloads.Perception(workloads.DefaultConfig())
 	st := p.Stages[workloads.StageFE]
-	ss := newStageSchedule(0, st, chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil, nil)
+	m := chiplet.Simba36(dataflow.OS)
+	ss := newStageSchedule(0, st, m.Coords()[:9], m, nil, takeWorkspace(m, 1))
 	u := ss.Units[0]
 	a := ss.mcm.At(ss.Pool[0])
-	if err := u.evalOn(a, nil, nil); err != nil {
+	if err := u.evalOn(a, nil, ss.rows); err != nil {
 		t.Fatal(err)
 	}
-	f, sec, err := u.segment(a, nil, nil)
+	f, sec, err := u.segment(a, nil, ss.rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +290,8 @@ func TestUnitSegmentBalance(t *testing.T) {
 
 func TestNextShardsDivisors(t *testing.T) {
 	p, _ := workloads.Perception(workloads.DefaultConfig())
-	ss := newStageSchedule(2, p.Stages[workloads.StageTFuse],
-		chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil, nil)
+	m := chiplet.Simba36(dataflow.OS)
+	ss := newStageSchedule(2, p.Stages[workloads.StageTFuse], m.Coords()[:9], m, nil, takeWorkspace(m, 3))
 	for _, u := range ss.Units {
 		if u.Nodes[0].Layer.Name == "T_FFN_fc1" {
 			// Batch 12: divisor ladder 1 -> 2 -> 3 -> 4 -> 6 -> 12.
@@ -355,8 +356,9 @@ func fingerprint(s *Schedule) string {
 
 // TestConcurrentBuilds runs eight Builds of one pipeline at once. The
 // mixed-type mesh with a shared cache takes the heterogeneous probe
-// path through each Build's unit-cost memo, so under the race detector
-// a memo, pool or unit shared across builds would surface here.
+// path through each Build's unit-cost rows, so under the race detector
+// a row, workspace, pool or unit shared across builds would surface
+// here.
 func TestConcurrentBuilds(t *testing.T) {
 	p, err := workloads.Perception(workloads.DefaultConfig())
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
-	"mcmnpu/internal/dnn"
 	"mcmnpu/internal/nop"
 	"mcmnpu/internal/workloads"
 )
@@ -37,13 +36,14 @@ type StageSchedule struct {
 
 	mcm   *chiplet.MCM
 	cache *costmodel.Cache
-	costs unitCosts // the owning Build's unit-cost memo; nil outside Build
+	rows  *unitRows // the owning build's unit-cost rows; nil once released
 	idle  int       // pool chiplets no unit is placed on (place, borrowChiplet)
 
 	// Reusable working state: Algorithm 1 refreshes each stage dozens
-	// of times per schedule, so per-refresh maps and slices are owned
-	// by the stage and cleared instead of reallocated.
-	scratch stageScratch
+	// of times per schedule, so per-refresh slices live in the build's
+	// workspace and are cleared instead of reallocated. nil once
+	// released.
+	scratch *stageScratch
 }
 
 type stageScratch struct {
@@ -51,26 +51,30 @@ type stageScratch struct {
 	busy   []bool    // per-ordinal: a unit is placed there (place)
 	order  []*Unit
 	loads  []float64 // per-pool-index packed load (place)
+	ix     []int32   // the storage of rank, head and ords
 	rank   []int32   // pool indices in (load, pool index) order (place)
 	head   []int32   // the rank prefix a unit takes (place)
 	ords   []int32   // a unit's chiplet ordinals (place)
 	chains []*Unit   // the units by instance (computeMetrics)
 }
 
-// newStageScratch sizes a stage's scratch for an m-chiplet mesh once:
-// a pool never holds more chiplets than the mesh, so placement, which
-// slices its per-pool-index scratch to the pool, never grows it.
-func newStageScratch(m *chiplet.MCM) stageScratch {
-	n := m.Chiplets()
-	ix := make([]int32, 3*n)
-	return stageScratch{
-		load:  make([]float64, n),
-		busy:  make([]bool, n),
-		loads: make([]float64, n),
-		rank:  ix[:n:n],
-		head:  ix[n : 2*n : 2*n],
-		ords:  ix[2*n:],
+// grab sizes the scratch for an n-chiplet mesh, keeping storage an
+// earlier build left, and zeroes what a fresh scratch reads as zero:
+// every load and busy flag. A pool never holds more chiplets than the
+// mesh, so placement, which slices its per-pool-index scratch to the
+// pool, never grows it; the other slices are written before they are
+// read.
+func (sc *stageScratch) grab(n int) {
+	if cap(sc.load) < n {
+		sc.load = make([]float64, n)
+		sc.busy = make([]bool, n)
+		sc.loads = make([]float64, n)
+		sc.ix = make([]int32, 3*n)
 	}
+	sc.load, sc.busy, sc.loads = sc.load[:n], sc.busy[:n], sc.loads[:n]
+	clear(sc.load)
+	clear(sc.busy)
+	sc.rank, sc.head, sc.ords = sc.ix[:n:n], sc.ix[n:2*n:2*n], sc.ix[2*n:3*n:3*n]
 }
 
 // Chains yields the stage's serial unit chains, one per (model,
@@ -118,9 +122,23 @@ func chainRuns(sorted []*Unit) iter.Seq[[]*Unit] {
 	}
 }
 
-// newStageSchedule builds a stage's initial units on a copy of pool
-// (borrowChiplet splices pools in place, and few-chip packages share
-// one coordinate slice across stages):
+// newStageSchedule builds a stage's initial units (initialUnits) on a
+// copy of pool (borrowChiplet splices pools in place, and few-chip
+// packages share one coordinate slice across stages), with the rows
+// and the stage scratch of the build's workspace ws.
+func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache, ws *workspace) *StageSchedule {
+	ss := &StageSchedule{Name: st.Name, Index: idx, Pool: append([]nop.Coord(nil), pool...), mcm: m, cache: cache,
+		rows: &ws.rows, scratch: &ws.stages[idx]}
+	units := initialUnits(idx, st)
+	ss.Units = make([]*Unit, len(units))
+	for i := range units {
+		ss.Units[i] = &units[i]
+	}
+	return ss
+}
+
+// initialUnits decomposes stage idx into its initial units, in one
+// block:
 //
 //   - Replicated stages (FE+BFPN x 8 cameras) get one whole-model unit
 //     per replica.
@@ -128,38 +146,45 @@ func chainRuns(sorted []*Unit) iter.Seq[[]*Unit] {
 //     non-compute layers fold into their predecessor unit).
 //   - Multi-model stages (trunks) get one whole-model unit per model.
 //
-// Units share the pipeline's node slices read-only: nothing appends to
-// a unit's nodes after construction, segmentation only re-slices them.
-// costs is the unit-cost memo of the calling Build (nil for none).
-func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache, costs unitCosts) *StageSchedule {
-	ss := &StageSchedule{Name: st.Name, Index: idx, Pool: append([]nop.Coord(nil), pool...), mcm: m, cache: cache, costs: costs,
-		scratch: newStageScratch(m)}
+// Units share the pipeline's node slices read-only: a per-layer unit's
+// nodes are a full slice expression of its graph's nodes, taken once
+// its folded run is found, since nothing appends to a unit's nodes
+// after construction; segmentation only re-slices them.
+func initialUnits(idx int, st workloads.Stage) []Unit {
 	switch {
 	case st.Replicas > 1:
-		ss.Units = make([]*Unit, 0, st.Replicas*len(st.Graphs))
+		units := make([]Unit, 0, st.Replicas*len(st.Graphs))
 		for r := 1; r <= st.Replicas; r++ {
 			for _, g := range st.Graphs {
-				ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Replica: r, Nodes: g.Nodes(), graph: g, Shards: 1})
+				units = append(units, Unit{StageIdx: idx, Model: g.Name, Replica: r, Nodes: g.Nodes(), graph: g, Shards: 1})
 			}
 		}
+		return units
 	case len(st.Graphs) == 1:
 		g := st.Graphs[0]
-		ss.Units = make([]*Unit, 0, len(g.Nodes()))
-		for _, n := range g.Nodes() {
-			if len(ss.Units) == 0 || n.Layer.Kind.ComputeBound() {
-				ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Nodes: []*dnn.Node{n}, graph: g, Shards: 1})
-			} else {
-				u := ss.Units[len(ss.Units)-1]
-				u.Nodes = append(u.Nodes, n)
+		nodes := g.Nodes()
+		n := 0
+		for i, nd := range nodes {
+			if i == 0 || nd.Layer.Kind.ComputeBound() {
+				n++
 			}
 		}
-	default:
-		ss.Units = make([]*Unit, 0, len(st.Graphs))
-		for _, g := range st.Graphs {
-			ss.Units = append(ss.Units, &Unit{StageIdx: idx, Model: g.Name, Nodes: g.Nodes(), graph: g, Shards: 1})
+		units := make([]Unit, 0, n)
+		for i := 0; i < len(nodes); {
+			j := i + 1
+			for j < len(nodes) && !nodes[j].Layer.Kind.ComputeBound() {
+				j++
+			}
+			units = append(units, Unit{StageIdx: idx, Model: g.Name, Nodes: nodes[i:j:j], graph: g, Shards: 1})
+			i = j
 		}
+		return units
 	}
-	return ss
+	units := make([]Unit, 0, len(st.Graphs))
+	for _, g := range st.Graphs {
+		units = append(units, Unit{StageIdx: idx, Model: g.Name, Nodes: g.Nodes(), graph: g, Shards: 1})
+	}
+	return units
 }
 
 // refresh re-evaluates unit costs, re-places units onto the pool (LPT),
@@ -182,7 +207,7 @@ func (ss *StageSchedule) refresh() error {
 		if u.Shards > int64(len(ss.Pool)) {
 			u.Shards = int64(len(ss.Pool))
 		}
-		if err := u.evalOn(ref, ss.cache, ss.costs); err != nil {
+		if err := u.evalOn(ref, ss.cache, ss.rows); err != nil {
 			return err
 		}
 	}
@@ -192,18 +217,18 @@ func (ss *StageSchedule) refresh() error {
 	// configuration one shared accelerator, so a chiplet behind the
 	// reference's pointer would probe to exactly u.PerShardMs and only
 	// other accelerators probe, once per run of equal pointers (a unit's
-	// chiplets are in row-major order). Probes go through the build's
-	// unit-cost memo, which returns the reference cost on that
-	// accelerator, never the worst case this loop writes back, so a
-	// unit spread over k chiplets of one non-reference type is costed
-	// once per build, not k times per refresh.
+	// chiplets are in row-major order). Probes go through the unit's
+	// row, which returns the reference cost on that accelerator, never
+	// the worst case this loop writes back, so a unit spread over k
+	// chiplets of one non-reference type is costed once per build, not
+	// k times per refresh.
 	for _, u := range ss.Units {
 		worst, ms, cur := 0.0, u.PerShardMs, ref
 		for _, c := range u.Chiplets {
 			if a := ss.mcm.At(c); a != cur {
 				cur, ms = a, u.PerShardMs
 				if a != ref {
-					pc, err := ss.costs.cost(u, a, ss.cache)
+					pc, err := ss.rows.cost(u, a, ss.cache)
 					if err != nil {
 						return err
 					}
@@ -324,9 +349,17 @@ func (ss *StageSchedule) computeMetrics() {
 	// intra-stage NoP traffic. Chains come in a total order, so the NoP
 	// sums below are deterministic; chain latencies feed a max, which
 	// is order-free.
-	ss.Transfers = ss.Transfers[:0]
 	ss.E2EMs = 0
 	ss.scratch.chains = byInstance(ss.scratch.chains, ss.Units)
+	// The schedule keeps the transfers: count them first, so they are
+	// allocated once, not grown.
+	n := 0
+	for chain := range chainRuns(ss.scratch.chains) {
+		for k := 1; k < len(chain); k++ {
+			n += fanOutLen(chain[k-1], chain[k])
+		}
+	}
+	ss.Transfers = slices.Grow(ss.Transfers[:0], n)
 	for chain := range chainRuns(ss.scratch.chains) {
 		var ms float64
 		for k, u := range chain {

@@ -15,6 +15,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dnn"
@@ -33,6 +34,9 @@ type Unit struct {
 	// unit is graph.Nodes()[n.ID], so the graph's node-cost vectors
 	// cost the unit by index.
 	graph *dnn.Graph
+	// row holds the build's costings of the unit's node run, from the
+	// unit's first costing until release clears it.
+	row *costRow
 
 	// Shards is the data-parallel split factor (only meaningful for
 	// single-node units; multi-node units split into segments instead).
@@ -64,27 +68,16 @@ func (u *Unit) Label() string {
 // serially on one chiplet; for sharded single-node units each shard
 // holds a 1/Shards slice with weights replicated. Algorithm 1 re-costs
 // the same (unit, shard count, accelerator) on every greedy iteration:
-// within one Build those repeats hit the build's unit-cost memo, and a
-// memo miss reads the shared cache (nil is valid and evaluates
-// uncached), which serves first sightings and reuse across builds.
-func (u *Unit) evalOn(a *costmodel.Accel, cache *costmodel.Cache, memo unitCosts) error {
-	c, err := memo.cost(u, a, cache)
+// within one Build those repeats hit the build's unit-cost rows, and a
+// miss reads the shared cache (nil is valid and evaluates uncached),
+// which serves first sightings and reuse across builds.
+func (u *Unit) evalOn(a *costmodel.Accel, cache *costmodel.Cache, rows *unitRows) error {
+	c, err := rows.cost(u, a, cache)
 	if err != nil {
 		return err
 	}
 	u.PerShardMs, u.EnergyJ, u.MACs = c.ms, c.ej, c.macs
 	return nil
-}
-
-// unitCostKey names one costing of a unit: its node run, shard count
-// and accelerator. Units only ever re-slice one model's node list
-// (newStageSchedule, segment), so the first node and the run length name
-// the layers; camera replicas share one node list and so share entries.
-type unitCostKey struct {
-	first  *dnn.Node
-	nodes  int
-	shards int64
-	accel  *costmodel.Accel
 }
 
 // unitCost is a unit's reference cost: per-shard latency, total energy
@@ -94,30 +87,121 @@ type unitCost struct {
 	macs   int64
 }
 
-// unitCosts is the unit-cost memo of one Build: a plain map,
-// never shared across goroutines and dropped before Build returns.
-// Cost is a pure function of layer, shard and accelerator values, so a
-// hit on the same accelerator pointer is exact; an equal configuration
-// behind another pointer misses into the shared cache, where it shares
-// the node-cost vectors and sharded entries of its configuration. A nil
-// memo evaluates every call through the cache.
-type unitCosts map[unitCostKey]unitCost
+// accelCost is one costing in a row: the row's units' cost on a.
+type accelCost struct {
+	a *costmodel.Accel
+	c unitCost
+}
+
+// costRow holds one build's costings of a node run. Units only ever
+// re-slice one model's node list (newStageSchedule, segment), so the
+// run's first node and length name its layers, and camera replicas,
+// which share one node list, share a row. byShards[k-1] lists the
+// run's costings at k shards, one per accelerator pointer costed so
+// far: the package constructors give every chiplet configuration one
+// accelerator, so a list holds at most one entry per configuration.
+// Cost is a pure function of layer, shard count and accelerator
+// values, so an entry is exact for the pointer it names; an equal
+// configuration behind another pointer misses into the shared cache,
+// where it shares the node-cost vectors and sharded entries of its
+// configuration.
+type costRow struct {
+	nodes    int
+	next     int32 // 1 + the index of the next row starting at the same node; 0 ends the chain
+	byShards [][]accelCost
+}
+
+// at returns the row's costings at k shards. A list past the row's
+// length reuses the storage an earlier build left there, emptied.
+func (r *costRow) at(k int64) *[]accelCost {
+	for n := len(r.byShards); int64(n) < k; n++ {
+		r.byShards = slices.Grow(r.byShards, 1)[:n+1]
+		r.byShards[n] = r.byShards[n][:0]
+	}
+	return &r.byShards[k-1]
+}
+
+// unitRows is the unit-cost store of one build: its rows, and an index
+// from a node run to its row. Every unit keeps a pointer to its row
+// from its first costing on (Unit.row), so only that first costing
+// looks the run up: in the chain of rows that start at its first node,
+// found through the node's ID in its graph's span of heads. It belongs
+// to the build's workspace, never shared across goroutines, and
+// release clears the units' pointers into it.
+type unitRows struct {
+	rows   []*costRow // the build's rows are rows[:n]; the rest wait for reuse
+	n      int
+	graphs []*dnn.Graph // the graphs whose nodes heads covers
+	offs   []int        // offs[i]: where graphs[i]'s span starts in heads
+	heads  []int32      // per node: 1 + the index of the newest row starting there, 0 for none
+}
+
+// reset empties the store, keeping its storage.
+func (r *unitRows) reset() {
+	r.n = 0
+	r.graphs, r.offs, r.heads = r.graphs[:0], r.offs[:0], r.heads[:0]
+}
+
+// rowOf returns the row of u's node run, adding an empty one on the
+// run's first sighting in the build.
+func (r *unitRows) rowOf(u *Unit) *costRow {
+	gi := slices.Index(r.graphs, u.graph)
+	if gi < 0 {
+		gi = len(r.graphs)
+		n := len(r.heads)
+		r.graphs = append(r.graphs, u.graph)
+		r.offs = append(r.offs, n)
+		r.heads = slices.Grow(r.heads, u.graph.Len())[:n+u.graph.Len()]
+		clear(r.heads[n:])
+	}
+	head := &r.heads[r.offs[gi]+u.Nodes[0].ID]
+	for i := *head; i != 0; i = r.rows[i-1].next {
+		if row := r.rows[i-1]; row.nodes == len(u.Nodes) {
+			return row
+		}
+	}
+	if r.n == len(r.rows) {
+		block := make([]costRow, max(len(r.rows), 32))
+		for i := range block {
+			r.rows = append(r.rows, &block[i])
+		}
+	}
+	row := r.rows[r.n]
+	r.n++
+	row.nodes, row.next, row.byShards = len(u.Nodes), *head, row.byShards[:0]
+	*head = int32(r.n)
+	return row
+}
 
 // cost returns u's reference cost on a at its current shard count. It
 // never reads u's derived fields: refresh overwrites u.PerShardMs with
 // the heterogeneous worst case after placement.
-//
-// An unsharded unit (every multi-node unit, and a single node before
-// it shards) sums its nodes' entries of the graph's node-cost vector
-// on a. Only a sharded unit, always a single node, looks up its shard
-// derivation. Both give the value a per-node ShardedLayerOn sum gives:
-// a 1-way shard is a copy with its layer's signature, and scaling
-// energy by 1 is exact.
-func (m unitCosts) cost(u *Unit, a *costmodel.Accel, cache *costmodel.Cache) (unitCost, error) {
-	k := unitCostKey{first: u.Nodes[0], nodes: len(u.Nodes), shards: u.Shards, accel: a}
-	if c, ok := m[k]; ok {
-		return c, nil
+func (r *unitRows) cost(u *Unit, a *costmodel.Accel, cache *costmodel.Cache) (unitCost, error) {
+	if u.row == nil {
+		u.row = r.rowOf(u)
 	}
+	list := u.row.at(u.Shards)
+	for _, e := range *list {
+		if e.a == a {
+			return e.c, nil
+		}
+	}
+	c, err := u.costOn(a, cache)
+	if err != nil {
+		return unitCost{}, err
+	}
+	*list = append(*list, accelCost{a: a, c: c})
+	return c, nil
+}
+
+// costOn evaluates u's reference cost on a at its current shard count
+// through the shared cache. An unsharded unit (every multi-node unit,
+// and a single node before it shards) sums its nodes' entries of the
+// graph's node-cost vector on a. Only a sharded unit, always a single
+// node, looks up its shard derivation. Both give the value a per-node
+// ShardedLayerOn sum gives: a 1-way shard is a copy with its layer's
+// signature, and scaling energy by 1 is exact.
+func (u *Unit) costOn(a *costmodel.Accel, cache *costmodel.Cache) (unitCost, error) {
 	var vec []costmodel.LayerCost
 	if u.Shards == 1 {
 		vec = cache.NodeCosts(u.graph, a)
@@ -136,9 +220,6 @@ func (m unitCosts) cost(u *Unit, a *costmodel.Accel, cache *costmodel.Cache) (un
 		c.ms += lc.LatencyMs
 		c.ej += lc.EnergyJ * float64(u.Shards)
 		c.macs += n.Layer.MACs()
-	}
-	if m != nil {
-		m[k] = c
 	}
 	return c, nil
 }
@@ -188,8 +269,8 @@ func (u *Unit) canSegment() bool { return len(u.Nodes) > 1 }
 // ResNet block this way in the dual-NPU study). The per-layer split
 // latencies come from the graph's node-cost vector on a (a nil cache
 // builds it uncached); the two halves are costed on a through the
-// memo, like any other unit.
-func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache, memo unitCosts) (*Unit, *Unit, error) {
+// build's rows, like any other unit.
+func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache, rows *unitRows) (*Unit, *Unit, error) {
 	if !u.canSegment() {
 		return nil, nil, fmt.Errorf("sched: unit %s cannot segment", u.Label())
 	}
@@ -213,10 +294,10 @@ func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache, memo unitCost
 		Nodes: u.Nodes[:cut], graph: u.graph, Shards: 1}
 	second := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
 		Nodes: u.Nodes[cut:], graph: u.graph, Shards: 1}
-	if err := first.evalOn(a, cache, memo); err != nil {
+	if err := first.evalOn(a, cache, rows); err != nil {
 		return nil, nil, err
 	}
-	if err := second.evalOn(a, cache, memo); err != nil {
+	if err := second.evalOn(a, cache, rows); err != nil {
 		return nil, nil, err
 	}
 	return first, second, nil
@@ -235,16 +316,28 @@ func abs64(v float64) float64 {
 // i goes to v's chiplet i mod len(v.Chiplets). Nothing is appended
 // when u emits nothing or either unit is unplaced.
 func AppendFanOut(dst []nop.Transfer, u, v *Unit) []nop.Transfer {
-	last := u.Nodes[len(u.Nodes)-1].Layer
-	bytes := last.OutputElems()
-	if bytes <= 0 || len(u.Chiplets) == 0 || len(v.Chiplets) == 0 {
-		return dst
-	}
-	per := bytes / int64(len(u.Chiplets))
-	for i, src := range u.Chiplets {
-		dst = append(dst, nop.Transfer{Src: src, Dst: v.Chiplets[i%len(v.Chiplets)], Bytes: per, Label: last.Name})
+	for i := range fanOutLen(u, v) {
+		dst = append(dst, fanOut(u, v, i))
 	}
 	return dst
+}
+
+// fanOutLen returns the number of transfers that carry u's output to
+// v: one per chiplet of u, none when u emits nothing or either unit is
+// unplaced.
+func fanOutLen(u, v *Unit) int {
+	if u.Nodes[len(u.Nodes)-1].Layer.OutputElems() <= 0 || len(v.Chiplets) == 0 {
+		return 0
+	}
+	return len(u.Chiplets)
+}
+
+// fanOut returns the transfer of u's shard i to v: an even share of u's
+// output, to v's chiplet i mod len(v.Chiplets).
+func fanOut(u, v *Unit, i int) nop.Transfer {
+	last := u.Nodes[len(u.Nodes)-1].Layer
+	return nop.Transfer{Src: u.Chiplets[i], Dst: v.Chiplets[i%len(v.Chiplets)],
+		Bytes: last.OutputElems() / int64(len(u.Chiplets)), Label: last.Name}
 }
 
 // slowest returns the largest latency of the transfers under p, 0 for

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mcmnpu/internal/chiplet"
@@ -41,7 +42,7 @@ func perception(t testing.TB) *workloads.Pipeline {
 // freshCost is the reference a unit's cost is checked against: a
 // per-node sum, in node order, of uncached costmodel.ShardedLayerOn at
 // the unit's shard count. It shares no code with the scheduler's
-// costing path (memo, node-cost vectors, shared cache).
+// costing path (unit-cost rows, node-cost vectors, shared cache).
 func freshCost(t *testing.T, u *Unit, a *costmodel.Accel) unitCost {
 	t.Helper()
 	var c unitCost
@@ -60,10 +61,10 @@ func freshCost(t *testing.T, u *Unit, a *costmodel.Accel) unitCost {
 // TestBuildUnitCostsMatchFreshEvaluation re-costs every built unit from
 // scratch with freshCost and demands bit-identical values: PerShardMs
 // is the worst case over the chiplets the unit occupies, EnergyJ and
-// MACs are its cost on the stage's reference accelerator. A memo that
-// returned a stale or worst-case value instead of the reference cost
-// would change the mixed-type rows, and a node-cost vector read at the
-// wrong index would change every row.
+// MACs are its cost on the stage's reference accelerator. A unit-cost
+// row that returned a stale or worst-case value instead of the
+// reference cost would change the mixed-type rows, and a node-cost
+// vector read at the wrong index would change every row.
 func TestBuildUnitCostsMatchFreshEvaluation(t *testing.T) {
 	dual := perception(t)
 	dual.Stages[workloads.StageTrunks].Replicas = 2
@@ -117,14 +118,14 @@ func TestBuildUnitCostsMatchFreshEvaluation(t *testing.T) {
 // TestBuildSharedCacheLookups guards the number of per-layer
 // shared-cache lookups one Build of the paper's 6x6/OS point makes on
 // a fresh cache. The count is deterministic: Algorithm 1 re-costs units
-// on every greedy step, the build-scoped memo keeps those repeats off
-// the shared cache, and a memo miss of an unsharded unit reads its
+// on every greedy step, the build's unit-cost rows keep those repeats
+// off the shared cache, and a row miss of an unsharded unit reads its
 // graph's node-cost vector, which looks up each node once per
 // (graph, accelerator configuration). The build fills vectors with 181
 // lookups and makes 7 sharded ones: 100 misses and 88 hits, since many
 // layers share a shape. Growth means a path is costing layer by layer
-// again: before the memo the same build made 8,091 lookups, and 746
-// before the node-cost vectors.
+// again: before the build-scoped memo the same build made 8,091
+// lookups, and 746 before the node-cost vectors.
 func TestBuildSharedCacheLookups(t *testing.T) {
 	const maxLookups = 188
 	cache := costmodel.NewCache()
@@ -147,16 +148,19 @@ var raceEnabled bool
 // cache, on the paper's 6x6/OS package and on BenchmarkSchedulerHetero's
 // mixed-type 6x6 package. Placement writes each unit's chiplets into
 // the unit's own slice, unsharded units cost from shared node-cost
-// vectors, a rejected greedy step is undone from a snapshot the
-// schedule reuses, and a step splices the units list in place, so the
-// count does not grow with refreshes, probes or rollbacks: the same
-// builds made 565 and 3,834 allocations when each refresh and probe
-// allocated, and 328 and 689 when each step copied the units list,
-// built a slice of the units it changed and was undone by a second
-// refresh. The mixed package reads 412 or 413: Go's swiss-table maps
-// seed their hashes per map, which moves a growth by one allocation.
-// The race detector's instrumentation allocates more, so the test
-// skips under -race.
+// vectors, a rejected greedy step is undone from a snapshot, a step
+// splices the units list in place, and the build's scratch (unit-cost
+// rows, stage scratch, snapshot, skip set, the buffers the step trace
+// and the boundary transfers grow in) comes from a recycled workspace,
+// so the count does not grow with refreshes, probes or rollbacks: what
+// is left is mostly what the schedule keeps. The same builds
+// made 565 and 3,834 allocations when each refresh and probe
+// allocated, 328 and 689 when each step copied the units list, built a
+// slice of the units it changed and was undone by a second refresh,
+// and 300 and 402 with a hashed memo and fresh scratch per build.
+// AllocsPerRun runs on one P, so every build takes the workspace the
+// one before put back. The race detector's instrumentation allocates
+// more, so the test skips under -race.
 func TestBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -166,8 +170,8 @@ func TestBuildAllocations(t *testing.T) {
 		m         *chiplet.MCM
 		maxAllocs float64
 	}{
-		{"simba36", chiplet.Simba36(dataflow.OS), 304},
-		{"mixed-6x6", mixedMesh(t, 6, 6), 413},
+		{"simba36", chiplet.Simba36(dataflow.OS), 178},
+		{"mixed-6x6", mixedMesh(t, 6, 6), 266},
 	}
 	p := perception(t)
 	for _, tc := range cases {
@@ -182,6 +186,53 @@ func TestBuildAllocations(t *testing.T) {
 			build() // warm the shared cache
 			if got := testing.AllocsPerRun(10, build); got > tc.maxAllocs {
 				t.Errorf("Build on a warm cache allocates %v times, want <= %v", got, tc.maxAllocs)
+			}
+		})
+	}
+}
+
+// TestBuildBytes guards the bytes one Build allocates on a warm cache,
+// on TestBuildAllocations' two packages: the GC's cost follows bytes,
+// which an allocation count does not see. The bounds sit just above
+// what the builds measure, 16.6 KB and 27.3 KB; with a hashed memo,
+// fresh scratch per build and transfers and steps grown in place they
+// took 37.3 KB and 121.1 KB.
+// Like AllocsPerRun, the test runs on one P, so every build takes the
+// workspace the one before put back, and averages TotalAlloc over many
+// builds. It skips under -race, like TestBuildAllocations.
+func TestBuildBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cases := []struct {
+		name     string
+		m        *chiplet.MCM
+		maxBytes uint64
+	}{
+		{"simba36", chiplet.Simba36(dataflow.OS), 17_000},
+		{"mixed-6x6", mixedMesh(t, 6, 6), 28_000},
+	}
+	p := perception(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Cache = costmodel.NewCache()
+			build := func() {
+				if _, err := Build(p, tc.m, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			build() // warm the shared cache and the workspace pool
+			const n = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range n {
+				build()
+			}
+			runtime.ReadMemStats(&after)
+			if got := (after.TotalAlloc - before.TotalAlloc) / n; got > tc.maxBytes {
+				t.Errorf("Build on a warm cache allocates %d bytes, want <= %d", got, tc.maxBytes)
 			}
 		})
 	}

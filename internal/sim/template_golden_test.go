@@ -98,15 +98,18 @@ var raceEnabled bool
 
 // TestPrepareAllocations guards the allocations of one Prepare of the
 // urban-8cam registry schedule. Route yields a dependency transfer's
-// links instead of building a slice per transfer, so the count follows
-// the template's tasks and edges: the same Prepare made 310 allocations
-// when each transfer's route was a fresh slice. The race detector's
-// instrumentation allocates more, so the test skips under -race.
+// links instead of building a slice per transfer, and
+// sched.Schedule.TransferMs evaluates a dependency's shard transfers in
+// place, so the count follows the template's tasks and edges: the same
+// Prepare made 310 allocations when each transfer's route was a fresh
+// slice, and 210 when TransferMs built the transfers it compared. The
+// race detector's instrumentation allocates more, so the test skips
+// under -race.
 func TestPrepareAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const maxAllocs = 210
+	const maxAllocs = 169
 	schedules, err := registrySchedules()
 	if err != nil {
 		t.Fatal(err)
